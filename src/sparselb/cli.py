@@ -126,14 +126,10 @@ def cmd_fluid(args: argparse.Namespace) -> int:
     jmax = args.jmax or default_jmax(args.lam, args.delta)
     y0 = _initial_state(args.y0, args.lam, args.delta, jmax)
     store = np.arange(0.0, args.t_end + 1e-12, args.grid_dt)
-    if args.kind == "sync":
-        run = fluid_sync.integrate_sync(
-            y0, args.lam, args.delta, args.t_end, dt=args.dt, store_times=store
-        )
-    else:
-        run = fluid_async.integrate_async(
-            y0, args.lam, args.delta, args.t_end, dt=args.dt, store_times=store
-        )
+    integrate = (
+        fluid_sync.integrate_sync if args.kind == "sync" else fluid_async.integrate_async
+    )
+    run = integrate(y0, args.lam, args.delta, args.t_end, dt=args.dt, store_times=store)
     _write(args.out, _trajectory_csv(run.times, run.states))
     if args.des_runs:
         spec_text = ("sujsq-det" if args.kind == "sync" else "aujsq-exp")

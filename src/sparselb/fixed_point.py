@@ -15,6 +15,7 @@ import numpy as np
 
 from .model import FluidState, default_jmax
 from .fluid_async import rhs_async
+from .fluid_sync import poisson_ab
 
 NU_TOL = 1e-12
 RESIDUAL_TOL = 1e-8
@@ -135,8 +136,6 @@ def m_star_det(lam: float, delta: float) -> int:
     largest m whose expected per-interval completions, starting from m jobs,
     stay within the per-interval arrivals lam/delta.  Never exceeds the
     exponential-gap level m_star."""
-    from .fluid_sync import poisson_ab
-
     if not 0.0 < lam < 1.0 or not delta > 0.0:
         raise ValueError("need 0 < lam < 1 and delta > 0")
     period = 1.0 / delta

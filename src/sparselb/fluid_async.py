@@ -1,10 +1,10 @@
 """Fluid limit under asynchronous exponential status updates.
 
 Updates arrive continuously at rate delta per server, so the limit has no
-jumps.  A server reporting a queue below the effective dispatch level is
-topped up instantly at fluid scale; the level n and the residual arrival
-rate zeta feeding it are recomputed from the state at every derivative
-evaluation.
+jumps: it runs on the shared integrator of fluid_sync with no epochs.  A
+server reporting a queue below the effective dispatch level is topped up
+instantly at fluid scale; the level n and the residual arrival rate zeta
+feeding it are recomputed from the state at every derivative evaluation.
 """
 from __future__ import annotations
 
@@ -12,17 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    FluidState,
-    check_truncation,
-    min_estimate_level,
-)
+from .model import FluidState, min_estimate_level
+from .fluid_sync import SWITCH_TOL, FluidRun, integrate_fluid
 
-# Occupancy threshold for locating the minimum estimate level; must match
-# the integrator's switch tolerance or drained crumb columns would keep
-# receiving assignment flux.  CAP_TOL is slack on the capacity comparison
-# that prevents chattering when u_n sits exactly on lam.
-LEVEL_TOL = 1e-10
+# The minimum estimate level is located with the integrator's SWITCH_TOL,
+# or drained crumb columns would keep receiving assignment flux.  CAP_TOL
+# is slack on the capacity comparison that prevents chattering when u_n
+# sits exactly on lam.
 CAP_TOL = 1e-12
 
 
@@ -59,7 +55,7 @@ def driver_of(y: np.ndarray | FluidState, lam: float, delta: float) -> AsyncDriv
         y = y.y
     v = y.sum(axis=1)
     w = y.sum(axis=0)
-    m = min_estimate_level(w, LEVEL_TOL)
+    m = min_estimate_level(w, SWITCH_TOL)
     u = update_capacity(v, delta)
     if u[m] <= lam + CAP_TOL:
         n = m
@@ -87,7 +83,7 @@ def rhs_async(y: np.ndarray | FluidState, lam: float, delta: float) -> np.ndarra
     dy = -delta * y
     dy[:-1, :] += y[1:, :]
     dy[1:, :] -= y[1:, :]
-    if w_n > LEVEL_TOL and zeta > 0.0:
+    if w_n > SWITCH_TOL and zeta > 0.0:
         arr = y[:, n] / w_n
         dy[:, n] -= zeta * arr
         if n + 1 <= jmax:
@@ -99,48 +95,6 @@ def rhs_async(y: np.ndarray | FluidState, lam: float, delta: float) -> np.ndarra
     return dy
 
 
-def _rk4(y: np.ndarray, h: float, lam: float, delta: float) -> np.ndarray:
-    k1 = rhs_async(y, lam, delta)
-    k2 = rhs_async(y + 0.5 * h * k1, lam, delta)
-    k3 = rhs_async(y + 0.5 * h * k2, lam, delta)
-    k4 = rhs_async(y + h * k3, lam, delta)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _advance(y: np.ndarray, span: float, dt: float, lam: float, delta: float) -> np.ndarray:
-    """Fixed steps over a span, splitting exactly where the minimum occupied
-    estimate level drains to zero (the field switches there)."""
-    from .fluid_sync import split_step_at_switch
-
-    remaining = span
-    while remaining > 1e-14:
-        m = min_estimate_level(y.sum(axis=0), 1e-10)
-        h = min(dt, remaining)
-        y_new = _rk4(y, h, lam, delta)
-        if y_new[:, m].sum() < -1e-13:
-            h, y_new = split_step_at_switch(
-                lambda z, hh: _rk4(z, hh, lam, delta), y, h, m
-            )
-        y = y_new
-        remaining -= h
-    return y
-
-
-@dataclass
-class AsyncFluidRun:
-    times: np.ndarray
-    states: np.ndarray
-    lam: float
-    delta: float
-    clamped: float = 0.0
-
-    def state(self, idx: int) -> FluidState:
-        return FluidState(self.states[idx])
-
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
-
 def integrate_async(
     y0: FluidState | np.ndarray,
     lam: float,
@@ -148,40 +102,9 @@ def integrate_async(
     t_end: float,
     dt: float | None = None,
     store_times: np.ndarray | None = None,
-) -> AsyncFluidRun:
+) -> FluidRun:
     """Fixed-step 4th-order integration on [0, t_end]; the dispatch level is
     re-derived from the state at every evaluation, and there are no jumps."""
-    y = np.array(y0.y if isinstance(y0, FluidState) else y0, dtype=float)
-    if dt is None:
-        dt = min(1.0 / delta, 1.0) / 1000.0
-    if dt > min(1.0 / delta, 1.0) / 100.0:
-        raise ValueError("dt too coarse: need dt <= min(1/delta, 1)/100")
-    if store_times is None:
-        store_times = np.linspace(0.0, t_end, 1001)
-    store_times = np.asarray(
-        sorted({float(t) for t in store_times if 0.0 < t <= t_end} | {t_end})
-    )
-
-    times = [0.0]
-    states = [y.copy()]
-    clamped = 0.0
-    t = 0.0
-    for t_next in store_times:
-        y = _advance(y, t_next - t, dt, lam, delta)
-        low = y.min()
-        if low < 0.0:
-            if low < -1e-12:
-                raise RuntimeError(f"state entry fell to {low}")
-            clamped = max(clamped, -low)
-            y = np.maximum(y, 0.0)
-        check_truncation(y)
-        times.append(t_next)
-        states.append(y.copy())
-        t = t_next
-    return AsyncFluidRun(
-        times=np.asarray(times),
-        states=np.asarray(states),
-        lam=lam,
-        delta=delta,
-        clamped=clamped,
+    return integrate_fluid(
+        lambda y: rhs_async(y, lam, delta), y0, lam, delta, t_end, dt, store_times
     )

@@ -1,10 +1,12 @@
-"""Fluid limit under synchronized status updates.
+"""Fluid limits: the fixed-step integrator shared by both update schemes,
+and the synchronized limit built on it.
 
-Between epochs the occupancy fractions follow a piecewise-smooth ODE whose
-assignment flux targets the minimum estimate level; at each epoch every
-column collapses onto the diagonal (estimates snap to true queue lengths).
-The module also carries the Poisson drain quantities A/B, the queue-length
-bound scan, and trajectory-level consistency checks.
+Under synchronized updates the occupancy fractions follow a piecewise-smooth
+ODE between epochs whose assignment flux targets the minimum estimate
+level; at each epoch every column collapses onto the diagonal (estimates
+snap to true queue lengths).  fluid_async runs the same integrator with no
+epochs.  The module also carries the Poisson drain quantities A/B, the
+queue-length bound scan, and trajectory-level consistency checks.
 """
 from __future__ import annotations
 
@@ -60,30 +62,25 @@ def apply_sync_update(y: np.ndarray | FluidState) -> np.ndarray:
 
 
 @dataclass
-class SyncFluidRun:
+class FluidRun:
     """Stored trajectory: states are right-continuous (post-jump at epochs);
-    pre_update_states holds the left limits at each applied epoch."""
+    update_epochs lists the epochs at which a jump was applied."""
 
     times: np.ndarray
     states: np.ndarray
     update_epochs: np.ndarray
-    pre_update_states: np.ndarray
     lam: float
     clamped: float = 0.0
 
-    def state(self, idx: int) -> FluidState:
-        return FluidState(self.states[idx])
-
-    def at_time(self, t: float) -> np.ndarray:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        return self.states[idx]
+    def final(self) -> np.ndarray:
+        return self.states[-1]
 
 
-def _rk4(y: np.ndarray, h: float, lam: float) -> np.ndarray:
-    k1 = rhs_sync(y, lam)
-    k2 = rhs_sync(y + 0.5 * h * k1, lam)
-    k3 = rhs_sync(y + 0.5 * h * k2, lam)
-    k4 = rhs_sync(y + h * k3, lam)
+def _rk4(rhs, y: np.ndarray, h: float) -> np.ndarray:
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -108,7 +105,7 @@ def split_step_at_switch(step, y: np.ndarray, h: float, m: int):
     raise IntegrationError("switch-point bisection did not converge")
 
 
-def _advance(y: np.ndarray, span: float, dt: float, lam: float) -> np.ndarray:
+def _advance(rhs, y: np.ndarray, span: float, dt: float) -> np.ndarray:
     """Integrate over a span containing no epochs, splitting steps exactly
     at minimum-estimate switch points (where the lowest occupied column
     hits zero mass)."""
@@ -116,35 +113,84 @@ def _advance(y: np.ndarray, span: float, dt: float, lam: float) -> np.ndarray:
     while remaining > 1e-14:
         m = min_estimate_level(y.sum(axis=0), SWITCH_TOL)
         h = min(dt, remaining)
-        y_new = _rk4(y, h, lam)
+        y_new = _rk4(rhs, y, h)
         if y_new[:, m].sum() < -1e-13:
-            h, y_new = split_step_at_switch(lambda z, hh: _rk4(z, hh, lam), y, h, m)
+            h, y_new = split_step_at_switch(lambda z, hh: _rk4(rhs, z, hh), y, h, m)
         y = y_new
         remaining -= h
     return y
 
 
-def _merge_marks(
-    t_end: float, epochs: np.ndarray, store_times: np.ndarray
-) -> list[tuple[float, bool, bool]]:
-    """Sorted (time, is_epoch, is_store) marks, merging near-equal times."""
-    marks: dict[float, list[bool]] = {}
+def _marks(t_end: float, epochs, store_times) -> list[tuple[float, bool]]:
+    """Sorted (time, is_epoch) stops in (0, t_end], merging times within
+    1e-12 * max(1, t_end) of each other.  A merged group keeps its epoch's
+    time if it has one, else t_end if it holds t_end, else its first time."""
     eps = 1e-12 * max(1.0, t_end)
+    # rank 0: store time, 1: t_end, 2: epoch
+    stops = sorted(
+        (float(t), rank)
+        for times, rank in ((epochs, 2), (store_times, 0), ([t_end], 1))
+        for t in times
+        if 0.0 < t <= t_end + eps
+    )
+    marks: list[tuple[float, int]] = []
+    for t, rank in stops:
+        if marks and t - marks[-1][0] <= eps:
+            marks[-1] = max(marks[-1], (t, rank), key=lambda mark: mark[1])
+        else:
+            marks.append((t, rank))
+    return [(t, rank == 2) for t, rank in marks]
 
-    def _put(t: float, epoch: bool, store: bool) -> None:
-        for known in marks:
-            if abs(known - t) <= eps:
-                marks[known][0] |= epoch
-                marks[known][1] |= store
-                return
-        marks[t] = [epoch, store]
 
-    for t in epochs:
-        _put(float(t), True, False)
-    for t in store_times:
-        _put(float(t), False, True)
-    _put(t_end, False, True)
-    return sorted((t, e, s) for t, (e, s) in marks.items() if 0.0 < t <= t_end + eps)
+def integrate_fluid(
+    rhs,
+    y0: FluidState | np.ndarray,
+    lam: float,
+    delta: float,
+    t_end: float,
+    dt: float | None = None,
+    store_times: np.ndarray | None = None,
+    epochs=(),
+    jump=None,
+) -> FluidRun:
+    """Integrate y' = rhs(y) on [0, t_end] with y = jump(y) at each epoch.
+    Classic fixed-step 4th-order integration, split exactly at epochs,
+    stored grid points, and estimate-level switches."""
+    y = np.array(y0.y if isinstance(y0, FluidState) else y0, dtype=float)
+    if dt is None:
+        dt = min(1.0 / delta, 1.0) / 1000.0
+    if dt > min(1.0 / delta, 1.0) / 100.0:
+        raise ValueError("dt too coarse: need dt <= min(1/delta, 1)/100")
+    if store_times is None:
+        store_times = np.linspace(0.0, t_end, 1001)
+
+    times = [0.0]
+    states = [y.copy()]
+    epoch_times: list[float] = []
+    clamped = 0.0
+    t = 0.0
+    for t_next, is_epoch in _marks(t_end, epochs, store_times):
+        y = _advance(rhs, y, t_next - t, dt)
+        low = y.min()
+        if low < 0.0:
+            if low < -1e-12:
+                raise IntegrationError(f"state entry fell to {low}")
+            clamped = max(clamped, -low)
+            y = np.maximum(y, 0.0)
+        check_truncation(y)
+        if is_epoch:
+            epoch_times.append(t_next)
+            y = jump(y)
+        times.append(t_next)
+        states.append(y.copy())
+        t = t_next
+    return FluidRun(
+        times=np.asarray(times),
+        states=np.asarray(states),
+        update_epochs=np.asarray(epoch_times),
+        lam=lam,
+        clamped=clamped,
+    )
 
 
 def integrate_sync(
@@ -155,57 +201,18 @@ def integrate_sync(
     dt: float | None = None,
     epochs: np.ndarray | None = None,
     store_times: np.ndarray | None = None,
-) -> SyncFluidRun:
+) -> FluidRun:
     """Integrate the synchronous fluid limit on [0, t_end].
 
     Update epochs default to k/delta (deterministic schedule); pass an
-    explicit epoch array for exponentially spaced epochs.  Classic fixed-step
-    4th-order integration, split exactly at epochs, stored grid points, and
-    estimate-level switches.
+    explicit epoch array for exponentially spaced epochs.
     """
-    y = np.array(y0.y if isinstance(y0, FluidState) else y0, dtype=float)
-    period = 1.0 / delta
-    if dt is None:
-        dt = min(period, 1.0) / 1000.0
-    if dt > min(period, 1.0) / 100.0:
-        raise ValueError("dt too coarse: need dt <= min(1/delta, 1)/100")
     if epochs is None:
+        period = 1.0 / delta
         epochs = np.arange(1, math.floor(t_end / period + 1e-12) + 1) * period
-    else:
-        epochs = np.asarray(sorted(t for t in epochs if 0.0 < t <= t_end))
-    if store_times is None:
-        store_times = np.linspace(0.0, t_end, 1001)
-    marks = _merge_marks(t_end, epochs, np.asarray(store_times, dtype=float))
-
-    times = [0.0]
-    states = [y.copy()]
-    epoch_times: list[float] = []
-    pre_states: list[np.ndarray] = []
-    clamped = 0.0
-    t = 0.0
-    for t_next, is_epoch, _ in marks:
-        y = _advance(y, t_next - t, dt, lam)
-        low = y.min()
-        if low < 0.0:
-            if low < -1e-12:
-                raise IntegrationError(f"state entry fell to {low}")
-            clamped = max(clamped, -low)
-            y = np.maximum(y, 0.0)
-        check_truncation(y)
-        if is_epoch:
-            epoch_times.append(t_next)
-            pre_states.append(y.copy())
-            y = apply_sync_update(y)
-        times.append(t_next)
-        states.append(y.copy())
-        t = t_next
-    return SyncFluidRun(
-        times=np.asarray(times),
-        states=np.asarray(states),
-        update_epochs=np.asarray(epoch_times),
-        pre_update_states=np.asarray(pre_states) if pre_states else np.zeros((0,) + y.shape),
-        lam=lam,
-        clamped=clamped,
+    return integrate_fluid(
+        lambda y: rhs_sync(y, lam), y0, lam, delta, t_end, dt, store_times,
+        epochs=epochs, jump=apply_sync_update,
     )
 
 
@@ -253,7 +260,6 @@ class SyncAnalysis:
     t_period: float
     s_star: int
     delta_margin: float
-    sigma_values: np.ndarray  # sigma at levels 1..s_star
 
 
 def queue_bound(lam: float, t_period: float) -> SyncAnalysis:
@@ -261,19 +267,16 @@ def queue_bound(lam: float, t_period: float) -> SyncAnalysis:
     if not 0.0 < lam < 1.0 or not t_period > 0.0:
         raise ValueError("need 0 < lam < 1 and T > 0")
     target = lam * t_period
-    sigmas = []
     level = 0
     while True:
         level += 1
         val = sigma(level, lam, t_period)
-        sigmas.append(val)
         if target < val:
             return SyncAnalysis(
                 lam=lam,
                 t_period=t_period,
                 s_star=level,
                 delta_margin=val - target,
-                sigma_values=np.asarray(sigmas),
             )
         if level > 100000:
             raise IntegrationError("queue-bound scan failed to terminate")
@@ -307,7 +310,7 @@ class CheckReport:
 
 
 def check_trajectory_invariants(
-    run: SyncFluidRun,
+    run: FluidRun,
     slope_tol: float = 1e-3,
     monotone_tol: float = 1e-9,
     balance_tol: float = 1e-5,

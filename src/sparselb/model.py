@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Fraction totals must match 1 this closely after construction.
-MASS_TOL = 1e-9
 # Entries below -NEG_TOL are construction/integration errors; tiny negative
 # round-off above it is clamped to zero.
 NEG_TOL = 1e-12

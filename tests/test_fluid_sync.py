@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparselb.model import FluidState, TruncationError
+from sparselb.fluid_async import integrate_async
 from sparselb.fluid_sync import (
     apply_sync_update,
     check_trajectory_invariants,
@@ -149,13 +150,29 @@ def test_mass_and_positivity_along_run():
 
 def test_explicit_epoch_list():
     epochs = [0.7, 1.1, 2.9]
-    run = integrate_sync(FluidState.empty(40), 0.7, 0.85, 3.0, dt=1e-3, epochs=epochs)
+    # a store time one ulp below an epoch merges into it
+    grid = np.append(np.linspace(0.0, 3.0, 1001), np.nextafter(1.1, 0.0))
+    run = integrate_sync(
+        FluidState.empty(40), 0.7, 0.85, 3.0, dt=1e-3, epochs=epochs, store_times=grid
+    )
     assert list(run.update_epochs) == epochs
+    assert list(run.times).count(1.1) == 1
+    assert np.nextafter(1.1, 0.0) not in run.times
     # post-epoch states are diagonal
     for te in epochs:
         idx = int(np.argmin(np.abs(run.times - te)))
         y = run.states[idx]
         assert np.abs(y - np.diag(np.diag(y))).max() < 1e-12
+
+
+@pytest.mark.parametrize("integrate", [integrate_sync, integrate_async])
+def test_run_ends_exactly_at_t_end(integrate):
+    # the grid's last point overshoots t_end by an ulp and merges into it
+    grid = np.arange(0, 7.3 + 1e-12, 0.1)
+    assert grid[-1] > 7.3
+    run = integrate(FluidState.empty(40), 0.7, 0.85, 7.3, dt=0.01, store_times=grid)
+    assert run.times[-1] == 7.3
+    assert np.all(np.diff(run.times) > 0.0)
 
 
 def test_truncation_guard_trips():
