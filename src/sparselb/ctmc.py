@@ -8,11 +8,15 @@ the cap are rejected and their rate recorded as truncation loss.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .model import ModelParams
 from .policies import PolicyKind, PolicySpec
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 MAX_STATES = 50000
 
@@ -31,7 +35,7 @@ class TruncatedChain:
     pair_index: dict[tuple[int, int], int]
     states: list[State]
     state_index: dict[State, int]
-    generator: np.ndarray
+    generator: csr_array  # stationary also takes a dense ndarray
     truncation_rates: np.ndarray
     params: ModelParams
     policy: PolicySpec
@@ -58,6 +62,9 @@ def _transitions(
     delta = params.delta
     moves: list[tuple[State, float]] = []
     trunc = 0.0
+    # (index, (queue, estimate), count) of the occupied pairs, in index
+    # order: at most n_servers of the state's entries are non-zero.
+    occupied = [(idx, pairs[idx], c) for idx, c in enumerate(state) if c]
 
     def moved(src: int, dst: int) -> State:
         nxt = list(state)
@@ -67,36 +74,30 @@ def _transitions(
 
     # Arrivals: uniformly random server among those at the minimum estimate.
     w = {}
-    for idx, c in enumerate(state):
-        if c:
-            _, j = pairs[idx]
-            w[j] = w.get(j, 0) + c
+    for _, (_, j), c in occupied:
+        w[j] = w.get(j, 0) + c
     m = min(w)
     if m >= cap:
         trunc += lam_total
     else:
-        for idx, c in enumerate(state):
-            i, j = pairs[idx]
-            if c and j == m:
+        for idx, (i, j), c in occupied:
+            if j == m:
                 rate = lam_total * c / w[m]
                 moves.append((moved(idx, pair_index[(i + 1, j + 1)]), rate))
 
     # Services: each busy server completes at unit rate.
-    for idx, c in enumerate(state):
-        i, j = pairs[idx]
-        if c and i >= 1:
+    for idx, (i, j), c in occupied:
+        if i >= 1:
             moves.append((moved(idx, pair_index[(i - 1, j)]), float(c)))
 
     # Updates.
     if policy.kind is PolicyKind.AUJSQ_EXP:
-        for idx, c in enumerate(state):
-            i, j = pairs[idx]
-            if c and j > i:
+        for idx, (i, j), c in occupied:
+            if j > i:
                 moves.append((moved(idx, pair_index[(i, i)]), delta * c))
     else:  # SUJSQ_EXP: one global collapse at rate delta
         collapsed = [0] * len(state)
-        for idx, c in enumerate(state):
-            i, _ = pairs[idx]
+        for _, (i, _), c in occupied:
             collapsed[pair_index[(i, i)]] += c
         collapsed = tuple(collapsed)
         if collapsed != state:
@@ -108,7 +109,11 @@ def build_generator(
     params: ModelParams, policy: PolicySpec, cap: int
 ) -> TruncatedChain:
     """Enumerate reachable occupancy states from the all-idle start and
-    assemble the dense rate matrix."""
+    assemble the sparse (CSR) rate matrix."""
+    # Imported here, not at module top, so that `import sparselb` does not
+    # pay scipy's import time; most callers never build a chain.
+    from scipy.sparse import coo_array
+
     if policy.kind not in (PolicyKind.AUJSQ_EXP, PolicyKind.SUJSQ_EXP):
         raise ChainError(
             "only exponential-update kinds are Markovian on this state space"
@@ -123,7 +128,9 @@ def build_generator(
 
     states: list[State] = [init]
     state_index: dict[State, int] = {init: 0}
-    edges: list[tuple[int, int, float]] = []
+    rows: list[int] = []
+    cols: list[int] = []
+    rates: list[float] = []
     trunc_rates: list[float] = []
     frontier = [init]
     while frontier:
@@ -143,14 +150,22 @@ def build_generator(
                     state_index[target] = len(states)
                     states.append(target)
                     nxt_frontier.append(target)
-                edges.append((si, state_index[target], rate))
+                rows.append(si)
+                cols.append(state_index[target])
+                rates.append(rate)
         frontier = nxt_frontier
 
     n = len(states)
-    gen = np.zeros((n, n))
-    for a, b, rate in edges:
-        gen[a, b] += rate
-    np.fill_diagonal(gen, gen.diagonal() - gen.sum(axis=1))
+    # The diagonal holds minus each row's total outflow; the CSR conversion
+    # sums repeated (row, col) entries.
+    diag = np.arange(n)
+    gen = coo_array(
+        (
+            np.concatenate([rates, -np.bincount(rows, weights=rates, minlength=n)]),
+            (np.concatenate([rows, diag]), np.concatenate([cols, diag])),
+        ),
+        shape=(n, n),
+    ).tocsr()
     return TruncatedChain(
         cap=cap,
         pairs=pairs,
@@ -164,26 +179,37 @@ def build_generator(
     )
 
 
+def _singular(gen: csr_array) -> ChainError:
+    sinks = np.flatnonzero(abs(gen).sum(axis=1) == 0.0).tolist()
+    return ChainError(f"singular or reducible chain; absorbing states: {sinks}")
+
+
 def stationary(chain: TruncatedChain) -> np.ndarray:
-    """Solve pi G = 0, sum(pi) = 1 by a dense linear solve."""
-    gen = chain.generator
+    """Solve pi G = 0, sum(pi) = 1 by a sparse LU solve: fix pi[0] = 1,
+    solve the other n - 1 balance equations, then normalise.  The generator
+    may be dense or scipy.sparse."""
+    # Imported here for the same reason as in build_generator;
+    # scipy.sparse.linalg alone takes about 0.35 s to import.
+    from scipy.sparse import csr_array
+    from scipy.sparse.linalg import splu
+
+    gen = csr_array(chain.generator)
     n = gen.shape[0]
-    a = gen.T.copy()
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
+    pi = np.ones(n)
     try:
-        pi = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        sinks = [k for k in range(n) if gen[k].max() <= 0.0 and gen[k, k] == 0.0]
-        raise ChainError(
-            f"singular or reducible chain; absorbing states: {sinks}"
-        ) from None
+        # A minimum-degree ordering on A^T + A keeps the LU fill-in of these
+        # chains well below that of the default COLAMD ordering.
+        lu = splu(gen[1:, 1:].T.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        pi[1:] = lu.solve(-gen[[0], 1:].toarray().ravel())
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        raise _singular(gen) from None
+    if not np.isfinite(pi).all():
+        raise _singular(gen)
     if pi.min() < -1e-10:
         raise ChainError(f"stationary solve produced pi_min={pi.min()}")
     pi = np.maximum(pi, 0.0)
     pi /= pi.sum()
-    residual = float(np.abs(pi @ gen).max())
+    residual = float(np.abs(gen.T @ pi).max())
     if residual > 1e-10:
         raise ChainError(f"stationary residual {residual} exceeds 1e-10")
     return pi

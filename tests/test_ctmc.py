@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sparselb
+from sparselb import ctmc
 from sparselb.model import ModelParams
 from sparselb.policies import PolicySpec
 from sparselb.ctmc import (
@@ -49,6 +56,36 @@ def test_stationary_reducible_chain_raises():
     )
     with pytest.raises(ChainError):
         stationary(chain)
+
+
+def test_stationary_matches_dense_solve():
+    # reference: the dense solve of G^T pi = 0 with the last equation
+    # replaced by sum(pi) = 1
+    for kind in ("aujsq-exp", "sujsq-exp"):
+        chain = build(kind=kind)
+        a = chain.generator.toarray().T
+        a[-1, :] = 1.0
+        b = np.zeros(chain.n_states)
+        b[-1] = 1.0
+        assert np.abs(stationary(chain) - np.linalg.solve(a, b)).max() < 1e-12
+
+
+def test_build_rejects_state_space_over_budget(monkeypatch):
+    monkeypatch.setattr(ctmc, "MAX_STATES", 50)
+    with pytest.raises(ChainError, match="budget of 50"):
+        build()
+
+
+def test_import_loads_no_scipy():
+    # scipy.sparse is imported inside the chain functions only, so that
+    # importing the package does not pay for it
+    src = str(Path(sparselb.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys, sparselb; "
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_stationary_properties():
