@@ -294,6 +294,7 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
             assert queues.min() >= 0
             if view.estimates is not None:
                 assert (view.estimates >= queues).all()
+                view.check_index()
             assert sum(len(d) for d in waiting) == int(
                 np.maximum(queues - 1, 0).sum()
             )

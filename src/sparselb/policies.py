@@ -8,6 +8,7 @@ messages per job at dispatch time.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 
@@ -128,16 +129,65 @@ class PolicySpec:
 class DispatcherView:
     """Dispatcher-side state owned by a single simulation: per-server queue
     estimates for the estimate-based kinds, idle tokens for JIQ kinds, and
-    the round-robin cursor."""
+    the round-robin cursor.
+
+    The estimate kinds also keep an index of the estimates: levels[j] is the
+    ascending list of the servers whose estimate is j, and lowest is the
+    lowest non-empty level, so dispatch finds the least-estimate servers
+    without scanning all N.  estimates is a read-only view; set_estimate and
+    set_estimates are its only writers and keep the index in step.
+    """
 
     def __init__(self, spec: PolicySpec, n_servers: int):
         self.spec = spec
         self.n_servers = n_servers
-        self.estimates: np.ndarray | None = (
-            np.zeros(n_servers, dtype=np.int64) if spec.uses_estimates else None
-        )
+        self.estimates: np.ndarray | None = None
+        self.levels: list[list[int]] = []
+        self.lowest = 0
+        if spec.uses_estimates:
+            self._est = np.zeros(n_servers, dtype=np.int64)
+            self.estimates = self._est.view()
+            self.estimates.flags.writeable = False
+            self.levels = [list(range(n_servers))]
         self.idle_tokens: list[int] = []
         self.rr_counter = 0
+
+    def set_estimate(self, server: int, value: int) -> None:
+        """Set one server's estimate and move it between levels."""
+        levels = self.levels
+        old = levels[self._est[server]]
+        del old[bisect_left(old, server)]
+        while value >= len(levels):
+            levels.append([])
+        insort(levels[value], server)
+        self._est[server] = value
+        if value < self.lowest:
+            self.lowest = value
+        else:
+            while not levels[self.lowest]:
+                self.lowest += 1
+
+    def set_estimates(self, values) -> None:
+        """Overwrite every estimate and rebuild the index from one stable
+        sort: level j is the slice of the sorted order between the running
+        counts of the levels below j and up to j."""
+        est = self._est
+        est[:] = values
+        order = np.argsort(est, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(est)).tolist()
+        self.levels = [order[a:b] for a, b in zip([0, *ends], ends)]
+        self.lowest = int(est[order[0]])
+
+    def check_index(self) -> None:
+        """Assert that the level index agrees with the estimates."""
+        est = self._est
+        members = []
+        for j, servers in enumerate(self.levels):
+            assert servers == sorted(servers), f"level {j} is not sorted"
+            assert all(est[s] == j for s in servers), f"level {j} holds a stranger"
+            members.extend(servers)
+        assert sorted(members) == list(range(self.n_servers)), "not a partition"
+        assert self.lowest == est.min(), "lowest is not the least estimate"
 
 
 def dispatch(
@@ -152,11 +202,10 @@ def dispatch(
     """
     kind = spec.kind
     if kind in ESTIMATE_KINDS:
-        est = view.estimates
-        lowest = np.flatnonzero(est == est.min())
-        if lowest.size == 1:
-            return int(lowest[0]), 0
-        return int(lowest[rng.integers(lowest.size)]), 0
+        lowest = view.levels[view.lowest]
+        if len(lowest) == 1:
+            return lowest[0], 0
+        return lowest[rng.integers(len(lowest))], 0
     if kind in TOKEN_KINDS:
         tokens = view.idle_tokens
         if tokens:
@@ -182,7 +231,7 @@ def dispatch(
 def on_assign(view: DispatcherView, server: int) -> None:
     """Bookkeeping after a job is sent: bump the server's estimate."""
     if view.estimates is not None:
-        view.estimates[server] += 1
+        view.set_estimate(server, int(view.estimates[server]) + 1)
 
 
 def on_update(
@@ -191,10 +240,10 @@ def on_update(
     """Apply one server's status report; returns messages sent."""
     if spec.kind is PolicyKind.SUJSQ_DET_IDLE:
         if true_len == 0:
-            view.estimates[server] = 0
+            view.set_estimate(server, 0)
             return 1
         return 0
-    view.estimates[server] = true_len
+    view.set_estimate(server, true_len)
     return 1
 
 
@@ -205,9 +254,9 @@ def apply_global_update(
     the idle ones).  Returns messages sent."""
     if spec.kind is PolicyKind.SUJSQ_DET_IDLE:
         idle = queues == 0
-        view.estimates[idle] = 0
+        view.set_estimates(np.where(idle, 0, view.estimates))
         return int(idle.sum())
-    view.estimates[:] = queues
+    view.set_estimates(queues)
     return view.n_servers
 
 

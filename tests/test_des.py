@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from sparselb import des
 from sparselb.model import CountMatrix, ModelParams, derive
-from sparselb.policies import PolicySpec
+from sparselb.policies import ESTIMATE_KINDS, PolicySpec, dispatch
 from sparselb.des import (
     MetricsRecord,
     SimConfig,
@@ -98,6 +99,58 @@ def test_estimate_dominance_invariant_checked():
     for policy in ("sujsq-det:0.6", "aujsq-exp:1.3", "sujsq-det-idle:0.9"):
         cfg = make_config(policy, n=20, horizon=120.0, warmup=20.0, check_invariants=True)
         run(cfg)
+
+
+CORRUPTIONS = {
+    "unsorted": lambda view: view.levels[view.lowest].reverse(),
+    "misplaced": lambda view: view.levels.append([view.levels[view.lowest].pop()]),
+    "dropped": lambda view: view.levels[view.lowest].pop(),
+    "lowest": lambda view: setattr(view, "lowest", view.lowest + 1),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_level_index_invariant_checked(corruption, monkeypatch):
+    # invariant-checking mode asserts that the level index matches the
+    # estimates; break it after the first assignment and expect the check
+    real = des.on_assign
+
+    def corrupting_assign(view, server):
+        real(view, server)
+        CORRUPTIONS[corruption](view)
+
+    monkeypatch.setattr(des, "on_assign", corrupting_assign)
+    cfg = make_config("aujsq-exp:0.85", n=4, horizon=20.0, warmup=5.0,
+                      check_invariants=True)
+    with pytest.raises(AssertionError):
+        run(cfg)
+
+
+def scan_dispatch(spec, view, queues, rng):
+    """The O(N) scan that the level index replaced, kept as the reference."""
+    if not spec.uses_estimates:
+        return dispatch(spec, view, queues, rng)
+    est = view.estimates
+    lowest = np.flatnonzero(est == est.min())
+    if lowest.size == 1:
+        return int(lowest[0]), 0
+    return int(lowest[rng.integers(lowest.size)]), 0
+
+
+@pytest.mark.parametrize("n, horizon", [(2, 600.0), (7, 200.0), (60, 40.0)])
+@pytest.mark.parametrize("kind", sorted(k.value for k in ESTIMATE_KINDS))
+def test_level_index_replays_the_scan(kind, n, horizon, monkeypatch):
+    cfg = make_config(f"{kind}:0.85", n=n, lam=0.9, horizon=horizon,
+                      warmup=horizon / 5, trajectory_grid=horizon / 40,
+                      track_assignments=True)
+    indexed = run(cfg)
+    monkeypatch.setattr(des, "dispatch", scan_dispatch)
+    scanned = run(cfg)
+    assert indexed.mean_wait == scanned.mean_wait
+    assert indexed.msgs_per_job == scanned.msgs_per_job
+    assert np.array_equal(indexed.queue_len_hist, scanned.queue_len_hist)
+    assert np.array_equal(indexed.assignments, scanned.assignments)
+    assert np.array_equal(indexed.trajectory.y, scanned.trajectory.y)
 
 
 def test_sync_epoch_equalizes_estimates():

@@ -47,9 +47,18 @@ def test_parse_rejects_bad_specs():
         PolicySpec(PolicyKind.RANDOM, delta=1.0)
 
 
+def test_estimates_are_read_only():
+    _, view = view_for("aujsq-exp:1.0", 3)
+    with pytest.raises(ValueError):
+        view.estimates[0] = 2
+    view.set_estimates([2, 0, 2])
+    assert list(view.estimates) == [2, 0, 2]
+    assert view.levels[view.lowest] == [1] and view.levels[2] == [0, 2]
+
+
 def test_dispatch_unique_argmin():
     spec, view = view_for("sujsq-det:0.85", 3)
-    view.estimates[:] = [2, 0, 1]
+    view.set_estimates([2, 0, 1])
     rng = np.random.default_rng(0)
     server, msgs = dispatch(spec, view, np.zeros(3, dtype=int), rng)
     assert server == 1 and msgs == 0
@@ -57,7 +66,7 @@ def test_dispatch_unique_argmin():
 
 def test_dispatch_tie_break_is_uniform():
     spec, view = view_for("sujsq-det:0.85", 4)
-    view.estimates[:] = [1, 0, 0, 1]
+    view.set_estimates([1, 0, 0, 1])
     rng = np.random.default_rng(1)
     hits = [dispatch(spec, view, np.zeros(4, dtype=int), rng)[0] for _ in range(400)]
     assert set(hits) == {1, 2}
@@ -110,14 +119,14 @@ def test_on_assign_noop_for_token_kinds():
 
 def test_on_update_resets_estimate():
     spec, view = view_for("aujsq-exp:1.0", 2)
-    view.estimates[:] = [5, 3]
+    view.set_estimates([5, 3])
     assert on_update(spec, view, 0, 2) == 1
     assert list(view.estimates) == [2, 3]
 
 
 def test_on_update_idle_variant():
     spec, view = view_for("sujsq-det-idle:0.85", 2)
-    view.estimates[:] = [5, 3]
+    view.set_estimates([5, 3])
     assert on_update(spec, view, 0, 3) == 0  # busy server stays silent
     assert view.estimates[0] == 5
     assert on_update(spec, view, 1, 0) == 1
@@ -126,13 +135,13 @@ def test_on_update_idle_variant():
 
 def test_apply_global_update():
     spec, view = view_for("sujsq-det:0.85", 4)
-    view.estimates[:] = [9, 9, 9, 9]
+    view.set_estimates([9, 9, 9, 9])
     queues = np.array([0, 2, 0, 1])
     assert apply_global_update(spec, view, queues) == 4
     assert list(view.estimates) == [0, 2, 0, 1]
 
     spec, view = view_for("sujsq-det-idle:0.85", 4)
-    view.estimates[:] = [9, 9, 9, 9]
+    view.set_estimates([9, 9, 9, 9])
     assert apply_global_update(spec, view, queues) == 2
     assert list(view.estimates) == [0, 9, 0, 9]
 
