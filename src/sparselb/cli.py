@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +35,11 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path: str | None, overrides: dict) -> "ExperimentConfig":
-        fields = {}
+        values = {}
         if path:
-            fields.update(json.loads(Path(path).read_text()))
-        fields.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**fields)
+            values.update(json.loads(Path(path).read_text()))
+        values.update({k: v for k, v in overrides.items() if v is not None})
+        return cls(**values)
 
 
 def _fmt(x: float) -> str:
@@ -62,18 +62,14 @@ def _trajectory_csv(times: np.ndarray, states: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sim_config(
-    cfg: ExperimentConfig, spec: PolicySpec, grid: float | np.ndarray | None = None
-) -> des.SimConfig:
-    delta = spec.delta if spec.delta is not None else None
-    params = ModelParams(n_servers=cfg.n, lam=cfg.lam, delta=delta)
+def _sim_config(cfg: ExperimentConfig, spec: PolicySpec) -> des.SimConfig:
+    params = ModelParams(n_servers=cfg.n, lam=cfg.lam, delta=spec.delta)
     return des.SimConfig(
         params=params,
         policy=spec,
         horizon=cfg.horizon,
         warmup=cfg.warmup,
         seed=cfg.seed,
-        trajectory_grid=grid,
     )
 
 
@@ -83,13 +79,10 @@ def cmd_sweep(cfg: ExperimentConfig) -> str:
     sweep = cfg.sweep or [0.25, 0.5, 1.0]
     rows = []
     for text in policies:
-        if ":" in text:
-            specs = [PolicySpec.parse(text)]
-        else:
-            try:
-                specs = [PolicySpec.parse(text)]  # parameterless kind
-            except ValueError:
-                specs = [PolicySpec.parse(f"{text}:{val:g}") for val in sweep]
+        try:
+            specs = [PolicySpec.parse(text)]  # explicit parameter or none needed
+        except ValueError:
+            specs = [PolicySpec.parse(f"{text}:{val:g}") for val in sweep]
         for spec in specs:
             rec = des.run_replications(_sim_config(cfg, spec), cfg.runs)
             rows.append(
@@ -195,13 +188,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _validate_checks(budget: str, seed: int, scale: float) -> list[dict]:
-    checks: list[dict] = []
-
-    def add(name: str, value: float, tol: float) -> None:
-        checks.append(
-            {"name": name, "value": value, "tolerance": tol, "passed": bool(value <= tol)}
-        )
+def _validate_checks(budget: str, seed: int, scale: float) -> fluid_sync.CheckReport:
+    report = fluid_sync.CheckReport()
 
     # Analytic identities.
     worst_ab = 0.0
@@ -212,26 +200,26 @@ def _validate_checks(budget: str, seed: int, scale: float) -> list[dict]:
             worst_ab = max(worst_ab, abs(pm.a + pm.b - level))
             nxt = fluid_sync.poisson_ab(level + 1, float(t))
             worst_mono = max(worst_mono, pm.a / level - nxt.a / (level + 1))
-    add("poisson_ab_identity", worst_ab, 1e-12 * scale)
-    add("poisson_a_ratio_monotone", worst_mono, 1e-12 * scale)
+    report.record("poisson_ab_identity", worst_ab, 1e-12 * scale)
+    report.record("poisson_a_ratio_monotone", worst_mono, 1e-12 * scale)
 
     bound = fluid_sync.queue_bound(0.7, 1.0 / 0.85)
-    add("queue_bound_is_minimal", 0.0 if bound.s_star == 7 else 1.0, 0.5 * scale)
+    report.record("queue_bound_is_minimal", float(bound.s_star != 7), 0.5 * scale)
 
     worst_fp = 0.0
     for lam in (0.3, 0.5, 0.7, 0.9):
         for delta in (0.3, 0.85, 2.5):
             worst_fp = max(worst_fp, fixed_point.y_star(lam, delta).residual)
-    add("fixed_point_residual", worst_fp, 1e-8 * scale)
+    report.record("fixed_point_residual", worst_fp, 1e-8 * scale)
 
     # Synchronous trajectory structure checks.
     run = fluid_sync.integrate_sync(
         FluidState.empty(40), 0.7, 0.85, 6.0, dt=1e-3
     )
-    report = fluid_sync.check_trajectory_invariants(run)
-    add(
+    sync = fluid_sync.check_trajectory_invariants(run)
+    report.record(
         "sync_trajectory_checks",
-        max(report.residuals[k] / report.tolerances[k] for k in report.residuals),
+        max(sync.residuals[k] / sync.tolerances[k] for k in sync.residuals),
         1.0 * scale,
     )
 
@@ -261,7 +249,7 @@ def _validate_checks(budget: str, seed: int, scale: float) -> list[dict]:
         for coord in range(3):
             worst = max(worst, abs(sim_d.v[coord] - fl_d.v[coord]))
             worst = max(worst, abs(sim_d.w[coord] - fl_d.w[coord]))
-    add("fluid_vs_des_supnorm", worst, 8.0 / np.sqrt(n * runs) * scale)
+    report.record("fluid_vs_des_supnorm", worst, 8.0 / np.sqrt(n * runs) * scale)
 
     # Exact chain vs simulation at N=2.
     params = ModelParams(n_servers=2, lam=0.7, delta=0.85)
@@ -278,16 +266,21 @@ def _validate_checks(budget: str, seed: int, scale: float) -> list[dict]:
     hist[: len(rec.queue_len_hist)] = rec.queue_len_hist
     exact = np.zeros_like(hist)
     exact[: len(marginal)] = marginal
-    add("ctmc_vs_des_tv", float(0.5 * np.abs(hist - exact).sum()), 0.05 * scale)
-    return checks
+    tv = float(0.5 * np.abs(hist - exact).sum())
+    report.record("ctmc_vs_des_tv", tv, 0.05 * scale)
+    return report
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    checks = _validate_checks(args.budget, args.seed, args.tolerance_scale)
-    passed = all(c["passed"] for c in checks)
-    doc = {"passed": passed, "seed": args.seed, "checks": checks}
+    report = _validate_checks(args.budget, args.seed, args.tolerance_scale)
+    failed = report.violations
+    checks = [
+        dict(name=k, value=v, tolerance=report.tolerances[k], passed=k not in failed)
+        for k, v in report.residuals.items()
+    ]
+    doc = {"passed": not failed, "seed": args.seed, "checks": checks}
     _write(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    return 0 if passed else 1
+    return 1 if failed else 0
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -351,21 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "sweep":
-        overrides = {
-            k: getattr(args, k)
-            for k in (
-                "name",
-                "n",
-                "lam",
-                "policies",
-                "sweep",
-                "runs",
-                "horizon",
-                "warmup",
-                "seed",
-                "out",
-            )
-        }
+        overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
         cfg = ExperimentConfig.load(args.config, overrides)
         _write(cfg.out, cmd_sweep(cfg))
         return 0

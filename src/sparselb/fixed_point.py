@@ -19,6 +19,8 @@ from .fluid_sync import poisson_ab
 
 NU_TOL = 1e-12
 RESIDUAL_TOL = 1e-8
+# y_star builds a dense (jmax+1)^2 float array; larger ones are refused.
+MAX_STATE_BYTES = 256_000_000
 
 
 class ConsistencyError(RuntimeError):
@@ -78,8 +80,6 @@ def solve_nu(lam: float, delta: float, m: int) -> float:
 class FixedPoint:
     m_star: int
     nu: float
-    a: float
-    b: float
     y_star: FluidState
     q_tilde: float
     residual: float
@@ -99,7 +99,8 @@ def y_star(lam: float, delta: float, jmax: int | None = None) -> FixedPoint:
     """Construct the stationary occupancy state and validate it.
 
     The result carries the residual of the asynchronous fluid derivative at
-    the constructed state; residuals at or above 1e-8 raise.
+    the constructed state; residuals at or above 1e-8 raise.  A grid whose
+    dense array would exceed MAX_STATE_BYTES raises ValueError up front.
     """
     m = m_star(lam, delta)
     nu = solve_nu(lam, delta, m)
@@ -108,6 +109,11 @@ def y_star(lam: float, delta: float, jmax: int | None = None) -> FixedPoint:
     jm = default_jmax(lam, delta) if jmax is None else jmax
     if jm < m + 2:
         raise ValueError(f"jmax={jm} too small for support level {m + 1}")
+    if 8 * (jm + 1) ** 2 > MAX_STATE_BYTES:
+        raise ValueError(
+            f"jmax={jm} needs a {8 * (jm + 1) ** 2 / 1e6:.0f} MB dense state, "
+            f"over the {MAX_STATE_BYTES / 1e6:.0f} MB budget"
+        )
 
     y = np.zeros((jm + 1, jm + 1))
     y[0, m] = a * b ** (m - 1) * delta / ((1.0 + nu) * (delta + nu))
@@ -126,9 +132,7 @@ def y_star(lam: float, delta: float, jmax: int | None = None) -> FixedPoint:
             f"stationary state residual {residual:.3e} >= {RESIDUAL_TOL}"
         )
     qt = q_tilde(lam, delta, nu, m)
-    return FixedPoint(
-        m_star=m, nu=nu, a=a, b=b, y_star=state, q_tilde=qt, residual=residual
-    )
+    return FixedPoint(m_star=m, nu=nu, y_star=state, q_tilde=qt, residual=residual)
 
 
 def m_star_det(lam: float, delta: float) -> int:

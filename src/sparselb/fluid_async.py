@@ -43,7 +43,7 @@ def update_capacity(v: np.ndarray, delta: float) -> np.ndarray:
     return u
 
 
-def driver_of(y: np.ndarray | FluidState, lam: float, delta: float) -> AsyncDriver:
+def driver_of(y: np.ndarray, lam: float, delta: float) -> AsyncDriver:
     """Dispatch level and residual rate for a state.
 
     n equals the minimum occupied estimate level m when the top-up capacity
@@ -51,8 +51,6 @@ def driver_of(y: np.ndarray | FluidState, lam: float, delta: float) -> AsyncDriv
     capacity still fits under lam (then n <= m - 1 and updates soak up u[n]
     of the arrival flow before it ever reaches level m).
     """
-    if isinstance(y, FluidState):
-        y = y.y
     v = y.sum(axis=1)
     w = y.sum(axis=0)
     m = min_estimate_level(w, SWITCH_TOL)
@@ -64,7 +62,7 @@ def driver_of(y: np.ndarray | FluidState, lam: float, delta: float) -> AsyncDriv
     return AsyncDriver(u=u, n=n, zeta=max(lam - u[n], 0.0))
 
 
-def rhs_async(y: np.ndarray | FluidState, lam: float, delta: float) -> np.ndarray:
+def rhs_async(y: np.ndarray, lam: float, delta: float) -> np.ndarray:
     """Time derivative of the occupancy array under asynchronous updates.
 
     Six flux groups: service shifts, residual assignments into and out of
@@ -72,8 +70,6 @@ def rhs_async(y: np.ndarray | FluidState, lam: float, delta: float) -> np.ndarra
     reports refreshing the diagonal at i = j >= n, and the uniform update
     drain -delta*y.
     """
-    if isinstance(y, FluidState):
-        y = y.y
     drv = driver_of(y, lam, delta)
     n, zeta = drv.n, drv.zeta
     w_n = y[:, n].sum()

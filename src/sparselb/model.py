@@ -9,7 +9,7 @@ fixed-point solver) speaks this representation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class ModelParams:
     n_servers: int
     lam: float
     delta: float | None = None
-    service_rate: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n_servers < 1:
@@ -43,8 +42,6 @@ class ModelParams:
             raise StateError(f"lam must lie in (0, 1), got {self.lam}")
         if self.delta is not None and not self.delta > 0.0:
             raise StateError(f"delta must be > 0, got {self.delta}")
-        if self.service_rate != 1.0:
-            raise StateError("service_rate is fixed at 1 (unit-mean service)")
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,6 @@ class FluidState:
     """
 
     y: np.ndarray
-    jmax: int = field(default=-1)
 
     def __post_init__(self) -> None:
         y = np.array(self.y, dtype=float)
@@ -109,7 +105,6 @@ class FluidState:
         y /= total
         y.setflags(write=False)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "jmax", y.shape[0] - 1)
 
     @classmethod
     def empty(cls, jmax: int) -> "FluidState":
@@ -142,16 +137,6 @@ class DerivedFunctionals:
     q_mass: float
 
 
-def queue_fractions(y: np.ndarray) -> np.ndarray:
-    """v_i = sum_j y[i, j] for a raw occupancy array."""
-    return y.sum(axis=1)
-
-
-def estimate_fractions(y: np.ndarray) -> np.ndarray:
-    """w_j = sum_i y[i, j] for a raw occupancy array."""
-    return y.sum(axis=0)
-
-
 def min_estimate_level(w: np.ndarray, tol: float = 0.0) -> int:
     """Smallest level j with w[j] > tol."""
     idx = np.flatnonzero(w > tol)
@@ -171,8 +156,8 @@ def derive(state: FluidState | CountMatrix | np.ndarray) -> DerivedFunctionals:
         y = state.y
     else:
         y = np.asarray(state, dtype=float)
-    v = queue_fractions(y)
-    w = estimate_fractions(y)
+    v = y.sum(axis=1)
+    w = y.sum(axis=0)
     # z_k = sum_{i >= k} v_i; reversed cumulative sum keeps z_0 = total.
     z = np.cumsum(v[::-1])[::-1]
     m = min_estimate_level(w)
@@ -198,9 +183,9 @@ def default_jmax(lam: float, delta: float) -> int:
     return max(2 * math.ceil(m) + 10, 40)
 
 
-def check_truncation(y: np.ndarray, tol: float = 1e-6) -> None:
-    """Abort when mass reaches the last row or column of the grid."""
-    if y[-1, :].sum() > tol or y[:, -1].sum() > tol:
+def check_truncation(y: np.ndarray) -> None:
+    """Abort when more than 1e-6 of mass reaches the last row or column."""
+    if y[-1, :].sum() > 1e-6 or y[:, -1].sum() > 1e-6:
         raise TruncationError(
             "probability mass reached the truncation boundary "
             f"(jmax={y.shape[0] - 1}); rerun with a larger grid"

@@ -40,9 +40,6 @@ ESTIMATE_KINDS = frozenset(
         PolicyKind.SUJSQ_DET_IDLE,
     }
 )
-SYNC_KINDS = frozenset(
-    {PolicyKind.SUJSQ_DET, PolicyKind.SUJSQ_EXP, PolicyKind.SUJSQ_DET_IDLE}
-)
 TOKEN_KINDS = frozenset({PolicyKind.JIQ, PolicyKind.JIQ_P})
 
 
@@ -114,16 +111,6 @@ class PolicySpec:
         if self.param is None:
             return self.kind.value
         return f"{self.kind.value}:{self.param:g}"
-
-    def with_param(self, value: float) -> "PolicySpec":
-        """Copy of this selector with its own parameter replaced by value."""
-        if self.kind in ESTIMATE_KINDS:
-            return PolicySpec(self.kind, delta=float(value))
-        if self.kind is PolicyKind.JSQ_D:
-            return PolicySpec(self.kind, d=int(value))
-        if self.kind is PolicyKind.JIQ_P:
-            return PolicySpec(self.kind, p=float(value))
-        raise ValueError(f"{self.kind.value} takes no parameter")
 
 
 class DispatcherView:

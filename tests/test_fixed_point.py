@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from sparselb.model import default_jmax
 from sparselb.fixed_point import (
+    MAX_STATE_BYTES,
     h_value,
     m_star,
     m_star_det,
@@ -136,6 +138,13 @@ def test_q_tilde_bounds_and_monotonicity():
     below = [q for d, q in zip(deltas, q_vals) if d < 0.7 / 0.3]
     assert all(a > b for a, b in zip(below, below[1:]))
     assert y_star(0.7, 3.0).q_tilde == pytest.approx(0.7, abs=1e-9)
+
+
+def test_y_star_refuses_grids_over_the_memory_budget():
+    # default_jmax(0.7, 1e-4) = 24090: 4.6 GB per dense array
+    with pytest.raises(ValueError, match="budget"):
+        y_star(0.7, 1e-4)
+    assert 8 * (default_jmax(0.7, 5e-4) + 1) ** 2 <= MAX_STATE_BYTES
 
 
 def test_m_star_det_values_and_dominance():

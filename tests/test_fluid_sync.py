@@ -111,16 +111,6 @@ def test_cycle_interior_is_linear():
         assert y[1, 1] == pytest.approx(lam, abs=1e-6)
 
 
-def test_convergence_from_empty_fast_updates():
-    lam, delta = 0.7, 2.5
-    T = 1.0 / delta
-    target = two_point_state(lam, jmax=40)
-    run = integrate_sync(
-        FluidState.empty(40), lam, delta, 200 * T, dt=T / 250, store_times=[200 * T]
-    )
-    assert np.abs(run.states[-1] - target).max() < 1e-4
-
-
 def test_slow_updates_build_queues_of_two():
     # sparse updates: some servers accumulate two jobs
     run = integrate_sync(FluidState.empty(40), 0.7, 0.85, 6.0, dt=1e-3)

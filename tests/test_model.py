@@ -22,8 +22,6 @@ def test_model_params_validation():
         ModelParams(1, 0.0, 1.0)
     with pytest.raises(StateError):
         ModelParams(1, 0.5, 0.0)
-    with pytest.raises(StateError):
-        ModelParams(1, 0.5, 1.0, service_rate=2.0)
 
 
 def test_derive_two_level_state():

@@ -1,10 +1,14 @@
 """Property tests: every policy keeps the simulator's invariants on random
-small configurations."""
+small configurations, and both fluid derivatives conserve mass and
+positivity on random states."""
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from sparselb.des import SimConfig, run
+from sparselb.fluid_async import rhs_async
+from sparselb.fluid_sync import rhs_sync
 from sparselb.model import ModelParams
 from sparselb.policies import ESTIMATE_KINDS, PolicyKind, PolicySpec
 
@@ -42,3 +46,32 @@ def test_every_policy_keeps_invariants(cfg):
     assert rec.assignments.sum() == rec.n_arrivals
     assert rec.queue_len_hist.sum() == pytest.approx(1.0, abs=1e-9)
     assert rec.msgs_per_job >= 0.0
+
+
+@st.composite
+def fluid_states(draw):
+    """Upper-triangular fractions with the last row and column empty (so no
+    flux leaves the grid) and many cells exactly zero."""
+    size = draw(st.integers(2, 10))
+    cells = [(i, j) for j in range(size - 1) for i in range(j + 1)]
+    values = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+            min_size=len(cells),
+            max_size=len(cells),
+        )
+    )
+    assume(sum(values) > 0.0)
+    y = np.zeros((size, size))
+    for (i, j), value in zip(cells, values):
+        y[i, j] = value
+    return y / y.sum()
+
+
+@settings(max_examples=300, deadline=None)
+@given(fluid_states(), st.floats(0.05, 0.95), st.floats(0.05, 5.0))
+def test_fluid_derivatives_conserve_mass_and_positivity(y, lam, delta):
+    for dy in (rhs_sync(y, lam), rhs_async(y, lam, delta)):
+        assert abs(dy.sum()) <= 1e-12
+        assert not np.tril(dy, -1).any()
+        assert dy[y == 0.0].min(initial=0.0) >= 0.0
