@@ -3,13 +3,11 @@ fluid-limit integration, stationary fixed points, and exact small-N chains
 that cross-validate each other."""
 
 from .model import (
-    CountMatrix,
     DerivedFunctionals,
     FluidState,
     ModelParams,
     default_jmax,
     derive,
-    queue_mass_split,
 )
 from .policies import PolicyKind, PolicySpec
 from .des import MetricsRecord, SimConfig, run, run_replications
@@ -26,13 +24,11 @@ from .fixed_point import FixedPoint, m_star, m_star_det, q_tilde, solve_nu, y_st
 from .ctmc import build_generator, oracle_metrics, queue_marginal, stationary
 
 __all__ = [
-    "CountMatrix",
     "DerivedFunctionals",
     "FluidState",
     "ModelParams",
     "default_jmax",
     "derive",
-    "queue_mass_split",
     "PolicyKind",
     "PolicySpec",
     "MetricsRecord",

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ctmc, des, fixed_point, fluid_async, fluid_sync
-from .model import FluidState, ModelParams, default_jmax, derive
-from .policies import PolicySpec
+from . import checks, des, fixed_point, fluid_async, fluid_sync
+from .model import FluidState, ModelParams, default_jmax
+from .policies import PolicyKind, PolicySpec
 
 
 @dataclass
@@ -75,13 +75,18 @@ def _sim_config(cfg: ExperimentConfig, spec: PolicySpec) -> des.SimConfig:
 
 def cmd_sweep(cfg: ExperimentConfig) -> str:
     """One CSV row per (policy, parameter) point, Figure-1 style."""
-    policies = cfg.policies or ["sujsq-det", "jiq-p", "jsq-d", "random"]
+    policies = cfg.policies or ["sujsq-det", "jiq-p", "jsq-d:2", "random"]
     sweep = cfg.sweep or [0.25, 0.5, 1.0]
     rows = []
     for text in policies:
         try:
             specs = [PolicySpec.parse(text)]  # explicit parameter or none needed
         except ValueError:
+            # The sweep values are rates and probabilities, never a probe count.
+            if text.strip() == PolicyKind.JSQ_D.value:
+                raise ValueError(
+                    "sweep: jsq-d needs an explicit integer d, e.g. jsq-d:2"
+                ) from None
             specs = [PolicySpec.parse(f"{text}:{val:g}") for val in sweep]
         for spec in specs:
             rec = des.run_replications(_sim_config(cfg, spec), cfg.runs)
@@ -192,14 +197,7 @@ def _validate_checks(budget: str, seed: int, scale: float) -> fluid_sync.CheckRe
     report = fluid_sync.CheckReport()
 
     # Analytic identities.
-    worst_ab = 0.0
-    worst_mono = 0.0
-    for level in range(1, 21):
-        for t in np.linspace(0.0, 5.0, 11):
-            pm = fluid_sync.poisson_ab(level, float(t))
-            worst_ab = max(worst_ab, abs(pm.a + pm.b - level))
-            nxt = fluid_sync.poisson_ab(level + 1, float(t))
-            worst_mono = max(worst_mono, pm.a / level - nxt.a / (level + 1))
+    worst_ab, worst_mono = checks.poisson_identity_residuals(np.linspace(0.0, 5.0, 11))
     report.record("poisson_ab_identity", worst_ab, 1e-12 * scale)
     report.record("poisson_a_ratio_monotone", worst_mono, 1e-12 * scale)
 
@@ -242,31 +240,13 @@ def _validate_checks(budget: str, seed: int, scale: float) -> fluid_sync.CheckRe
     fl = fluid_async.integrate_async(
         FluidState.empty(40), 0.7, 0.85, 6.0, dt=5e-3, store_times=grid
     )
-    worst = 0.0
-    for k, t in enumerate(grid):
-        sim_d = derive(rec.trajectory.y[k])
-        fl_d = derive(fl.states[k + 1])
-        for coord in range(3):
-            worst = max(worst, abs(sim_d.v[coord] - fl_d.v[coord]))
-            worst = max(worst, abs(sim_d.w[coord] - fl_d.w[coord]))
+    worst = checks.fluid_des_distance(rec.trajectory, fl)
     report.record("fluid_vs_des_supnorm", worst, 8.0 / np.sqrt(n * runs) * scale)
 
     # Exact chain vs simulation at N=2.
     params = ModelParams(n_servers=2, lam=0.7, delta=0.85)
-    spec = PolicySpec.parse("aujsq-exp:0.85")
-    chain = ctmc.build_generator(params, spec, cap=10)
-    pi = ctmc.stationary(chain)
-    marginal = ctmc.queue_marginal(chain, pi)
     horizon = 20000.0 if budget == "smoke" else 80000.0
-    sim = des.SimConfig(
-        params=params, policy=spec, horizon=horizon, warmup=0.1 * horizon, seed=seed
-    )
-    rec = des.run(sim)
-    hist = np.zeros(max(len(marginal), len(rec.queue_len_hist)))
-    hist[: len(rec.queue_len_hist)] = rec.queue_len_hist
-    exact = np.zeros_like(hist)
-    exact[: len(marginal)] = marginal
-    tv = float(0.5 * np.abs(hist - exact).sum())
+    tv, *_ = checks.chain_vs_des(params, spec, 10, horizon, seed)
     report.record("ctmc_vs_des_tv", tv, 0.05 * scale)
     return report
 

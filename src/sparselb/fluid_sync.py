@@ -195,17 +195,12 @@ def integrate_sync(
     delta: float,
     t_end: float,
     dt: float | None = None,
-    epochs: np.ndarray | None = None,
     store_times: np.ndarray | None = None,
 ) -> FluidRun:
-    """Integrate the synchronous fluid limit on [0, t_end].
-
-    Update epochs default to k/delta (deterministic schedule); pass an
-    explicit epoch array for exponentially spaced epochs.
-    """
-    if epochs is None:
-        period = 1.0 / delta
-        epochs = np.arange(1, math.floor(t_end / period + 1e-12) + 1) * period
+    """Integrate the synchronous fluid limit on [0, t_end], with update
+    epochs at k/delta (deterministic schedule)."""
+    period = 1.0 / delta
+    epochs = np.arange(1, math.floor(t_end / period + 1e-12) + 1) * period
     return integrate_fluid(
         lambda y: rhs_sync(y, lam), y0, lam, delta, t_end, dt, store_times,
         epochs=epochs, jump=apply_sync_update,
@@ -281,7 +276,8 @@ class CheckReport:
     tolerances: dict[str, float] = field(default_factory=dict)
 
     def record(self, name: str, residual: float, tol: float) -> None:
-        self.residuals[name] = max(residual, self.residuals.get(name, 0.0))
+        # np.maximum, unlike max, keeps a NaN once recorded
+        self.residuals[name] = float(np.maximum(residual, self.residuals.get(name, 0.0)))
         self.tolerances[name] = tol
 
     @property

@@ -1,10 +1,10 @@
 """Shared domain types and state functionals.
 
 The system state is a triangular occupancy array indexed by
-(queue length i, dispatcher estimate j) with i <= j: integer counts for a
-finite system (CountMatrix), fractions for the many-server limit
-(FluidState).  Everything downstream (simulator, fluid integrators,
-fixed-point solver) speaks this representation.
+(queue length i, dispatcher estimate j) with i <= j, holding the fraction
+of servers in each cell (FluidState).  Everything downstream (simulator
+snapshots, fluid integrators, fixed-point solver) speaks this
+representation.
 """
 from __future__ import annotations
 
@@ -42,42 +42,6 @@ class ModelParams:
             raise StateError(f"lam must lie in (0, 1), got {self.lam}")
         if self.delta is not None and not self.delta > 0.0:
             raise StateError(f"delta must be > 0, got {self.delta}")
-
-
-@dataclass(frozen=True)
-class CountMatrix:
-    """Exact occupancy counts: counts[(i, j)] servers with queue length i
-    and estimate j >= i.  Entries sum to n_servers."""
-
-    counts: dict[tuple[int, int], int]
-    n_servers: int
-
-    def __post_init__(self) -> None:
-        total = 0
-        for (i, j), c in self.counts.items():
-            if i < 0 or j < i:
-                raise StateError(f"invalid index pair ({i}, {j}): need 0 <= i <= j")
-            if c < 0:
-                raise StateError(f"negative count at ({i}, {j})")
-            total += c
-        if total != self.n_servers:
-            raise StateError(
-                f"counts sum to {total}, expected n_servers={self.n_servers}"
-            )
-        if self.n_servers < 1:
-            raise StateError("n_servers must be >= 1")
-
-    def max_index(self) -> int:
-        return max((j for (_, j), c in self.counts.items() if c > 0), default=0)
-
-    def to_array(self, jmax: int | None = None) -> np.ndarray:
-        """Dense fraction array counts/N, shape (jmax+1, jmax+1)."""
-        jm = self.max_index() if jmax is None else jmax
-        y = np.zeros((jm + 1, jm + 1))
-        for (i, j), c in self.counts.items():
-            if c:
-                y[i, j] = c / self.n_servers
-        return y
 
 
 @dataclass(frozen=True)
@@ -145,14 +109,9 @@ def min_estimate_level(w: np.ndarray, tol: float = 0.0) -> int:
     return int(idx[0])
 
 
-def derive(state: FluidState | CountMatrix | np.ndarray) -> DerivedFunctionals:
-    """Compute v, w, z, m and total queue mass for a state.
-
-    CountMatrix inputs are scaled to fractions (counts / n_servers).
-    """
-    if isinstance(state, CountMatrix):
-        y = state.to_array()
-    elif isinstance(state, FluidState):
+def derive(state: FluidState | np.ndarray) -> DerivedFunctionals:
+    """Compute v, w, z, m and total queue mass for a state."""
+    if isinstance(state, FluidState):
         y = state.y
     else:
         y = np.asarray(state, dtype=float)
@@ -163,18 +122,6 @@ def derive(state: FluidState | CountMatrix | np.ndarray) -> DerivedFunctionals:
     m = min_estimate_level(w)
     q_mass = float(np.dot(np.arange(len(v)), v))
     return DerivedFunctionals(v=v, w=w, z=z, m=m, q_mass=float(q_mass))
-
-
-def queue_mass_split(d: DerivedFunctionals, level: int) -> tuple[float, float]:
-    """Split the queue mass at a level K: (sum_i min(i,K) v_i,
-    sum_{i>K} (i-K) v_i).  The two parts add up to the total mass."""
-    if level < 0:
-        raise StateError(f"level must be >= 0, got {level}")
-    idx = np.arange(len(d.v))
-    q_leq = float(np.dot(np.minimum(idx, level), d.v))
-    above = idx > level
-    q_gt = float(np.dot(idx[above] - level, d.v[above]))
-    return q_leq, q_gt
 
 
 def default_jmax(lam: float, delta: float) -> int:

@@ -8,19 +8,13 @@ import time
 import numpy as np
 import pytest
 
-from sparselb.model import FluidState, ModelParams, derive
+from sparselb.checks import chain_vs_des, fluid_des_distance, poisson_identity_residuals
+from sparselb.model import FluidState, ModelParams
 from sparselb.policies import PolicySpec
 from sparselb.des import SimConfig, run, run_replications
-from sparselb.fluid_sync import integrate_sync, poisson_ab, queue_bound, sigma
+from sparselb.fluid_sync import integrate_sync, queue_bound, sigma
 from sparselb.fluid_async import integrate_async
 from sparselb.fixed_point import m_star, y_star
-from sparselb.ctmc import (
-    build_generator,
-    oracle_metrics,
-    queue_marginal,
-    stationary,
-    truncation_loss,
-)
 
 LAM = 0.7
 
@@ -131,13 +125,7 @@ def test_criterion_04_fluid_vs_des():
         else:
             fl = integrate_sync(FluidState.empty(40), LAM, delta, 10.0, dt=dt,
                                 store_times=grid)
-        by_time = {round(t, 9): s for t, s in zip(fl.times, fl.states)}
-        for k, t in enumerate(grid):
-            d_sim = derive(rec.trajectory.y[k])
-            d_fl = derive(by_time[round(t, 9)])
-            for c in range(3):
-                worst = max(worst, abs(d_sim.v[c] - d_fl.v[c]),
-                            abs(d_sim.w[c] - d_fl.w[c]))
+        worst = max(worst, fluid_des_distance(rec.trajectory, fl))
     elapsed = time.time() - t0
     ok = worst <= 0.05 and elapsed < 300.0
     report(4, "fluid limit matches 1000-server averages", ok,
@@ -215,20 +203,8 @@ def test_criterion_10_exact_chain_oracle():
     delta = 0.85
     params = ModelParams(n_servers=2, lam=LAM, delta=delta)
     spec = PolicySpec.parse(f"aujsq-exp:{delta}")
-    chain = build_generator(params, spec, cap=14)
-    pi = stationary(chain)
-    marginal = queue_marginal(chain, pi)
-    loss = truncation_loss(chain, pi)
-    _, wait_exact = oracle_metrics(chain, pi)
-    cfg = SimConfig(params=params, policy=spec, horizon=400000.0,
-                    warmup=40000.0, seed=13)
-    rec = run(cfg)
-    size = max(len(marginal), len(rec.queue_len_hist))
-    hist = np.zeros(size)
-    hist[: len(rec.queue_len_hist)] = rec.queue_len_hist
-    exact = np.zeros(size)
-    exact[: len(marginal)] = marginal
-    tv = float(0.5 * np.abs(hist - exact).sum())
+    tv, rec, wait_exact, loss = chain_vs_des(params, spec, cap=14,
+                                             horizon=400000.0, seed=13)
     rel_wait = abs(rec.mean_wait - wait_exact) / wait_exact
     ok = tv <= 0.02 and rel_wait < 0.03 and loss < 1e-4
     report(10, "two-server chain validates the simulator", ok,
@@ -237,14 +213,7 @@ def test_criterion_10_exact_chain_oracle():
 
 
 def test_criterion_11_analytic_identities():
-    worst_ab = 0.0
-    worst_mono = 0.0
-    for level in range(1, 21):
-        for t in np.linspace(0.0, 5.0, 26):
-            pm = poisson_ab(level, float(t))
-            worst_ab = max(worst_ab, abs(pm.a + pm.b - level))
-            nxt = poisson_ab(level + 1, float(t))
-            worst_mono = max(worst_mono, pm.a / level - nxt.a / (level + 1))
+    worst_ab, worst_mono = poisson_identity_residuals(np.linspace(0.0, 5.0, 26))
     bound = queue_bound(LAM, 1 / 0.85)
     # independent scan with the same ingredients, run forward
     scan = next(

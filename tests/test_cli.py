@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparselb
 from sparselb.cli import main
 
 
@@ -113,6 +118,22 @@ def test_sweep_csv_schema_and_determinism(tmp_path):
     assert len(jsq) == 1 and float(jsq[0][2]) == 4.0
 
 
+def test_sweep_default_policies(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sweep", "--n", "20", "--runs", "2", "--horizon", "50",
+                    "--warmup", "10", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    jsq = [r for r in rows if r[0] == "jsq-d"]
+    assert len(jsq) == 1 and float(jsq[0][2]) == 4.0
+
+
+def test_sweep_refuses_bare_jsq_d(tmp_path):
+    with pytest.raises(ValueError, match="explicit integer d"):
+        run_cli(["sweep", "--n", "20", "--policies", "jsq-d", "--runs", "2",
+                 "--horizon", "50", "--warmup", "10",
+                 "--out", str(tmp_path / "sweep.csv")])
+
+
 def test_sweep_config_file_with_overrides(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -173,9 +194,15 @@ def test_validate_smoke_passes(tmp_path):
     doc = json.loads(out.read_text())
     assert rc == 0, doc
     assert doc["passed"]
-    names = {c["name"] for c in doc["checks"]}
-    assert "fixed_point_residual" in names
-    assert "ctmc_vs_des_tv" in names
+    assert [c["name"] for c in doc["checks"]] == [
+        "poisson_ab_identity",
+        "poisson_a_ratio_monotone",
+        "queue_bound_is_minimal",
+        "fixed_point_residual",
+        "sync_trajectory_checks",
+        "fluid_vs_des_supnorm",
+        "ctmc_vs_des_tv",
+    ]
 
 
 def test_validate_tightened_tolerance_fails(tmp_path):
@@ -195,3 +222,14 @@ def test_validate_stable_across_seeds(tmp_path):
                       "--out", str(out)])
         results.append(rc)
     assert results == [0, 0, 0]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy costs about 0.35 s to import; only building a chain needs it
+    code = ("import sys, sparselb, sparselb.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(sparselb.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from sparselb.model import (
-    CountMatrix,
     FluidState,
     ModelParams,
     StateError,
     default_jmax,
     derive,
-    queue_mass_split,
 )
 
 
@@ -46,26 +44,6 @@ def test_derive_stationary_shape_values():
     assert d.z[2] == pytest.approx(0.0)
 
 
-def test_derive_count_matrix_fractions():
-    cm = CountMatrix({(0, 0): 2, (1, 2): 2}, n_servers=4)
-    d = derive(cm)
-    assert d.v[0] == pytest.approx(0.5)
-    assert d.v[1] == pytest.approx(0.5)
-    assert d.w[0] == pytest.approx(0.5)
-    assert d.w[1] == pytest.approx(0.0)
-    assert d.w[2] == pytest.approx(0.5)
-    assert d.m == 0
-
-
-def test_count_matrix_validation():
-    with pytest.raises(StateError):
-        CountMatrix({(0, 0): 1}, n_servers=2)
-    with pytest.raises(StateError):
-        CountMatrix({(2, 1): 2}, n_servers=2)
-    with pytest.raises(StateError):
-        CountMatrix({(0, 0): -1, (0, 1): 3}, n_servers=2)
-
-
 def test_fluid_state_rejects_zero_total():
     with pytest.raises(StateError):
         FluidState(np.zeros((3, 3)))
@@ -90,32 +68,6 @@ def test_fluid_state_rejects_lower_triangle_and_negatives():
     y[1, 1] = -1e-6
     with pytest.raises(StateError):
         FluidState(y)
-
-
-def test_queue_mass_split_examples():
-    # all servers hold 2 jobs, split at 1: (1, 1)
-    d = derive(FluidState.from_entries({(2, 2): 1.0}, jmax=3))
-    assert queue_mass_split(d, 1) == (pytest.approx(1.0), pytest.approx(1.0))
-    # split at 0 puts everything above
-    q_leq, q_gt = queue_mass_split(d, 0)
-    assert q_leq == pytest.approx(0.0)
-    assert q_gt == pytest.approx(d.q_mass)
-    # half the servers idle, half with one job: nothing above level >= 1
-    d = derive(FluidState.from_entries({(0, 0): 0.5, (1, 1): 0.5}, jmax=3))
-    for level in (1, 2, 3):
-        q_leq, q_gt = queue_mass_split(d, level)
-        assert q_leq == pytest.approx(0.5)
-        assert q_gt == pytest.approx(0.0)
-
-
-def test_queue_mass_split_adds_up_on_random_states():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        y = np.triu(rng.random((6, 6)))
-        d = derive(FluidState(y))
-        for level in range(5):
-            q_leq, q_gt = queue_mass_split(d, level)
-            assert q_leq + q_gt == pytest.approx(d.q_mass, abs=1e-12)
 
 
 def test_tail_fraction_recursion_on_random_states():
