@@ -73,33 +73,48 @@ def _sim_config(cfg: ExperimentConfig, spec: PolicySpec) -> des.SimConfig:
     )
 
 
+def _sweep_specs(text: str, sweep: list[float]) -> list[PolicySpec]:
+    """The points of one --policies entry: the entry itself if it parses
+    (explicit parameter or none needed), else one per sweep value."""
+    try:
+        return [PolicySpec.parse(text)]
+    except ValueError:
+        pass
+    # The sweep values are rates and probabilities, never a probe count.
+    if text.strip() == PolicyKind.JSQ_D.value:
+        raise ValueError("sweep: jsq-d needs an explicit integer d, e.g. jsq-d:2")
+    specs = []
+    for val in sweep:
+        point = f"{text.strip()}:{val:g}"
+        try:
+            specs.append(PolicySpec.parse(point))
+        except ValueError as err:
+            raise ValueError(f"sweep: {point}: {err}") from None
+    return specs
+
+
 def cmd_sweep(cfg: ExperimentConfig) -> str:
     """One CSV row per (policy, parameter) point, Figure-1 style."""
     policies = cfg.policies or ["sujsq-det", "jiq-p", "jsq-d:2", "random"]
     sweep = cfg.sweep or [0.25, 0.5, 1.0]
+    # Every point is set up before the first simulation, so a bad one fails fast.
+    configs = [
+        _sim_config(cfg, spec) for text in policies for spec in _sweep_specs(text, sweep)
+    ]
     rows = []
-    for text in policies:
-        try:
-            specs = [PolicySpec.parse(text)]  # explicit parameter or none needed
-        except ValueError:
-            # The sweep values are rates and probabilities, never a probe count.
-            if text.strip() == PolicyKind.JSQ_D.value:
-                raise ValueError(
-                    "sweep: jsq-d needs an explicit integer d, e.g. jsq-d:2"
-                ) from None
-            specs = [PolicySpec.parse(f"{text}:{val:g}") for val in sweep]
-        for spec in specs:
-            rec = des.run_replications(_sim_config(cfg, spec), cfg.runs)
-            rows.append(
-                (
-                    spec.kind.value,
-                    float(spec.param) if spec.param is not None else -1.0,
-                    rec.msgs_per_job,
-                    rec.mean_wait,
-                    rec.mean_queue_per_server,
-                    rec.mean_wait_ci if rec.mean_wait_ci is not None else 0.0,
-                )
+    for config in configs:
+        spec = config.policy
+        rec = des.run_replications(config, cfg.runs)
+        rows.append(
+            (
+                spec.kind.value,
+                float(spec.param) if spec.param is not None else -1.0,
+                rec.msgs_per_job,
+                rec.mean_wait,
+                rec.mean_queue_per_server,
+                rec.mean_wait_ci if rec.mean_wait_ci is not None else 0.0,
             )
+        )
     rows.sort(key=lambda r: (r[0], r[1]))
     lines = ["policy,param,msgs_per_job,mean_wait,mean_queue,ci_halfwidth"]
     for kind, param, msgs, wait, queue, ci in rows:

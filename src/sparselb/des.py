@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,9 @@ DEPARTURE, UPDATE, ARRIVAL = 0, 1, 2
 
 STREAM_NAMES = ("arrivals", "services", "policy", "updates")
 
+# Draws per numpy call for the single-purpose arrival and service streams.
+BLOCK = 1024
+
 
 class SimulationError(RuntimeError):
     pass
@@ -41,6 +45,14 @@ def rng_streams(seed: int, run_index: int) -> dict[str, np.random.Generator]:
     root = np.random.SeedSequence(seed, spawn_key=(run_index,))
     children = root.spawn(len(STREAM_NAMES))
     return {name: np.random.default_rng(c) for name, c in zip(STREAM_NAMES, children)}
+
+
+def exponentials(rng: np.random.Generator, scale: float) -> Iterator[float]:
+    """Exponential(scale) draws taken from rng BLOCK at a time.  They are the
+    values successive scalar rng.exponential(scale) calls would return, so
+    only a stream that draws nothing else may be read this way."""
+    while True:
+        yield from rng.exponential(scale, BLOCK).tolist()
 
 
 @dataclass
@@ -61,6 +73,11 @@ class SimConfig:
         if not 0.0 <= self.warmup < self.horizon:
             raise SimulationError(
                 f"need 0 <= warmup < horizon, got {self.warmup}, {self.horizon}"
+            )
+        d, n = self.policy.d, self.params.n_servers
+        if d is not None and d > n:
+            raise SimulationError(
+                f"jsq-d:{d} probes d = {d} distinct servers, more than N = {n}"
             )
 
     def grid_times(self) -> np.ndarray | None:
@@ -168,7 +185,8 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
     lam_total = params.lam * n
     horizon, warmup = config.horizon, config.warmup
     rngs = rng_streams(config.seed, run_index)
-    rng_arr, rng_svc = rngs["arrivals"], rngs["services"]
+    next_arrival_gap = exponentials(rngs["arrivals"], 1.0 / lam_total).__next__
+    next_service = exponentials(rngs["services"], 1.0).__next__
     rng_pol, rng_upd = rngs["policy"], rngs["updates"]
 
     view = DispatcherView(spec, n)
@@ -184,7 +202,7 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
         heapq.heappush(heap, (t, kind, seq, server))
         seq += 1
 
-    push(rng_arr.exponential(1.0 / lam_total), ARRIVAL, -1)
+    push(next_arrival_gap(), ARRIVAL, -1)
     if updates is not None:
         t_up, s_up = next(updates)
         push(t_up, UPDATE, -1 if s_up is None else s_up)
@@ -197,9 +215,10 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
     messages_pw = 0
     total_queue = 0
     area_queue = 0.0
-    hist_area = np.zeros(64)
-    level_counts = np.zeros(64, dtype=np.int64)
-    level_counts[0] = n
+    # level_counts[j] servers hold j jobs; none hold more than top.
+    level_counts = [n]
+    hist_area = [0.0]
+    top = 0
     t_mark = 0.0
     assignments = np.zeros(n, dtype=np.int64) if config.track_assignments else None
 
@@ -215,18 +234,14 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
         lo = t_mark if t_mark > warmup else warmup
         hi = t if t < horizon else horizon
         if hi > lo:
-            area_queue += total_queue * (hi - lo)
-            hist_area[: len(level_counts)] += level_counts * (hi - lo)
+            dt = hi - lo
+            area_queue += total_queue * dt
+            # Empty levels would add 0.0, so skipping them changes no sum.
+            for j in range(top + 1):
+                c = level_counts[j]
+                if c:
+                    hist_area[j] += c * dt
         t_mark = t
-
-    def grow_levels(need: int) -> None:
-        nonlocal level_counts, hist_area
-        while need >= len(level_counts):
-            level_counts = np.concatenate([level_counts, np.zeros_like(level_counts)])
-        if len(hist_area) < len(level_counts):
-            hist_area = np.concatenate(
-                [hist_area, np.zeros(len(level_counts) - len(hist_area))]
-            )
 
     def start_service(server: int, t: float, arrived: float) -> None:
         nonlocal wait_sum, n_waits, n_positive
@@ -236,7 +251,7 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
             n_waits += 1
             if w > 0.0:
                 n_positive += 1
-        push(t + rng_svc.exponential(1.0), DEPARTURE, server)
+        push(t + next_service(), DEPARTURE, server)
 
     while heap:
         t, kind, _, server = heapq.heappop(heap)
@@ -256,7 +271,11 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
             q_old = int(queues[target])
             queues[target] = q_old + 1
             total_queue += 1
-            grow_levels(q_old + 1)
+            if q_old == top:
+                top += 1
+                if top == len(level_counts):
+                    level_counts.append(0)
+                    hist_area.append(0.0)
             level_counts[q_old] -= 1
             level_counts[q_old + 1] += 1
             on_assign(view, target)
@@ -266,7 +285,7 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
                 start_service(target, t, t)
             else:
                 waiting[target].append(t)
-            push(t + rng_arr.exponential(1.0 / lam_total), ARRIVAL, -1)
+            push(t + next_arrival_gap(), ARRIVAL, -1)
         elif kind == DEPARTURE:
             account(t)
             q_old = int(queues[server])
@@ -274,6 +293,8 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
             total_queue -= 1
             level_counts[q_old] -= 1
             level_counts[q_old - 1] += 1
+            if q_old == top and not level_counts[q_old]:
+                top -= 1
             if q_old > 1:
                 start_service(server, t, waiting[server].popleft())
             else:
@@ -292,6 +313,8 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
 
         if config.check_invariants:
             assert queues.min() >= 0
+            assert top == int(queues.max()) and not any(level_counts[top + 1 :])
+            assert level_counts[: top + 1] == np.bincount(queues).tolist()
             if view.estimates is not None:
                 assert (view.estimates >= queues).all()
                 view.check_index()
@@ -311,7 +334,7 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
         )
 
     window = (horizon - warmup) * n
-    hist = hist_area / window
+    hist = np.array(hist_area) / window
     nz = np.nonzero(hist)[0]
     hist = hist[: int(nz[-1]) + 1] if nz.size else hist[:1]
     trajectory = (

@@ -134,6 +134,25 @@ def test_sweep_refuses_bare_jsq_d(tmp_path):
                  "--out", str(tmp_path / "sweep.csv")])
 
 
+def test_sweep_refuses_bad_policy_before_simulating(monkeypatch):
+    # jiq-p:1.4 is no probability; the refusal comes before random is run
+    args = ["sweep", "--n", "20", "--runs", "2", "--horizon", "50", "--warmup", "10",
+            "--policies", "random", "jiq-p", "--sweep", "0.5", "1.4"]
+    simulated = []
+    monkeypatch.setattr(sparselb.des, "run_replications",
+                        lambda *a: simulated.append(a))
+    with pytest.raises(ValueError, match="jiq-p"):
+        run_cli(args)
+    assert simulated == []
+    env = {**os.environ, "PYTHONPATH": str(Path(sparselb.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "sparselb.cli", *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert "jiq-p" in proc.stderr
+    assert proc.stderr.count("Traceback") == 1  # one error, no chained one
+
+
 def test_sweep_config_file_with_overrides(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -237,3 +237,177 @@ def test_rng_streams_distinct():
     assert all(again[k].random() == vals[k] for k in vals)
     other_run = rng_streams(1, 1)
     assert any(other_run[k].random() != vals[k] for k in vals)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 / 140])
+def test_block_draws_equal_scalar_draws(scale):
+    blocks = des.exponentials(np.random.default_rng(4), scale)
+    scalar = np.random.default_rng(4)
+    count = 2 * des.BLOCK + 5  # across two block boundaries
+    assert [next(blocks) for _ in range(count)] == [
+        scalar.exponential(scale) for _ in range(count)
+    ]
+
+
+def test_jsq_d_more_probes_than_servers_refused():
+    with pytest.raises(SimulationError, match=r"jsq-d:2 .* N = 1"):
+        make_config("jsq-d:2", n=1)
+
+
+# Outputs of ten policies at N = 2 (horizon 5000) and N = 200 (horizon 50),
+# lambda = 0.7, seed 17: about 7000 arrivals and as many services per run, so
+# each stream crosses several draw blocks.  Recorded before the arrival and
+# service draws were taken in blocks; any change to a draw or to the order of
+# a float sum shows here.  Values: mean_wait, msgs_per_job,
+# mean_queue_per_server, queue_len_hist.
+PINNED = {
+    ("sujsq-det:0.85", 2): (
+        1.098192900849077, 1.247248716067498, 1.4251668751668984,
+        [0.3230669318710664, 0.28741038980516787, 0.19242213934366748,
+         0.1092127429515028, 0.0482452544021923, 0.019682117132654213,
+         0.01226384336633032, 0.004968285920706933, 0.0011513375013769292,
+         0.00033249316647447814, 0.0005210585553057854, 0.0005732829600769946,
+         0.00015012302347747664],
+    ),
+    ("sujsq-exp:0.85", 2): (
+        1.1455027446173807, 1.2193690388848129, 1.4573967062340654,
+        [0.32306693187106644, 0.2828029608209703, 0.18767165530210964,
+         0.1079956048452809, 0.05278677930614641, 0.02405538955184997,
+         0.013784074527589467, 0.005014866308679103, 0.0015503148524994685,
+         0.000244571738254308, 0.00032539652485388614, 0.000416726774153517,
+         0.00014497685535718574, 0.00010681262654986767, 3.293809463957587e-05],
+    ),
+    ("aujsq-det:0.85", 2): (
+        1.1083934241703648, 1.247248716067498, 1.432163613793908,
+        [0.3229868360082722, 0.2849058419110054, 0.19362734516343585,
+         0.10891070516531327, 0.04766019844264193, 0.02276705490962132,
+         0.011367927926112173, 0.005014732141720969, 0.0012771666432958,
+         0.0005441111374630054, 0.0002843035433779733, 0.00042566452361813845,
+         0.00012093567800513938, 0.0001071768061168541],
+    ),
+    ("aujsq-exp:0.85", 2): (
+        1.2462281157290642, 1.2360601614086573, 1.5263239164088769,
+        [0.32302433257555274, 0.2623652921643699, 0.18620912706476297,
+         0.11836379371761638, 0.057044126688123524, 0.029009124476202245,
+         0.01328894784729863, 0.006337114106703751, 0.002353126844316222,
+         0.0007189714043200865, 0.0005811587601184556, 0.0004325832040700561,
+         0.0002723011465450327],
+    ),
+    ("sujsq-det-idle:0.85", 2): (
+        1.2668198845800962, 0.41177549523110785, 1.5400440078336688,
+        [0.3230344681226477, 0.28522954531835126, 0.17156373918500292,
+         0.10084483800593212, 0.05761657934136662, 0.030395453808377056,
+         0.013987787596901797, 0.008098742148935372, 0.004807998315287279,
+         0.0020774051664454304, 0.0009071905416081165, 0.00012753304451689474,
+         0.00028599332590829364, 4.3077704281586197e-05, 0.000413884135959961,
+         0.0003829746155187195, 0.00018278962295892141],
+    ),
+    ("jiq", 2): (
+        1.2226564564696862, 0.48202494497432136, 1.5100053045478166,
+        [0.32297193580829825, 0.3290883509112645, 0.1478867401391272,
+         0.08375877027684592, 0.04596817767930184, 0.03348361718358559,
+         0.0162268541294668, 0.007578371827636716, 0.0041049850511370774,
+         0.0029190395354689257, 0.0012740608600837504, 0.0018269956539539293,
+         0.001119368691290333, 0.0008958063332839287, 0.00020481227179595861,
+         9.11492060964747e-05, 2.0587454362271275e-05, 0.00012404841209149708,
+         0.00020314042366976538, 0.00025318815123932836],
+    ),
+    ("jiq-p:0.5", 2): (
+        1.6768555241056957, 0.18286867204695526, 1.8195270275913757,
+        [0.3230952646877091, 0.2528097547456692, 0.15320270726338517,
+         0.09830752486940479, 0.06310971214842816, 0.04191840817010865,
+         0.028642028910377277, 0.014741406653135385, 0.008326497160580289,
+         0.006107963721890173, 0.0037860832164484464, 0.00326368567006142,
+         0.0019851672609930804, 0.0007037955218088996],
+    ),
+    ("jsq-d:2", 2): (
+        0.9930141058899998, 4.0, 1.3535614532154072,
+        [0.32297193580829814, 0.31401083863903395, 0.19224236901545141,
+         0.0940544062030958, 0.04063227467963156, 0.019079405564540054,
+         0.009971979690836321, 0.004711811765529262, 0.0007652116101539263,
+         0.0002692160939097903, 0.0005787270599039402, 0.0007118238696158415],
+    ),
+    ("random", 2): (
+        2.120858468833272, 0.0, 2.1232718795667562,
+        [0.3228974159758236, 0.214552578900739, 0.13961011141661675, 0.1019184115554658,
+         0.0717522660784938, 0.05033305695039384, 0.031705327185975934,
+         0.021597028366302014, 0.01471874223433474, 0.010799769890135678,
+         0.007559372976719657, 0.004956138220638337, 0.003960392834327621,
+         0.0016226600042931237, 0.0006360997185373378, 0.0010155178461523065,
+         0.0003651098450504833],
+    ),
+    ("round-robin", 2): (
+        1.5104288743426872, 0.0, 1.7060554528576668,
+        [0.3230719646899282, 0.26847499869597913, 0.1546949268140895,
+         0.09820274814661145, 0.061635853756739335, 0.03806127025598876,
+         0.025446480782932015, 0.015021227408260784, 0.007845681443844996,
+         0.003358557328954447, 0.001900011670797852, 0.0010862482493382685,
+         0.0008104081681802881, 0.00024875408046477786, 0.00010793041325052854,
+         3.293809463957587e-05],
+    ),
+    ("sujsq-det:0.85", 200): (
+        0.27036161621256233, 1.247248716067498, 0.865506468000522,
+        [0.32410720469125437, 0.4862791226169721, 0.18961367269177545],
+    ),
+    ("sujsq-exp:0.85", 200): (
+        0.3223992987103492, 1.3939838591342626, 0.8993001967196149,
+        [0.326759548968336, 0.46272653505304284, 0.19572026948265475,
+         0.014041463282604387, 0.0007521832133614464],
+    ),
+    ("aujsq-det:0.85", 200): (
+        0.20609384564484148, 1.247248716067498, 0.8215790257332196,
+        [0.32405444120142113, 0.5303120918639385, 0.14563346693463922],
+    ),
+    ("aujsq-exp:0.85", 200): (
+        0.43627808528925044, 1.2360601614086573, 0.9797408519278681,
+        [0.32533857103565916, 0.37132979748019423, 0.3015838400047582,
+         0.001747791479386041],
+    ),
+    ("sujsq-det-idle:0.85", 200): (
+        0.337713903713525, 0.47010271460014674, 0.9131016661893079,
+        [0.3249862260490731, 0.45019847883398423, 0.21154269799550596,
+         0.013272597121436648],
+    ),
+    ("jiq", 200): (
+        0.008360910056088635, 0.991929567131328, 0.6818781184193978,
+        [0.3238198417838262, 0.670482198012951, 0.005697960203224404],
+    ),
+    ("jiq-p:0.5", 200): (
+        1.040501542934292, 0.235509904622157, 1.434801676505628,
+        [0.3292314203769481, 0.32916629776469447, 0.15860207540454532,
+         0.07930817474744319, 0.04617360245447874, 0.02711133452120361,
+         0.011389262570628104, 0.006674179837201582, 0.0046455191641319145,
+         0.0029098101354059977, 0.001990282711750062, 0.0018666321385422075,
+         0.0006957444411390612, 0.00023566373188897938],
+    ),
+    ("jsq-d:2", 200): (
+        0.5192582465504234, 4.0, 1.0425308338851913,
+        [0.32483781298240577, 0.36898247527107436, 0.2473807125315758,
+         0.05640906330881138, 0.002389935906133766],
+    ),
+    ("random", 200): (
+        1.685246079732242, 0.0, 1.8681910252100535,
+        [0.33365845800175936, 0.22651972926960715, 0.15886853461791445,
+         0.09547384217261984, 0.06932359172754368, 0.04336555156627807,
+         0.028159126058589556, 0.017571004189985598, 0.010813642004703392,
+         0.006880753802939895, 0.0034248724970343584, 0.0032040936601043847,
+         0.0020692913337884704, 0.0006675090971325441],
+    ),
+    ("round-robin", 200): (
+        0.6567081393133993, 0.0, 1.1397007439833529,
+        [0.328495794409276, 0.3852906464059625, 0.1706088543397502, 0.0708637848384571,
+         0.029446982021762713, 0.010960635417539461, 0.003138773538732317,
+         0.0005779983757294644, 0.0004174765298213492, 0.00019905412296624192],
+    ),
+}
+
+
+@pytest.mark.parametrize("policy, n", sorted(PINNED))
+def test_outputs_pinned(policy, n):
+    horizon = {2: 5000.0, 200: 50.0}[n]
+    rec = run(make_config(policy, n=n, horizon=horizon, warmup=horizon / 5, seed=17))
+    mean_wait, msgs_per_job, mean_queue, hist = PINNED[policy, n]
+    assert rec.mean_wait == mean_wait
+    assert rec.msgs_per_job == msgs_per_job
+    assert rec.mean_queue_per_server == mean_queue
+    assert rec.queue_len_hist.tolist() == hist
