@@ -17,7 +17,7 @@ import numpy as np
 
 from . import checks, des, fixed_point, fluid_async, fluid_sync
 from .model import FluidState, ModelParams, default_jmax
-from .policies import PolicyKind, PolicySpec
+from .policies import PARAM_RULES, PolicyKind, PolicySpec
 
 
 @dataclass
@@ -63,9 +63,8 @@ def _trajectory_csv(times: np.ndarray, states: np.ndarray) -> str:
 
 
 def _sim_config(cfg: ExperimentConfig, spec: PolicySpec) -> des.SimConfig:
-    params = ModelParams(n_servers=cfg.n, lam=cfg.lam, delta=spec.delta)
     return des.SimConfig(
-        params=params,
+        params=ModelParams(n_servers=cfg.n, lam=cfg.lam),
         policy=spec,
         horizon=cfg.horizon,
         warmup=cfg.warmup,
@@ -74,22 +73,21 @@ def _sim_config(cfg: ExperimentConfig, spec: PolicySpec) -> des.SimConfig:
 
 
 def _sweep_specs(text: str, sweep: list[float]) -> list[PolicySpec]:
-    """The points of one --policies entry: the entry itself if it parses
-    (explicit parameter or none needed), else one per sweep value."""
-    try:
-        return [PolicySpec.parse(text)]
-    except ValueError:
-        pass
+    """The points of one --policies entry: one per sweep value if it names a
+    kind that takes a parameter and gives none, else the entry itself."""
+    name = text.strip()
+    kind = next((k for k in PARAM_RULES if k.value == name), None)
+    if kind is None:
+        return [PolicySpec.parse(name)]
     # The sweep values are rates and probabilities, never a probe count.
-    if text.strip() == PolicyKind.JSQ_D.value:
+    if kind is PolicyKind.JSQ_D:
         raise ValueError("sweep: jsq-d needs an explicit integer d, e.g. jsq-d:2")
     specs = []
     for val in sweep:
-        point = f"{text.strip()}:{val:g}"
         try:
-            specs.append(PolicySpec.parse(point))
+            specs.append(PolicySpec(kind, **{PARAM_RULES[kind].field: val}))
         except ValueError as err:
-            raise ValueError(f"sweep: {point}: {err}") from None
+            raise ValueError(f"sweep: {name}:{val:g}: {err}") from None
     return specs
 
 
@@ -145,11 +143,10 @@ def cmd_fluid(args: argparse.Namespace) -> int:
     run = integrate(y0, args.lam, args.delta, args.t_end, dt=args.dt, store_times=store)
     _write(args.out, _trajectory_csv(run.times, run.states))
     if args.des_runs:
-        spec_text = ("sujsq-det" if args.kind == "sync" else "aujsq-exp")
-        spec = PolicySpec.parse(f"{spec_text}:{args.delta:g}")
+        kind = PolicyKind.SUJSQ_DET if args.kind == "sync" else PolicyKind.AUJSQ_EXP
         sim = des.SimConfig(
-            params=ModelParams(n_servers=args.n, lam=args.lam, delta=args.delta),
-            policy=spec,
+            params=ModelParams(n_servers=args.n, lam=args.lam),
+            policy=PolicySpec(kind, delta=args.delta),
             horizon=args.t_end,
             warmup=0.0,
             seed=args.seed,
@@ -192,18 +189,14 @@ def cmd_fixed_point(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    spec = PolicySpec.parse(args.policy)
-    params = ModelParams(n_servers=args.n, lam=args.lam, delta=spec.delta)
     sim = des.SimConfig(
-        params=params,
-        policy=spec,
+        params=ModelParams(n_servers=args.n, lam=args.lam),
+        policy=PolicySpec.parse(args.policy),
         horizon=args.horizon,
         warmup=args.warmup,
         seed=args.seed,
     )
-    rec = (
-        des.run_replications(sim, args.runs) if args.runs > 1 else des.run(sim)
-    )
+    rec = des.run_replications(sim, args.runs)
     _write(args.out, json.dumps(rec.to_dict(), sort_keys=True, indent=2) + "\n")
     return 0
 
@@ -243,7 +236,7 @@ def _validate_checks(budget: str, seed: int, scale: float) -> fluid_sync.CheckRe
     grid = np.arange(0.05, 6.0, 0.25)
     spec = PolicySpec.parse("aujsq-exp:0.85")
     sim = des.SimConfig(
-        params=ModelParams(n_servers=n, lam=0.7, delta=0.85),
+        params=ModelParams(n_servers=n, lam=0.7),
         policy=spec,
         horizon=6.0,
         warmup=0.0,
@@ -259,9 +252,8 @@ def _validate_checks(budget: str, seed: int, scale: float) -> fluid_sync.CheckRe
     report.record("fluid_vs_des_supnorm", worst, 8.0 / np.sqrt(n * runs) * scale)
 
     # Exact chain vs simulation at N=2.
-    params = ModelParams(n_servers=2, lam=0.7, delta=0.85)
     horizon = 20000.0 if budget == "smoke" else 80000.0
-    tv, *_ = checks.chain_vs_des(params, spec, 10, horizon, seed)
+    tv, *_ = checks.chain_vs_des(ModelParams(n_servers=2, lam=0.7), spec, 10, horizon, seed)
     report.record("ctmc_vs_des_tv", tv, 0.05 * scale)
     return report
 
@@ -276,13 +268,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     doc = {"passed": not failed, "seed": args.seed, "checks": checks}
     _write(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return 1 if failed else 0
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lam", type=float, default=0.7)
-    p.add_argument("--delta", type=float, default=0.85)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out", default="-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,7 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fluid", help="integrate a fluid trajectory to CSV")
     p.add_argument("kind", choices=["sync", "async"])
-    _add_common(p)
+    p.add_argument("--lambda", dest="lam", type=float, default=0.7)
+    p.add_argument("--delta", type=float, default=0.85)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--out", default="-")
     p.add_argument("--t-end", type=float, default=10.0)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--grid-dt", type=float, default=0.1)
@@ -318,11 +306,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1000)
 
     p = sub.add_parser("fixed-point", help="stationary quantities as JSON")
-    _add_common(p)
+    p.add_argument("--lambda", dest="lam", type=float, default=0.7)
+    p.add_argument("--delta", type=float, default=0.85)
+    p.add_argument("--out", default="-")
     p.add_argument("--delta-grid", type=float, nargs="+", default=None)
 
     p = sub.add_parser("simulate", help="run the event simulator")
-    _add_common(p)
+    p.add_argument("--lambda", dest="lam", type=float, default=0.7)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--out", default="-")
     p.add_argument("--policy", required=True)
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--horizon", type=float, default=1000.0)
@@ -330,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=1)
 
     p = sub.add_parser("validate", help="cross-layer consistency report")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--out", default="-")
     p.add_argument("--budget", choices=["smoke", "default"], default="default")
     p.add_argument("--tolerance-scale", type=float, default=1.0)
     return parser

@@ -32,21 +32,14 @@ State = tuple[int, ...]  # counts over enumerated (i, j) pairs
 class TruncatedChain:
     cap: int
     pairs: list[tuple[int, int]]
-    pair_index: dict[tuple[int, int], int]
     states: list[State]
-    state_index: dict[State, int]
     generator: csr_array  # stationary also takes a dense ndarray
     truncation_rates: np.ndarray
     params: ModelParams
-    policy: PolicySpec
 
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-
-def _enumerate_pairs(cap: int) -> list[tuple[int, int]]:
-    return [(i, j) for j in range(cap + 1) for i in range(j + 1)]
 
 
 def _transitions(
@@ -59,7 +52,7 @@ def _transitions(
 ) -> tuple[list[tuple[State, float]], float]:
     """Outgoing (state, rate) list plus the rejected-arrival rate."""
     lam_total = params.lam * params.n_servers
-    delta = params.delta
+    delta = policy.delta
     moves: list[tuple[State, float]] = []
     trunc = 0.0
     # (index, (queue, estimate), count) of the occupied pairs, in index
@@ -118,42 +111,35 @@ def build_generator(
         raise ChainError(
             "only exponential-update kinds are Markovian on this state space"
         )
-    if params.delta is None:
-        raise ChainError("params.delta is required")
-    pairs = _enumerate_pairs(cap)
+    if params.delta not in (None, policy.delta):
+        raise ChainError(
+            f"ModelParams.delta = {params.delta} disagrees with the policy's "
+            f"delta = {policy.delta}"
+        )
+    pairs = [(i, j) for j in range(cap + 1) for i in range(j + 1)]
     pair_index = {p: k for k, p in enumerate(pairs)}
-    init = [0] * len(pairs)
-    init[pair_index[(0, 0)]] = params.n_servers
-    init = tuple(init)
+    init = (params.n_servers,) + (0,) * (len(pairs) - 1)  # all at pairs[0] = (0, 0)
 
+    # Breadth-first: states grows while it is walked, so every state is
+    # expanded once, in the order it was found.
     states: list[State] = [init]
     state_index: dict[State, int] = {init: 0}
     rows: list[int] = []
     cols: list[int] = []
     rates: list[float] = []
     trunc_rates: list[float] = []
-    frontier = [init]
-    while frontier:
-        nxt_frontier = []
-        for s in frontier:
-            moves, trunc = _transitions(s, pairs, pair_index, params, policy, cap)
-            si = state_index[s]
-            while len(trunc_rates) <= si:
-                trunc_rates.append(0.0)
-            trunc_rates[si] = trunc
-            for target, rate in moves:
-                if target not in state_index:
-                    if len(states) >= MAX_STATES:
-                        raise ChainError(
-                            f"state space exceeds budget of {MAX_STATES}"
-                        )
-                    state_index[target] = len(states)
-                    states.append(target)
-                    nxt_frontier.append(target)
-                rows.append(si)
-                cols.append(state_index[target])
-                rates.append(rate)
-        frontier = nxt_frontier
+    for si, s in enumerate(states):
+        moves, trunc = _transitions(s, pairs, pair_index, params, policy, cap)
+        trunc_rates.append(trunc)
+        for target, rate in moves:
+            if target not in state_index:
+                if len(states) >= MAX_STATES:
+                    raise ChainError(f"state space exceeds budget of {MAX_STATES}")
+                state_index[target] = len(states)
+                states.append(target)
+            rows.append(si)
+            cols.append(state_index[target])
+            rates.append(rate)
 
     n = len(states)
     # The diagonal holds minus each row's total outflow; the CSR conversion
@@ -169,13 +155,10 @@ def build_generator(
     return TruncatedChain(
         cap=cap,
         pairs=pairs,
-        pair_index=pair_index,
         states=states,
-        state_index=state_index,
         generator=gen,
         truncation_rates=np.asarray(trunc_rates),
         params=params,
-        policy=policy,
     )
 
 

@@ -9,6 +9,7 @@ after warmup.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -73,6 +74,12 @@ class SimConfig:
         if not 0.0 <= self.warmup < self.horizon:
             raise SimulationError(
                 f"need 0 <= warmup < horizon, got {self.warmup}, {self.horizon}"
+            )
+        delta = self.policy.delta
+        if delta is not None and self.params.delta not in (None, delta):
+            raise SimulationError(
+                f"ModelParams.delta = {self.params.delta} disagrees with "
+                f"the policy's delta = {delta}"
             )
         d, n = self.policy.d, self.params.n_servers
         if d is not None and d > n:
@@ -142,6 +149,27 @@ def run(config: SimConfig) -> MetricsRecord:
     return _run(config, run_index=0)
 
 
+def t_975(df: int) -> float:
+    """The 0.975 quantile of Student's t with df >= 1 degrees of freedom,
+    by bisection on theta = atan(t / sqrt(df)): P(|T| < t) is a finite
+    series in cos(theta)^2 (Abramowitz & Stegun 26.7.3-4)."""
+    odd = df % 2
+
+    def inside(theta: float) -> float:
+        c, s = math.cos(theta), math.sin(theta)
+        total, term = 0.0, 1.0
+        for k in range(1, df // 2 + 1):
+            total += term
+            term *= c * c * (2 * k - 1 + odd) / (2 * k + odd)
+        return (theta + s * c * total) * 2.0 / math.pi if odd else s * total
+
+    lo, hi = 0.0, 0.5 * math.pi
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if inside(mid) < 0.95 else (lo, mid)
+    return math.sqrt(df) * math.tan(lo)
+
+
 def run_replications(config: SimConfig, runs: int) -> MetricsRecord:
     """Independent replications with per-run derived seeds; scalar metrics
     are averaged and trajectories are pointwise means."""
@@ -162,7 +190,7 @@ def run_replications(config: SimConfig, runs: int) -> MetricsRecord:
             times=records[0].trajectory.times,
             y=np.mean([r.trajectory.y for r in records], axis=0),
         )
-    ci = 1.96 * float(np.std(waits, ddof=1)) / np.sqrt(runs)
+    ci = t_975(runs - 1) * float(np.std(waits, ddof=1)) / np.sqrt(runs)
     return MetricsRecord(
         mean_wait=float(np.mean(waits)),
         msgs_per_job=float(np.mean([r.msgs_per_job for r in records])),

@@ -29,7 +29,7 @@ class TruncationError(RuntimeError):
 @dataclass(frozen=True)
 class ModelParams:
     """System-level parameters: n_servers servers, per-server arrival rate
-    lam in (0,1), update frequency delta per server, unit-mean service."""
+    lam in (0,1), unit-mean service; delta, if set, must match the policy's."""
 
     n_servers: int
     lam: float

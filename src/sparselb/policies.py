@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, insort
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,10 +45,28 @@ ESTIMATE_KINDS = frozenset(
 TOKEN_KINDS = frozenset({PolicyKind.JIQ, PolicyKind.JIQ_P})
 
 
+class ParamRule(NamedTuple):
+    """A kind's one parameter: the PolicySpec field that holds it, the type
+    parse reads its text as, and its admitted range as a test and in words."""
+    field: str
+    type: type
+    admits: Callable[[float], bool]
+    range: str
+
+
+PARAM_RULES: dict[PolicyKind, ParamRule] = {
+    **dict.fromkeys(
+        ESTIMATE_KINDS, ParamRule("delta", float, lambda x: x > 0.0, "delta > 0")
+    ),
+    PolicyKind.JSQ_D: ParamRule("d", int, lambda x: x >= 1, "an integer d >= 1"),
+    PolicyKind.JIQ_P: ParamRule("p", float, lambda x: 0.0 <= x <= 1.0, "p in [0, 1]"),
+}
+
+
 @dataclass(frozen=True)
 class PolicySpec:
-    """Tagged policy selector.  Exactly the parameters required by the kind
-    must be present: delta for estimate kinds, d for jsq-d, p for jiq-p."""
+    """Tagged policy selector.  Exactly the parameter that PARAM_RULES names
+    for the kind must be present, and none for a kind it does not list."""
 
     kind: PolicyKind
     delta: float | None = None
@@ -54,25 +74,14 @@ class PolicySpec:
     p: float | None = None
 
     def __post_init__(self) -> None:
-        k = self.kind
-        if k in ESTIMATE_KINDS:
-            if self.delta is None or not self.delta > 0.0:
-                raise ValueError(f"{k.value} requires delta > 0")
-            if self.d is not None or self.p is not None:
-                raise ValueError(f"{k.value} takes no d/p parameter")
-        elif k is PolicyKind.JSQ_D:
-            if self.d is None or self.d < 1:
-                raise ValueError("jsq-d requires an integer d >= 1")
-            if self.delta is not None or self.p is not None:
-                raise ValueError("jsq-d takes no delta/p parameter")
-        elif k is PolicyKind.JIQ_P:
-            if self.p is None or not 0.0 <= self.p <= 1.0:
-                raise ValueError("jiq-p requires p in [0, 1]")
-            if self.delta is not None or self.d is not None:
-                raise ValueError("jiq-p takes no delta/d parameter")
-        else:
-            if self.delta is not None or self.d is not None or self.p is not None:
-                raise ValueError(f"{k.value} takes no parameter")
+        rule = PARAM_RULES.get(self.kind)
+        if rule is not None:
+            value = getattr(self, rule.field)
+            if value is None or not rule.admits(value):
+                raise ValueError(f"{self.kind.value} requires {rule.range}")
+        for name in ("delta", "d", "p"):
+            if getattr(self, name) is not None and (rule is None or name != rule.field):
+                raise ValueError(f"{self.kind.value} takes no {name} parameter")
 
     @property
     def uses_estimates(self) -> bool:
@@ -81,13 +90,8 @@ class PolicySpec:
     @property
     def param(self) -> float | int | None:
         """The kind's own parameter (delta, d, or p), if any."""
-        if self.kind in ESTIMATE_KINDS:
-            return self.delta
-        if self.kind is PolicyKind.JSQ_D:
-            return self.d
-        if self.kind is PolicyKind.JIQ_P:
-            return self.p
-        return None
+        rule = PARAM_RULES.get(self.kind)
+        return None if rule is None else getattr(self, rule.field)
 
     @classmethod
     def parse(cls, text: str) -> "PolicySpec":
@@ -99,13 +103,10 @@ class PolicySpec:
             raise ValueError(f"unknown policy kind {name!r}") from None
         if not sep:
             return cls(kind)
-        if kind in ESTIMATE_KINDS:
-            return cls(kind, delta=float(arg))
-        if kind is PolicyKind.JSQ_D:
-            return cls(kind, d=int(arg))
-        if kind is PolicyKind.JIQ_P:
-            return cls(kind, p=float(arg))
-        raise ValueError(f"policy {name!r} takes no parameter, got {arg!r}")
+        rule = PARAM_RULES.get(kind)
+        if rule is None:
+            raise ValueError(f"policy {name!r} takes no parameter, got {arg!r}")
+        return cls(kind, **{rule.field: rule.type(arg)})
 
     def __str__(self) -> str:
         if self.param is None:
@@ -224,12 +225,7 @@ def on_assign(view: DispatcherView, server: int) -> None:
 def on_update(
     spec: PolicySpec, view: DispatcherView, server: int, true_len: int
 ) -> int:
-    """Apply one server's status report; returns messages sent."""
-    if spec.kind is PolicyKind.SUJSQ_DET_IDLE:
-        if true_len == 0:
-            view.set_estimate(server, 0)
-            return 1
-        return 0
+    """Apply one server's own report (asynchronous kinds); returns messages sent."""
     view.set_estimate(server, true_len)
     return 1
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import sparselb
+from sparselb import cli
 from sparselb.cli import main
 
 
@@ -252,3 +254,55 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
     assert out.strip() == "[]"
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that remembers which of its attributes were read."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "__dict__").setdefault("_read", set()).add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n", "10", "--policies", "random", "--runs", "2", "--horizon", "20",
+     "--warmup", "5"],
+    ["fluid", "sync", "--t-end", "0.4", "--grid-dt", "0.2", "--des-runs", "1",
+     "--n", "10"],
+    ["fixed-point"],
+    ["simulate", "--policy", "random", "--n", "10", "--horizon", "20"],
+    ["validate", "--budget", "smoke"],
+])
+def test_every_flag_is_read(argv, monkeypatch, tmp_path):
+    # validate's checks are stubbed: its flags are read when they are passed
+    monkeypatch.setattr(cli, "_validate_checks", lambda *a: sparselb.fluid_sync.CheckReport())
+    argv = [*argv, "--out", str(tmp_path / "out")]
+    args = cli.build_parser().parse_args(argv, namespace=ReadRecorder())
+    vars(args)["_read"] = set()
+    monkeypatch.setattr(cli, "build_parser", lambda: argparse.Namespace(parse_args=lambda _: args))
+    assert main(argv) == 0
+    assert set(vars(args)) - {"_read"} - vars(args)["_read"] == set()
+
+
+def test_removed_flags_are_refused():
+    for argv in (["fixed-point", "--seed", "2"],
+                 ["simulate", "--policy", "aujsq-exp:0.85", "--delta", "0.5"],
+                 ["validate", "--lambda", "0.5"], ["validate", "--delta", "0.5"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+
+
+def test_fluid_overlay_simulates_the_exact_delta(monkeypatch, tmp_path):
+    seen = []
+    real = sparselb.des.run_replications
+    monkeypatch.setattr(sparselb.des, "run_replications",
+                        lambda config, runs: seen.append(config) or real(config, runs))
+    assert run_cli(["fluid", "sync", "--delta", "0.123456789", "--t-end", "0.4",
+                    "--grid-dt", "0.2", "--des-runs", "1", "--n", "10",
+                    "--out", str(tmp_path / "traj.csv")]) == 0
+    assert seen[0].policy.delta == 0.123456789
+
+
+def test_sweep_points_keep_the_exact_value():
+    assert cli._sweep_specs("sujsq-det", [0.1234567])[0].delta == 0.1234567

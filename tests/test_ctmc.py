@@ -37,10 +37,8 @@ def test_stationary_two_state_toy():
     # closed-form check on a hand-built two-state chain
     gen = np.array([[-2.0, 2.0], [3.0, -3.0]])
     chain = TruncatedChain(
-        cap=0, pairs=[(0, 0)], pair_index={(0, 0): 0}, states=[(1,), (2,)],
-        state_index={(1,): 0, (2,): 1}, generator=gen,
-        truncation_rates=np.zeros(2), params=ModelParams(1, 0.5, 1.0),
-        policy=PolicySpec.parse("aujsq-exp:1.0"),
+        cap=0, pairs=[(0, 0)], states=[(1,), (2,)], generator=gen,
+        truncation_rates=np.zeros(2), params=ModelParams(1, 0.5),
     )
     pi = stationary(chain)
     assert pi == pytest.approx([0.6, 0.4])
@@ -49,10 +47,8 @@ def test_stationary_two_state_toy():
 def test_stationary_reducible_chain_raises():
     gen = np.zeros((2, 2))  # two absorbing states
     chain = TruncatedChain(
-        cap=0, pairs=[(0, 0)], pair_index={(0, 0): 0}, states=[(1,), (2,)],
-        state_index={(1,): 0, (2,): 1}, generator=gen,
-        truncation_rates=np.zeros(2), params=ModelParams(1, 0.5, 1.0),
-        policy=PolicySpec.parse("aujsq-exp:1.0"),
+        cap=0, pairs=[(0, 0)], states=[(1,), (2,)], generator=gen,
+        truncation_rates=np.zeros(2), params=ModelParams(1, 0.5),
     )
     with pytest.raises(ChainError):
         stationary(chain)
@@ -134,6 +130,11 @@ def test_marginal_sums_to_one():
     marg = queue_marginal(chain, stationary(chain))
     assert marg.sum() == pytest.approx(1.0, abs=1e-12)
     assert marg.min() >= 0.0
+
+
+def test_model_delta_must_match_the_policy():
+    with pytest.raises(ChainError, match=r"0\.85 .* 2\.5"):
+        build_generator(ModelParams(2, 0.7, 0.85), PolicySpec.parse("aujsq-exp:2.5"), cap=4)
 
 
 def test_rejects_non_markovian_kinds():

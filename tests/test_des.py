@@ -254,6 +254,27 @@ def test_jsq_d_more_probes_than_servers_refused():
         make_config("jsq-d:2", n=1)
 
 
+def test_model_delta_must_match_the_policy():
+    with pytest.raises(SimulationError, match=r"0\.85 .* 2\.5"):
+        SimConfig(params=ModelParams(20, 0.7, 0.85),
+                  policy=PolicySpec.parse("aujsq-exp:2.5"), horizon=10.0)
+
+
+@pytest.mark.parametrize("df, quantile", [
+    (1, 12.706204736174694), (9, 2.262157162798205), (29, 2.045229642132703),
+])
+def test_t_975_quantiles(df, quantile):
+    assert abs(des.t_975(df) - quantile) < 1e-9
+
+
+def test_replication_interval_uses_student_t():
+    cfg = make_config("random", n=20, horizon=60.0, warmup=10.0)
+    agg = run_replications(cfg, 10)
+    waits = [r.mean_wait for r in agg.per_run]
+    half = 2.262157162798205 * np.std(waits, ddof=1) / np.sqrt(10)
+    assert agg.mean_wait_ci == pytest.approx(half, rel=1e-9)
+
+
 # Outputs of ten policies at N = 2 (horizon 5000) and N = 200 (horizon 50),
 # lambda = 0.7, seed 17: about 7000 arrivals and as many services per run, so
 # each stream crosses several draw blocks.  Recorded before the arrival and

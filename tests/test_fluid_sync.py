@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from sparselb.model import FluidState, TruncationError
+from sparselb.cli import main
+from sparselb.model import FluidState, TruncationError, default_jmax, min_estimate_level
 from sparselb.fluid_async import integrate_async
 from sparselb.fluid_sync import (
+    SWITCH_TOL,
     CheckReport,
     apply_sync_update,
     check_trajectory_invariants,
@@ -260,3 +262,74 @@ def test_check_report_keeps_nan():
     report.record("x", float("nan"), 1e-3)
     report.record("x", 1e-5, 1e-3)  # a later finite residual must not hide it
     assert "x" in report.violations
+
+
+def loop_checks(run):
+    """The per-step slope and tail-mass loops that check_trajectory_invariants
+    replaced with array operations, kept as its reference."""
+    report = CheckReport()
+    times, states, lam = run.times, run.states, run.lam
+    epoch_set = set(np.round(run.update_epochs, 12))
+    n_levels = states.shape[2]
+    v_all = states.sum(axis=2)
+    w_all = states.sum(axis=1)
+    m_all = np.array([min_estimate_level(w, SWITCH_TOL) for w in w_all])
+    idx_lv = np.arange(n_levels)
+    for k in range(len(times) - 1):
+        t0, t1 = times[k], times[k + 1]
+        h = t1 - t0
+        if h <= 1e-12 or round(t1, 12) in epoch_set or round(t0, 12) in epoch_set:
+            continue
+        if m_all[k] != m_all[k + 1]:
+            continue
+        m = m_all[k]
+        dw_m = (w_all[k + 1, m] - w_all[k, m]) / h
+        report.record("min_level_drain_slope", abs(dw_m + lam), 1e-3)
+        if m + 1 < n_levels:
+            dw_up = (w_all[k + 1, m + 1] - w_all[k, m + 1]) / h
+            report.record("next_level_fill_slope", abs(dw_up - lam), 1e-3)
+    q_gt = {}
+    max_support = int(np.max(np.nonzero(v_all.sum(axis=0) > 1e-12))) if v_all.any() else 0
+    for level in range(1, max_support + 2):
+        above = idx_lv > level
+        q_gt[level] = v_all[:, above] @ (idx_lv[above] - level)
+    for k in range(len(times) - 1):
+        if times[k + 1] - times[k] <= 1e-12:
+            continue
+        for level in q_gt:
+            if m_all[k] <= level - 1 and m_all[k + 1] <= level - 1:
+                rise = q_gt[level][k + 1] - q_gt[level][k]
+                report.record("tail_mass_monotone", max(rise, 0.0), 1e-9)
+    return report
+
+
+@pytest.mark.parametrize("y0, lam, delta, t_end, dt", [
+    (two_point_state(0.7, 40), 0.7, 2.5, 3.2, 4e-4),
+    (FluidState.empty(40), 0.7, 0.85, 6.0, 1e-3),
+    (FluidState.empty(40), 0.9, 0.3, 8.0, None),
+])
+def test_trajectory_checks_replay_the_loops(y0, lam, delta, t_end, dt):
+    run = integrate_sync(y0, lam, delta, t_end, dt=dt)
+    report = check_trajectory_invariants(run)
+    ref = loop_checks(run)
+    for name in ("min_level_drain_slope", "next_level_fill_slope", "tail_mass_monotone"):
+        assert report.residuals[name] == ref.residuals[name]
+        assert report.tolerances[name] == ref.tolerances[name]
+
+
+@pytest.mark.parametrize("lam, delta", [(0.7, 0.3), (0.7, 0.5), (0.5, 0.2), (0.9, 0.85)])
+def test_sparse_feedback_runs_from_empty(lam, delta):
+    # Each ended in IntegrationError while a drained column kept cells of
+    # opposite sign after the switch-point bisection.
+    jmax = default_jmax(lam, delta)
+    for integrate in (integrate_sync, integrate_async):
+        run = integrate(FluidState.empty(jmax), lam, delta, 8.0)
+        assert run.times[-1] == 8.0
+        assert run.states.min() >= 0.0
+        assert np.abs(run.states.sum(axis=(1, 2)) - 1.0).max() < 1e-9
+
+
+def test_fluid_cli_starts_from_the_fixed_point(tmp_path):
+    out = tmp_path / "traj.csv"
+    assert main(["fluid", "sync", "--y0", "fixed-point", "--out", str(out)]) == 0
+    assert out.read_text().startswith("t,i,j,y\n")

@@ -124,15 +124,6 @@ def test_on_update_resets_estimate():
     assert list(view.estimates) == [2, 3]
 
 
-def test_on_update_idle_variant():
-    spec, view = view_for("sujsq-det-idle:0.85", 2)
-    view.set_estimates([5, 3])
-    assert on_update(spec, view, 0, 3) == 0  # busy server stays silent
-    assert view.estimates[0] == 5
-    assert on_update(spec, view, 1, 0) == 1
-    assert view.estimates[1] == 0
-
-
 def test_apply_global_update():
     spec, view = view_for("sujsq-det:0.85", 4)
     view.set_estimates([9, 9, 9, 9])
