@@ -307,9 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixed-point", help="stationary quantities as JSON")
     p.add_argument("--lambda", dest="lam", type=float, default=0.7)
-    p.add_argument("--delta", type=float, default=0.85)
     p.add_argument("--out", default="-")
-    p.add_argument("--delta-grid", type=float, nargs="+", default=None)
+    one_or_grid = p.add_mutually_exclusive_group()
+    one_or_grid.add_argument("--delta", type=float, default=0.85)
+    one_or_grid.add_argument("--delta-grid", type=float, nargs="+", default=None)
 
     p = sub.add_parser("simulate", help="run the event simulator")
     p.add_argument("--lambda", dest="lam", type=float, default=0.7)

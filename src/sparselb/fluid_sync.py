@@ -1,12 +1,14 @@
-"""Fluid limits: the fixed-step integrator shared by both update schemes,
-and the synchronized limit built on it.
+"""Fluid limits: the synchronized limit as an exact piecewise flow, and the
+fixed-step integrator that fluid_async runs on.
 
 Under synchronized updates the occupancy fractions follow a piecewise-smooth
 ODE between epochs whose assignment flux targets the minimum estimate
 level; at each epoch every column collapses onto the diagonal (estimates
-snap to true queue lengths).  fluid_async runs the same integrator with no
-epochs.  The module also carries the Poisson drain quantities A/B, the
-queue-length bound scan, and trajectory-level consistency checks.
+snap to true queue lengths).  Between two stops that flow has a closed
+form, so integrate_sync takes no steps.  fluid_async integrates its
+right-hand side with fixed RK4 steps.  The module also carries the Poisson
+drain quantities A/B, the queue-length bound scan, and trajectory-level
+consistency checks.
 """
 from __future__ import annotations
 
@@ -102,9 +104,8 @@ def split_step_at_switch(step, y: np.ndarray, h: float, m: int):
 
 
 def _advance(rhs, y: np.ndarray, span: float, dt: float) -> np.ndarray:
-    """Integrate over a span containing no epochs, splitting steps exactly
-    at minimum-estimate switch points (where the lowest occupied column
-    hits zero mass)."""
+    """Integrate over a span, splitting steps exactly at minimum-estimate
+    switch points (where the lowest occupied column hits zero mass)."""
     remaining = span
     while remaining > 1e-14:
         m = min_estimate_level(y.sum(axis=0), SWITCH_TOL)
@@ -143,6 +144,29 @@ def _marks(t_end: float, epochs, store_times) -> list[tuple[float, bool]]:
     return [(t, rank == 2) for t, rank in marks]
 
 
+def _start(y0, delta: float, dt: float | None) -> tuple[np.ndarray, float]:
+    """The start state as a float array, and dt (default
+    min(1/delta, 1)/1000) once it is checked against its range."""
+    if dt is None:
+        dt = min(1.0 / delta, 1.0) / 1000.0
+    if dt > min(1.0 / delta, 1.0) / 100.0:
+        raise ValueError("dt too coarse: need dt <= min(1/delta, 1)/100")
+    return np.array(y0.y if isinstance(y0, FluidState) else y0, dtype=float), dt
+
+
+def _settle(y: np.ndarray, clamped: float) -> float:
+    """Clamp round-off below zero in y, in place, and check the truncation
+    boundary; returns the largest clamp so far."""
+    low = y.min()
+    if low < 0.0:
+        if low < -1e-12:
+            raise IntegrationError(f"state entry fell to {low}")
+        clamped = max(clamped, -low)
+        np.maximum(y, 0.0, out=y)
+    check_truncation(y)
+    return clamped
+
+
 def integrate_fluid(
     rhs,
     y0: FluidState | np.ndarray,
@@ -151,47 +175,73 @@ def integrate_fluid(
     t_end: float,
     dt: float | None = None,
     store_times: np.ndarray | None = None,
-    epochs=(),
-    jump=None,
 ) -> FluidRun:
-    """Integrate y' = rhs(y) on [0, t_end] with y = jump(y) at each epoch.
-    Classic fixed-step 4th-order integration, split exactly at epochs,
-    stored grid points, and estimate-level switches."""
-    y = np.array(y0.y if isinstance(y0, FluidState) else y0, dtype=float)
-    if dt is None:
-        dt = min(1.0 / delta, 1.0) / 1000.0
-    if dt > min(1.0 / delta, 1.0) / 100.0:
-        raise ValueError("dt too coarse: need dt <= min(1/delta, 1)/100")
+    """Integrate y' = rhs(y) on [0, t_end] with classic fixed-step
+    4th-order steps, split exactly at stored grid points and estimate-level
+    switches."""
+    y, dt = _start(y0, delta, dt)
     if store_times is None:
         store_times = np.linspace(0.0, t_end, 1001)
-
-    times = [0.0]
-    states = [y.copy()]
-    epoch_times: list[float] = []
+    marks = _marks(t_end, (), store_times)
+    states = np.empty((len(marks) + 1, *y.shape))
+    states[0] = y
     clamped = 0.0
     t = 0.0
-    for t_next, is_epoch in _marks(t_end, epochs, store_times):
+    for k, (t_next, _) in enumerate(marks, 1):
         y = _advance(rhs, y, t_next - t, dt)
-        low = y.min()
-        if low < 0.0:
-            if low < -1e-12:
-                raise IntegrationError(f"state entry fell to {low}")
-            clamped = max(clamped, -low)
-            y = np.maximum(y, 0.0)
-        check_truncation(y)
-        if is_epoch:
-            epoch_times.append(t_next)
-            y = jump(y)
-        times.append(t_next)
-        states.append(y.copy())
+        clamped = _settle(y, clamped)
+        states[k] = y
         t = t_next
     return FluidRun(
-        times=np.asarray(times),
-        states=np.asarray(states),
-        update_epochs=np.asarray(epoch_times),
+        times=np.array([0.0, *(t for t, _ in marks)]),
+        states=states,
+        update_epochs=np.empty(0),
         lam=lam,
         clamped=clamped,
     )
+
+
+def _flow(y: np.ndarray, m: int, lam: float, r: np.ndarray, out: np.ndarray) -> None:
+    """Write the exact flow from y over each time in r (ascending, none past
+    the switch w_m/lam of the minimum level m) into out[0..len(r)-1].
+
+    Every column moves under service, whose exponential at time r is
+    sum_k pois(k; r) P^k (uniformization).  Queue levels above the highest
+    occupied one, L, stay empty but for arrivals at L + 1, so the flow is
+    worked out on rows 0..L+1 alone; there P^(L+1) holds all mass at level
+    0, and the Poisson tail from L + 1 on is lumped onto it.  Column m also
+    feeds arrivals at rate lam, which scales it by (w_m - lam r)/w_m.
+    Column m + 1 gains them one level up: lam sum_k pois(k; r) R_k, where
+    R_0 = 0, R_{k+1} = P R_k + B P^k x0 and x0 = y[:, m]/w_m; B moves mass
+    one level up and drops the top row, as rhs_sync does.  The sums run in
+    einsum, not BLAS: on two OpenBLAS threads these small products took
+    about ten times longer.
+    """
+    n = len(y)
+    rows = min(int(np.flatnonzero(y.any(axis=1))[-1]) + 2, n)
+    y = y[:rows]
+    w_m = y[:, m].sum()
+    terms = max(rows, int(r[-1] + 12.0 * math.sqrt(r[-1]) + 40.0))
+    k = np.arange(terms)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(k[1:]))))
+    pmf = np.exp(np.log(r)[:, None] * k - r[:, None] - log_fact)
+    weights = pmf[:, :rows].copy()
+    weights[:, -1] = 1.0 - pmf[:, : rows - 1].sum(axis=1)
+    # P^k y for k < rows: row i >= 1 is row i + k of y, row 0 holds rows 0..k
+    powers = np.concatenate((y, np.zeros_like(y)))[np.add.outer(k[:rows], k[:rows])]
+    powers[:, 0] = np.cumsum(y, axis=0)
+    np.einsum("sk,kij->sij", weights, powers, out=out[:, :rows])
+    out[:, rows:] = 0.0
+    out[:, :, m] *= (np.maximum(w_m - lam * r, 0.0) / w_m)[:, None]
+    if m + 1 < n:
+        inflow = np.zeros((terms, rows))  # B P^k x0
+        inflow[:, 1:] = powers[np.minimum(k, rows - 1), :-1, m] / w_m
+        acc = np.zeros((terms, rows))  # R_k
+        for j in range(1, terms):
+            acc[j, 0] = acc[j - 1, 0] + acc[j - 1, 1]
+            acc[j, 1:-1] = acc[j - 1, 2:]
+            acc[j] += inflow[j - 1]
+        out[:, :rows, m + 1] += lam * np.einsum("sk,ki->si", pmf, acc)
 
 
 def integrate_sync(
@@ -202,13 +252,58 @@ def integrate_sync(
     dt: float | None = None,
     store_times: np.ndarray | None = None,
 ) -> FluidRun:
-    """Integrate the synchronous fluid limit on [0, t_end], with update
-    epochs at k/delta (deterministic schedule)."""
+    """The synchronous fluid limit on [0, t_end], with update epochs at
+    k/delta (deterministic schedule), as an exact piecewise flow.
+
+    The flow (see _flow) stops at every epoch and at every switch, where
+    the minimum-estimate column m has drained at w_m/lam; there column m
+    is zeroed and its round-off residue moves up to column m + 1.  All
+    stored times between two stops come from one call.  The flow takes no
+    steps: dt is only checked against its range.
+    """
+    y, _ = _start(y0, delta, dt)
+    if store_times is None:
+        store_times = np.linspace(0.0, t_end, 1001)
     period = 1.0 / delta
     epochs = np.arange(1, math.floor(t_end / period + 1e-12) + 1) * period
-    return integrate_fluid(
-        lambda y: rhs_sync(y, lam), y0, lam, delta, t_end, dt, store_times,
-        epochs=epochs, jump=apply_sync_update,
+    marks = _marks(t_end, epochs, store_times)
+    times = np.array([0.0, *(t for t, _ in marks)])
+    # index of each epoch mark, then of the last mark
+    ends = np.append(np.flatnonzero([is_epoch for _, is_epoch in marks]), len(marks) - 1)
+    states = np.empty((len(marks) + 1, *y.shape))
+    states[0] = y
+    eps = 1e-12 * max(1.0, t_end)
+    clamped = 0.0
+    t, i = 0.0, 0  # the flow has reached time t and marks[:i]
+    while i < len(marks):
+        m = min_estimate_level(y.sum(axis=0), SWITCH_TOL)
+        span = y[:, m].sum() / lam  # until column m drains
+        last = ends[np.searchsorted(ends, i)]
+        ahead = times[i + 1 : last + 2] - t
+        j = int(np.searchsorted(ahead, span + eps, side="right"))  # marks reached
+        at_mark = j > 0 and ahead[j - 1] >= span - eps  # the last one is the switch
+        switched = at_mark or j < len(ahead)
+        r = np.minimum(ahead[:j], span)
+        if switched and not at_mark:
+            r = np.append(r, span)  # the switch itself, in the next mark's row
+        block = states[i + 1 : i + 1 + len(r)]
+        _flow(y, m, lam, r, block)
+        if switched and m + 1 < len(y):
+            block[-1, :, m + 1] += block[-1, :, m]
+            block[-1, :, m] = 0.0
+        for state in block[:j]:
+            clamped = _settle(state, clamped)
+        if j == len(r) and marks[i + j - 1][1]:
+            block[-1] = apply_sync_update(block[-1])
+        y = block[-1].copy()
+        t = times[i + j] if j == len(r) else t + span
+        i += j
+    return FluidRun(
+        times=times,
+        states=states,
+        update_epochs=np.array([t for t, is_epoch in marks if is_epoch]),
+        lam=lam,
+        clamped=clamped,
     )
 
 

@@ -293,6 +293,14 @@ def test_removed_flags_are_refused():
             main(argv)
 
 
+@pytest.mark.parametrize("delta", ["0.85", "0.5"])
+def test_fixed_point_delta_and_grid_exclude_each_other(delta, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fixed-point", "--delta", delta, "--delta-grid", "0.5", "1.0"])
+    assert exit_info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_fluid_overlay_simulates_the_exact_delta(monkeypatch, tmp_path):
     seen = []
     real = sparselb.des.run_replications

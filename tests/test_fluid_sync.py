@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from sparselb import fluid_sync
 from sparselb.cli import main
+from sparselb.fixed_point import y_star
 from sparselb.model import FluidState, TruncationError, default_jmax, min_estimate_level
 from sparselb.fluid_async import integrate_async
 from sparselb.fluid_sync import (
@@ -11,6 +13,7 @@ from sparselb.fluid_sync import (
     CheckReport,
     apply_sync_update,
     check_trajectory_invariants,
+    integrate_fluid,
     integrate_sync,
     poisson_ab,
     queue_bound,
@@ -333,3 +336,52 @@ def test_fluid_cli_starts_from_the_fixed_point(tmp_path):
     out = tmp_path / "traj.csv"
     assert main(["fluid", "sync", "--y0", "fixed-point", "--out", str(out)]) == 0
     assert out.read_text().startswith("t,i,j,y\n")
+
+
+# --- exact flow against RK4 ---------------------------------------------------
+
+
+def rk4_sync(y0, lam, delta, t_end, store_times):
+    """The synchronous limit by fine RK4 steps: integrate_fluid(rhs_sync)
+    over one epoch span at a time, with the epoch jump applied between;
+    t_end must not be an epoch."""
+    dt = min(1.0 / delta, 1.0) / 10000.0
+    y = np.array(y0.y if isinstance(y0, FluidState) else y0, dtype=float)
+    states, start = [], 0.0
+    ends = [*np.arange(1, math.floor(t_end * delta + 1e-12) + 1) / delta, t_end]
+    for end in ends:
+        inside = [t - start for t in store_times if start < t < end]
+        run = integrate_fluid(lambda z: rhs_sync(z, lam), y, lam, delta, end - start,
+                              dt, store_times=inside)
+        y = run.states[-1] if end == t_end else apply_sync_update(run.states[-1])
+        states += [*run.states[1:-1], y]
+        start = end
+    return np.array(states)
+
+
+@pytest.mark.parametrize("y0, delta, t_end", [
+    (FluidState.empty(40), 0.85, 4.0),
+    (FluidState.empty(40), 2.5, 2.1),
+    (FluidState.empty(40), 0.3, 7.0),
+    (two_point_state(0.7, 40), 2.5, 2.1),
+    (y_star(0.7, 0.85, jmax=40).y_star, 0.85, 3.0),
+])
+def test_exact_flow_matches_fine_rk4(y0, delta, t_end):
+    lam = 0.7
+    grid = np.linspace(0.0, t_end, 41)
+    run = integrate_sync(y0, lam, delta, t_end, store_times=grid)
+    ref = rk4_sync(y0, lam, delta, t_end, grid)
+    assert len(run.states) == len(ref) + 1
+    assert np.abs(run.states[1:] - ref).max() < 1e-8
+
+
+def test_sync_takes_no_rk4_steps(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the synchronous limit must not step")
+
+    for name in ("rhs_sync", "_rk4", "split_step_at_switch"):
+        monkeypatch.setattr(fluid_sync, name, refuse)
+    for y0 in (FluidState.empty(40), y_star(0.7, 0.85, jmax=40).y_star):
+        run = integrate_sync(y0, 0.7, 0.85, 6.0)
+        assert run.times[-1] == 6.0
+        assert np.abs(run.states.sum(axis=(1, 2)) - 1.0).max() < 1e-9
