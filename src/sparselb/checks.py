@@ -30,7 +30,14 @@ def fluid_des_distance(traj: des.Trajectory, fluid_run: FluidRun) -> float:
     """Sup distance over v0..v2 and w0..w2 between simulated snapshots and
     the fluid states stored at the same times.  Times are matched after
     rounding to 9 decimals, so a run whose stops merged with update epochs
-    still lines up with the simulation grid."""
+    still lines up with the simulation grid.  Raises ValueError when the
+    snapshots clipped any server at their jmax, which the fluid states do
+    not."""
+    if traj.clipped:
+        raise ValueError(
+            f"a fraction {traj.clipped:g} of the servers exceeded the snapshot "
+            "jmax; raise SimConfig.snapshot_jmax"
+        )
     by_time = {round(t, 9): s for t, s in zip(fluid_run.times, fluid_run.states)}
     worst = 0.0
     for t, y in zip(traj.times, traj.y):

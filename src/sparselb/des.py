@@ -5,13 +5,25 @@ with a fixed tie-break (departures before updates before arrivals, then
 insertion order), so a seed pins down the whole trace.  Waiting time is
 measured from arrival to service start; statistics only count the window
 after warmup.
+
+Each replication draws from four numpy streams, one per purpose.  Arrival
+gaps and service times are drawn BLOCK at a time (exponentials).  The
+policy stream of every kind but jsq-d, which needs Generator.choice, is
+read as raw PCG64 words BLOCK at a time, and WordDraws turns them into the
+integers(n) and random() values the Generator itself would return; the
+update stream of aujsq-exp, whose integers interleave with exponential
+draws, takes its words one at a time.  So every draw, and every output for
+a seed, is what scalar Generator calls give.  The loop keeps the queues
+and the dispatcher's estimates in Python lists, which are faster than numpy
+arrays for one element at a time.
 """
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +31,7 @@ import numpy as np
 from .model import ModelParams
 from .policies import (
     DispatcherView,
+    PolicyKind,
     PolicySpec,
     apply_global_update,
     dispatch,
@@ -32,7 +45,7 @@ DEPARTURE, UPDATE, ARRIVAL = 0, 1, 2
 
 STREAM_NAMES = ("arrivals", "services", "policy", "updates")
 
-# Draws per numpy call for the single-purpose arrival and service streams.
+# Draws (or raw words) per numpy call for the streams read in blocks.
 BLOCK = 1024
 
 
@@ -54,6 +67,64 @@ def exponentials(rng: np.random.Generator, scale: float) -> Iterator[float]:
     only a stream that draws nothing else may be read this way."""
     while True:
         yield from rng.exponential(scale, BLOCK).tolist()
+
+
+def raw_words(rng: np.random.Generator) -> Iterator[int]:
+    """The raw 64-bit words of rng's bit generator, read BLOCK at a time.
+    Reading ahead is exact only for a stream whose every draw goes through
+    a WordDraws over these words."""
+    bit_generator = rng.bit_generator
+    while True:
+        yield from bit_generator.random_raw(BLOCK).tolist()
+
+
+class WordDraws:
+    """Generator.integers(n) and Generator.random() of a PCG64 stream,
+    rebuilt bit for bit from its raw 64-bit words (next_word gives the next
+    one), at a fraction of numpy's per-call cost.
+
+    integers(n) is numpy's Lemire method on 32-bit halves: each word serves
+    two draws, low half first, and the high half waits for the next draw as
+    in the bit generator's next_uint32, while random() takes a whole word
+    and leaves a waiting half alone, as numpy's next_double does.  n == 1
+    reads nothing.  exponential, when given, is the Generator's own method,
+    for a stream whose words are taken one at a time so that both readers
+    stay in order.
+    """
+
+    __slots__ = ("_next_word", "_half", "exponential")
+
+    def __init__(self, next_word: Callable[[], int], exponential=None):
+        self._next_word = next_word
+        self._half: int | None = None
+        self.exponential = exponential
+
+    def integers(self, n) -> int:
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(f"integers(n) needs an integer n, got {n!r}") from None
+        if not 0 < n < 0x100000000:
+            raise ValueError(f"integers(n) needs 1 <= n < 2**32, got {n}")
+        if n == 1:
+            return 0
+        while True:
+            half = self._half
+            if half is None:
+                word = self._next_word()
+                self._half = word >> 32
+                m = (word & 0xFFFFFFFF) * n
+            else:
+                self._half = None
+                m = half * n
+            low = m & 0xFFFFFFFF
+            # numpy rejects low < 2**32 % n; testing low >= n first, as
+            # numpy does, spares the modulo on almost every draw.
+            if low >= n or low >= 0x100000000 % n:
+                return m >> 32
+
+    def random(self) -> float:
+        return (self._next_word() >> 11) * 2.0**-53
 
 
 @dataclass
@@ -101,6 +172,9 @@ class SimConfig:
 class Trajectory:
     times: np.ndarray
     y: np.ndarray  # (len(times), jmax+1, jmax+1) fluid-scaled counts
+    # The largest fraction of servers, at any one snapshot, whose queue or
+    # estimate exceeded jmax and was clipped to it in y.
+    clipped: float
 
 
 @dataclass
@@ -136,12 +210,12 @@ def snapshot_fractions(
     queues: np.ndarray, estimates: np.ndarray | None, jmax: int
 ) -> np.ndarray:
     """Fluid-scaled occupancy array from per-server queue lengths and
-    estimates (estimate = queue length for kinds without estimates)."""
-    y = np.zeros((jmax + 1, jmax + 1))
+    estimates (estimate = queue length for kinds without estimates), both
+    clipped at jmax."""
     qc = np.minimum(queues, jmax)
     ec = qc if estimates is None else np.minimum(np.maximum(estimates, qc), jmax)
-    np.add.at(y, (qc, ec), 1.0)
-    return y / len(queues)
+    counts = np.bincount(qc * (jmax + 1) + ec, minlength=(jmax + 1) ** 2)
+    return counts.reshape(jmax + 1, jmax + 1) / len(queues)
 
 
 def run(config: SimConfig) -> MetricsRecord:
@@ -189,6 +263,7 @@ def run_replications(config: SimConfig, runs: int) -> MetricsRecord:
         traj = Trajectory(
             times=records[0].trajectory.times,
             y=np.mean([r.trajectory.y for r in records], axis=0),
+            clipped=max(r.trajectory.clipped for r in records),
         )
     ci = t_975(runs - 1) * float(np.std(waits, ddof=1)) / np.sqrt(runs)
     return MetricsRecord(
@@ -215,25 +290,31 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
     rngs = rng_streams(config.seed, run_index)
     next_arrival_gap = exponentials(rngs["arrivals"], 1.0 / lam_total).__next__
     next_service = exponentials(rngs["services"], 1.0).__next__
-    rng_pol, rng_upd = rngs["policy"], rngs["updates"]
+    rng_pol = rngs["policy"]
+    if spec.kind is not PolicyKind.JSQ_D:  # jsq-d draws with Generator.choice
+        rng_pol = WordDraws(raw_words(rng_pol).__next__)
+    uses_estimates = spec.uses_estimates
+    updates = None
+    if uses_estimates:
+        rng_upd = rngs["updates"]
+        if spec.kind is PolicyKind.AUJSQ_EXP:
+            # Its integers interleave with exponential draws, so they take
+            # one word at a time from the bit generator exponential reads.
+            rng_upd = WordDraws(rng_upd.bit_generator.random_raw, rng_upd.exponential)
+        updates = schedule_updates(spec, params, rng_upd)
 
     view = DispatcherView(spec, n)
-    queues = np.zeros(n, dtype=np.int64)
+    queues = [0] * n
     waiting: list[deque[float]] = [deque() for _ in range(n)]
-    updates = schedule_updates(spec, params, rng_upd) if spec.uses_estimates else None
 
     heap: list[tuple[float, int, int, int]] = []
-    seq = 0
-
-    def push(t: float, kind: int, server: int) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (t, kind, seq, server))
-        seq += 1
-
-    push(next_arrival_gap(), ARRIVAL, -1)
+    heappush, heappop = heapq.heappush, heapq.heappop
+    heappush(heap, (next_arrival_gap(), ARRIVAL, 0, -1))
+    seq = 1
     if updates is not None:
         t_up, s_up = next(updates)
-        push(t_up, UPDATE, -1 if s_up is None else s_up)
+        heappush(heap, (t_up, UPDATE, seq, -1 if s_up is None else s_up))
+        seq += 1
 
     # Post-warmup accumulators.
     wait_sum = 0.0
@@ -248,12 +329,20 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
     hist_area = [0.0]
     top = 0
     t_mark = 0.0
-    assignments = np.zeros(n, dtype=np.int64) if config.track_assignments else None
+    assignments = [0] * n if config.track_assignments else None
 
     grid = config.grid_times()
+    grid_left = [] if grid is None else grid.tolist()[::-1]  # next time last
     snaps: list[np.ndarray] = []
-    gi = 0
+    clipped = 0.0
     jmax = config.snapshot_jmax
+
+    def snapshot() -> None:
+        nonlocal clipped
+        q, e = np.array(queues), view.estimates
+        snaps.append(snapshot_fractions(q, e, jmax))
+        high = q if e is None else np.maximum(q, e)
+        clipped = max(clipped, np.count_nonzero(high > jmax) / n)
 
     def account(t: float) -> None:
         """Fold the constant stretch since the last queue change into the
@@ -271,24 +360,16 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
                     hist_area[j] += c * dt
         t_mark = t
 
-    def start_service(server: int, t: float, arrived: float) -> None:
-        nonlocal wait_sum, n_waits, n_positive
-        if arrived > warmup:
-            w = t - arrived
-            wait_sum += w
-            n_waits += 1
-            if w > 0.0:
-                n_positive += 1
-        push(t + next_service(), DEPARTURE, server)
-
+    # dispatch, on_assign, on_update, apply_global_update and on_idle are
+    # looked up as module globals at each call, so that a tracer or a test
+    # that patches them in this module sees every call.
     while heap:
-        t, kind, _, server = heapq.heappop(heap)
+        t, kind, _, server = heappop(heap)
         if t > horizon:
             break
-        if grid is not None:
-            while gi < len(grid) and grid[gi] < t:
-                snaps.append(snapshot_fractions(queues, view.estimates, jmax))
-                gi += 1
+        while grid_left and grid_left[-1] < t:
+            snapshot()
+            grid_left.pop()
 
         if kind == ARRIVAL:
             target, msgs = dispatch(spec, view, queues, rng_pol)
@@ -296,7 +377,7 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
                 n_arrivals_pw += 1
                 messages_pw += msgs
             account(t)
-            q_old = int(queues[target])
+            q_old = queues[target]
             queues[target] = q_old + 1
             total_queue += 1
             if q_old == top:
@@ -306,17 +387,23 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
                     hist_area.append(0.0)
             level_counts[q_old] -= 1
             level_counts[q_old + 1] += 1
-            on_assign(view, target)
+            if uses_estimates:
+                on_assign(view, target)
             if assignments is not None:
                 assignments[target] += 1
-            if q_old == 0:
-                start_service(target, t, t)
-            else:
+            if q_old:
                 waiting[target].append(t)
-            push(t + next_arrival_gap(), ARRIVAL, -1)
+            else:
+                # Service starts on arrival: a zero wait.
+                if t > warmup:
+                    n_waits += 1
+                heappush(heap, (t + next_service(), DEPARTURE, seq, target))
+                seq += 1
+            heappush(heap, (t + next_arrival_gap(), ARRIVAL, seq, -1))
+            seq += 1
         elif kind == DEPARTURE:
             account(t)
-            q_old = int(queues[server])
+            q_old = queues[server]
             queues[server] = q_old - 1
             total_queue -= 1
             level_counts[q_old] -= 1
@@ -324,7 +411,15 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
             if q_old == top and not level_counts[q_old]:
                 top -= 1
             if q_old > 1:
-                start_service(server, t, waiting[server].popleft())
+                arrived = waiting[server].popleft()
+                if arrived > warmup:
+                    w = t - arrived
+                    wait_sum += w
+                    n_waits += 1
+                    if w > 0.0:
+                        n_positive += 1
+                heappush(heap, (t + next_service(), DEPARTURE, seq, server))
+                seq += 1
             else:
                 msgs = on_idle(spec, view, server, rng_pol)
                 if t > warmup:
@@ -333,28 +428,25 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
             if server < 0:
                 msgs = apply_global_update(spec, view, queues)
             else:
-                msgs = on_update(spec, view, server, int(queues[server]))
+                msgs = on_update(spec, view, server, queues[server])
             if t > warmup:
                 messages_pw += msgs
             t_up, s_up = next(updates)
-            push(t_up, UPDATE, -1 if s_up is None else s_up)
+            heappush(heap, (t_up, UPDATE, seq, -1 if s_up is None else s_up))
+            seq += 1
 
         if config.check_invariants:
-            assert queues.min() >= 0
-            assert top == int(queues.max()) and not any(level_counts[top + 1 :])
+            assert min(queues) >= 0
+            assert top == max(queues) and not any(level_counts[top + 1 :])
             assert level_counts[: top + 1] == np.bincount(queues).tolist()
-            if view.estimates is not None:
-                assert (view.estimates >= queues).all()
+            if view.est is not None:
+                assert all(e >= q for e, q in zip(view.est, queues))
                 view.check_index()
-            assert sum(len(d) for d in waiting) == int(
-                np.maximum(queues - 1, 0).sum()
-            )
+            assert sum(map(len, waiting)) == sum(q - 1 for q in queues if q)
 
     account(horizon)
-    if grid is not None:
-        while gi < len(grid) and grid[gi] <= horizon + 1e-12:
-            snaps.append(snapshot_fractions(queues, view.estimates, jmax))
-            gi += 1
+    for _ in grid_left:
+        snapshot()
 
     if n_arrivals_pw == 0:
         raise SimulationError(
@@ -365,9 +457,9 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
     hist = np.array(hist_area) / window
     nz = np.nonzero(hist)[0]
     hist = hist[: int(nz[-1]) + 1] if nz.size else hist[:1]
-    trajectory = (
-        Trajectory(times=grid.copy(), y=np.asarray(snaps)) if grid is not None else None
-    )
+    trajectory = None
+    if grid is not None:
+        trajectory = Trajectory(times=grid.copy(), y=np.asarray(snaps), clipped=clipped)
     return MetricsRecord(
         mean_wait=wait_sum / n_waits if n_waits else 0.0,
         msgs_per_job=messages_pw / n_arrivals_pw,
@@ -377,5 +469,5 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
         n_arrivals=n_arrivals_pw,
         n_waits=n_waits,
         trajectory=trajectory,
-        assignments=assignments,
+        assignments=None if assignments is None else np.array(assignments, dtype=np.int64),
     )

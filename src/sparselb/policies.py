@@ -119,36 +119,44 @@ class DispatcherView:
     estimates for the estimate-based kinds, idle tokens for JIQ kinds, and
     the round-robin cursor.
 
-    The estimate kinds also keep an index of the estimates: levels[j] is the
-    ascending list of the servers whose estimate is j, and lowest is the
-    lowest non-empty level, so dispatch finds the least-estimate servers
-    without scanning all N.  estimates is a read-only view; set_estimate and
-    set_estimates are its only writers and keep the index in step.
+    For the estimate kinds the state is est, a Python list of int estimates,
+    and an index of it: levels[j] is the ascending list of the servers whose
+    estimate is j, and lowest is the lowest non-empty level, so dispatch
+    finds the least-estimate servers without scanning all N.  set_estimate
+    and set_estimates are the only writers of est and keep the index in
+    step.  estimates is a read-only int64 copy of est, built when read.
     """
 
     def __init__(self, spec: PolicySpec, n_servers: int):
         self.spec = spec
         self.n_servers = n_servers
-        self.estimates: np.ndarray | None = None
+        self.est: list[int] | None = None
         self.levels: list[list[int]] = []
         self.lowest = 0
         if spec.uses_estimates:
-            self._est = np.zeros(n_servers, dtype=np.int64)
-            self.estimates = self._est.view()
-            self.estimates.flags.writeable = False
+            self.est = [0] * n_servers
             self.levels = [list(range(n_servers))]
         self.idle_tokens: list[int] = []
         self.rr_counter = 0
 
+    @property
+    def estimates(self) -> np.ndarray | None:
+        """A read-only int64 copy of the estimates; None for kinds without."""
+        if self.est is None:
+            return None
+        out = np.array(self.est, dtype=np.int64)
+        out.flags.writeable = False
+        return out
+
     def set_estimate(self, server: int, value: int) -> None:
         """Set one server's estimate and move it between levels."""
         levels = self.levels
-        old = levels[self._est[server]]
+        old = levels[self.est[server]]
         del old[bisect_left(old, server)]
         while value >= len(levels):
             levels.append([])
         insort(levels[value], server)
-        self._est[server] = value
+        self.est[server] = value
         if value < self.lowest:
             self.lowest = value
         else:
@@ -156,35 +164,30 @@ class DispatcherView:
                 self.lowest += 1
 
     def set_estimates(self, values) -> None:
-        """Overwrite every estimate and rebuild the index from one stable
-        sort: level j is the slice of the sorted order between the running
-        counts of the levels below j and up to j."""
-        est = self._est
-        est[:] = values
-        order = np.argsort(est, kind="stable").tolist()
-        ends = np.cumsum(np.bincount(est)).tolist()
-        self.levels = [order[a:b] for a, b in zip([0, *ends], ends)]
-        self.lowest = int(est[order[0]])
+        """Overwrite every estimate and rebuild the index by one counting
+        pass, which leaves each level in ascending server order."""
+        est = list(map(int, values))
+        levels: list[list[int]] = [[] for _ in range(max(est) + 1)]
+        for server, value in enumerate(est):
+            levels[value].append(server)
+        self.est, self.levels, self.lowest = est, levels, min(est)
 
     def check_index(self) -> None:
         """Assert that the level index agrees with the estimates."""
-        est = self._est
+        est = self.est
         members = []
         for j, servers in enumerate(self.levels):
             assert servers == sorted(servers), f"level {j} is not sorted"
             assert all(est[s] == j for s in servers), f"level {j} holds a stranger"
             members.extend(servers)
         assert sorted(members) == list(range(self.n_servers)), "not a partition"
-        assert self.lowest == est.min(), "lowest is not the least estimate"
+        assert self.lowest == min(est), "lowest is not the least estimate"
 
 
-def dispatch(
-    spec: PolicySpec,
-    view: DispatcherView,
-    queues: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[int, int]:
-    """Pick the target server for one arriving job.
+def dispatch(spec: PolicySpec, view: DispatcherView, queues: list[int], rng) -> tuple[int, int]:
+    """Pick the target server for one arriving job.  rng is the policy
+    stream: a numpy Generator, or for every kind but jsq-d a des.WordDraws
+    that draws the same integers and floats from it.
 
     Returns (server index, messages incurred by the decision).
     """
@@ -202,12 +205,13 @@ def dispatch(
             return tokens.pop(), 0
         return int(rng.integers(view.n_servers)), 0
     if kind is PolicyKind.JSQ_D:
-        cand = rng.choice(view.n_servers, size=spec.d, replace=False)
-        lens = np.asarray(queues)[cand]
-        ties = cand[lens == lens.min()]
-        if ties.size == 1:
-            return int(ties[0]), 2 * spec.d
-        return int(ties[rng.integers(ties.size)]), 2 * spec.d
+        cand = rng.choice(view.n_servers, size=spec.d, replace=False).tolist()
+        lens = [queues[c] for c in cand]
+        least = min(lens)
+        ties = [c for c, q in zip(cand, lens) if q == least]
+        if len(ties) == 1:
+            return ties[0], 2 * spec.d
+        return ties[rng.integers(len(ties))], 2 * spec.d
     if kind is PolicyKind.RANDOM:
         return int(rng.integers(view.n_servers)), 0
     # round-robin: cyclic sweep over server indices
@@ -218,8 +222,8 @@ def dispatch(
 
 def on_assign(view: DispatcherView, server: int) -> None:
     """Bookkeeping after a job is sent: bump the server's estimate."""
-    if view.estimates is not None:
-        view.set_estimate(server, int(view.estimates[server]) + 1)
+    if view.est is not None:
+        view.set_estimate(server, view.est[server] + 1)
 
 
 def on_update(
@@ -230,22 +234,18 @@ def on_update(
     return 1
 
 
-def apply_global_update(
-    spec: PolicySpec, view: DispatcherView, queues: np.ndarray
-) -> int:
+def apply_global_update(spec: PolicySpec, view: DispatcherView, queues: list[int]) -> int:
     """Synchronous epoch: every server reports at once (idle variant: only
     the idle ones).  Returns messages sent."""
     if spec.kind is PolicyKind.SUJSQ_DET_IDLE:
-        idle = queues == 0
-        view.set_estimates(np.where(idle, 0, view.estimates))
-        return int(idle.sum())
+        idle = [q == 0 for q in queues]
+        view.set_estimates([0 if i else e for i, e in zip(idle, view.est)])
+        return sum(idle)
     view.set_estimates(queues)
     return view.n_servers
 
 
-def on_idle(
-    spec: PolicySpec, view: DispatcherView, server: int, rng: np.random.Generator
-) -> int:
+def on_idle(spec: PolicySpec, view: DispatcherView, server: int, rng) -> int:
     """A server just drained its queue; JIQ kinds may emit a token."""
     if spec.kind is PolicyKind.JIQ:
         view.idle_tokens.append(server)
@@ -265,9 +265,11 @@ def on_idle(
     return 0
 
 
-def schedule_updates(spec: PolicySpec, params: ModelParams, rng: np.random.Generator):
+def schedule_updates(spec: PolicySpec, params: ModelParams, rng):
     """Infinite stream of update events as (time, server) pairs; server is
-    None for synchronous (all-at-once) epochs.
+    None for synchronous (all-at-once) epochs.  rng is the update stream: a
+    numpy Generator, or for aujsq-exp a des.WordDraws over it that also
+    carries the Generator's exponential.
 
     sujsq-det / sujsq-det-idle: fixed epochs k/delta.
     sujsq-exp: global epochs with i.i.d. Exponential(delta) gaps.

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from sparselb import des
-from sparselb.model import ModelParams, derive
+from sparselb.checks import fluid_des_distance
+from sparselb.fluid_async import integrate_async
+from sparselb.model import FluidState, ModelParams, derive
 from sparselb.policies import ESTIMATE_KINDS, PolicySpec, dispatch
 from sparselb.des import (
     MetricsRecord,
@@ -247,6 +251,123 @@ def test_block_draws_equal_scalar_draws(scale):
     assert [next(blocks) for _ in range(count)] == [
         scalar.exponential(scale) for _ in range(count)
     ]
+
+
+# A draw is an int n for integers(n) or None for random().
+draws = st.one_of(st.none(), st.integers(1, 2**32 - 1), st.sampled_from([2**31 + 1, 3 * 2**30]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.lists(draws, min_size=1, max_size=12))
+@example(5, [2**31 + 1])  # rejects about half its first candidates
+@example(6, [1, None, 200, 1])
+def test_word_draws_equal_generator_draws(seed, pattern):
+    assume(pattern != [1] * len(pattern))  # n == 1 alone reads no word
+    source = des.raw_words(np.random.default_rng(seed))
+    read = 0
+
+    def next_word():
+        nonlocal read
+        read += 1
+        return next(source)
+
+    words = des.WordDraws(next_word)
+    scalar = np.random.default_rng(seed)
+    k = 0
+    while read <= 3 * des.BLOCK:  # across three block boundaries
+        n = pattern[k % len(pattern)]
+        if n is None:
+            assert words.random() == scalar.random()
+        else:
+            assert words.integers(n) == scalar.integers(n)
+        k += 1
+
+
+def test_word_draws_n_one_reads_no_word():
+    read = []
+    words = des.WordDraws(lambda: read.append(1) or 2**64 - 1)
+    assert [words.integers(1) for _ in range(5)] == [0] * 5
+    assert read == []
+    assert words.integers(np.int64(3)) == 2 and words.integers(3) == 2
+    assert len(read) == 1  # one word serves two draws
+
+
+@pytest.mark.parametrize("n", [0, -1, 2**32, 2**40, np.int64(2**40), 2.5, 3.0, "3"])
+def test_word_draws_refuse_bad_bounds(n):
+    words = des.WordDraws(des.raw_words(np.random.default_rng(0)).__next__)
+    with pytest.raises(ValueError):
+        words.integers(n)
+
+
+def reference_aujsq_exp(delta, n, rng):
+    """aujsq-exp's update schedule on a plain Generator, kept as the
+    reference for the one that takes its integers from raw words."""
+    t = 0.0
+    while True:
+        t += rng.exponential(1.0 / (delta * n))
+        yield t, int(rng.integers(n))
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_aujsq_exp_schedule_replays_plain_draws(n, monkeypatch):
+    cfg = make_config("aujsq-exp:0.85", n=n, lam=0.9, horizon=3000.0 / n,
+                      warmup=100.0 / n, trajectory_grid=30.0 / n,
+                      track_assignments=True, seed=12)
+    fast = run(cfg)
+    monkeypatch.setattr(des, "schedule_updates", lambda spec, params, rng: reference_aujsq_exp(
+        spec.delta, params.n_servers, rng_streams(cfg.seed, 0)["updates"]))
+    plain = run(cfg)
+    assert fast.mean_wait == plain.mean_wait
+    assert fast.msgs_per_job == plain.msgs_per_job
+    assert np.array_equal(fast.queue_len_hist, plain.queue_len_hist)
+    assert np.array_equal(fast.assignments, plain.assignments)
+    assert np.array_equal(fast.trajectory.y, plain.trajectory.y)
+
+
+@pytest.mark.parametrize("policy", ["sujsq-det:0.85", "aujsq-exp:0.85", "jiq-p:0.5"])
+def test_policy_hooks_reached_through_des(policy, monkeypatch):
+    # A tracer times the policy layer by patching these names in des, so
+    # every call must still go through them.
+    calls = {}
+
+    def counted(name):
+        real = getattr(des, name)
+
+        def hook(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+        return hook
+
+    hooks = ("dispatch", "on_assign", "on_update", "apply_global_update", "on_idle")
+    for name in hooks:
+        monkeypatch.setattr(des, name, counted(name))
+    rec = run(make_config(policy, n=20, horizon=50.0, warmup=10.0, track_assignments=True))
+    arrivals = int(rec.assignments.sum())  # warmup included
+    assert arrivals > rec.n_arrivals
+    assert calls["dispatch"] == arrivals
+    assert calls["on_idle"] > 0
+    kind = policy.split(":")[0]
+    assert calls.get("on_assign", 0) == (arrivals if kind != "jiq-p" else 0)
+    assert calls.get("apply_global_update", 0) == (42 if kind == "sujsq-det" else 0)
+    assert (calls.get("on_update", 0) > 0) == (kind == "aujsq-exp")
+
+
+def test_snapshot_clipping_is_counted():
+    wide = make_config("random", n=20, lam=0.95, horizon=60.0, warmup=0.0,
+                       trajectory_grid=2.0, snapshot_jmax=60)
+    narrow = make_config("random", n=20, lam=0.95, horizon=60.0, warmup=0.0,
+                         trajectory_grid=2.0, snapshot_jmax=2)
+    full = run(wide).trajectory
+    assert full.clipped == 0.0 and full.y[:, 60, :].sum() == 0.0
+    expect = max(y[3:, :].sum() for y in full.y)
+    assert expect > 0.0
+    cut = run(narrow).trajectory
+    assert cut.clipped == pytest.approx(expect, abs=1e-12)
+    agg = run_replications(narrow, 3)
+    assert agg.trajectory.clipped == max(r.trajectory.clipped for r in agg.per_run)
+    fluid = integrate_async(FluidState.empty(40), 0.95, 1.0, 0.1)
+    with pytest.raises(ValueError, match=f"fraction {cut.clipped:g}"):
+        fluid_des_distance(cut, fluid)
 
 
 def test_jsq_d_more_probes_than_servers_refused():
