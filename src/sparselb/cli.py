@@ -1,16 +1,18 @@
 """Command-line interface: desk-scale experiments behind reproducible
 manifests.
 
-Subcommands: sweep, fluid, fixed-point, simulate, validate.  A JSON config
-file mirrors ExperimentConfig field names; explicit flags override file
-values.  Identical config + seed reproduces byte-identical output.
+Subcommands: sweep, fluid {sync,async}, fixed-point, simulate, validate.
+Every default is its flag's argparse default.  A sweep manifest (--config,
+a JSON object keyed by the flags' destinations, lam for --lambda) is read
+as flags placed before the command line's own, so explicit flags override
+it and argparse checks it.  Identical arguments reproduce byte-identical
+output.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,28 +20,6 @@ import numpy as np
 from . import checks, des, fixed_point, fluid_async, fluid_sync
 from .model import FluidState, ModelParams, default_jmax
 from .policies import PARAM_RULES, PolicyKind, PolicySpec
-
-
-@dataclass
-class ExperimentConfig:
-    name: str = "experiment"
-    n: int = 200
-    lam: float = 0.7
-    policies: list[str] | None = None
-    sweep: list[float] | None = None
-    runs: int = 10
-    horizon: float = 5000.0
-    warmup: float | None = 1000.0
-    seed: int = 1
-    out: str = "-"
-
-    @classmethod
-    def load(cls, path: str | None, overrides: dict) -> "ExperimentConfig":
-        values = {}
-        if path:
-            values.update(json.loads(Path(path).read_text()))
-        values.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**values)
 
 
 def _fmt(x: float) -> str:
@@ -62,13 +42,29 @@ def _trajectory_csv(times: np.ndarray, states: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sim_config(cfg: ExperimentConfig, spec: PolicySpec) -> des.SimConfig:
+def _checked(kind, test, need: str):
+    """An argparse type: kind(text), refused unless test passes on it."""
+    def parse(text: str):
+        if not test(value := kind(text)):
+            raise argparse.ArgumentTypeError(f"need {need}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+_positive = _checked(float, lambda x: 0.0 < x < np.inf, "a finite value > 0")
+_load = _checked(float, lambda x: 0.0 < x < 1.0, "0 < lambda < 1")
+_count = _checked(int, lambda x: x >= 0, "an integer >= 0")
+
+
+def _sim_config(args: argparse.Namespace, spec: PolicySpec) -> des.SimConfig:
     return des.SimConfig(
-        params=ModelParams(n_servers=cfg.n, lam=cfg.lam),
+        params=ModelParams(n_servers=args.n, lam=args.lam),
         policy=spec,
-        horizon=cfg.horizon,
-        warmup=cfg.warmup,
-        seed=cfg.seed,
+        horizon=args.horizon,
+        warmup=args.warmup,
+        seed=args.seed,
     )
 
 
@@ -91,18 +87,15 @@ def _sweep_specs(text: str, sweep: list[float]) -> list[PolicySpec]:
     return specs
 
 
-def cmd_sweep(cfg: ExperimentConfig) -> str:
+def cmd_sweep(args: argparse.Namespace) -> int:
     """One CSV row per (policy, parameter) point, Figure-1 style."""
-    policies = cfg.policies or ["sujsq-det", "jiq-p", "jsq-d:2", "random"]
-    sweep = cfg.sweep or [0.25, 0.5, 1.0]
     # Every point is set up before the first simulation, so a bad one fails fast.
-    configs = [
-        _sim_config(cfg, spec) for text in policies for spec in _sweep_specs(text, sweep)
-    ]
+    configs = [_sim_config(args, spec)
+               for text in args.policies for spec in _sweep_specs(text, args.sweep)]
     rows = []
     for config in configs:
         spec = config.policy
-        rec = des.run_replications(config, cfg.runs)
+        rec = des.run_replications(config, args.runs)
         rows.append(
             (
                 spec.kind.value,
@@ -110,17 +103,17 @@ def cmd_sweep(cfg: ExperimentConfig) -> str:
                 rec.msgs_per_job,
                 rec.mean_wait,
                 rec.mean_queue_per_server,
-                rec.mean_wait_ci if rec.mean_wait_ci is not None else 0.0,
+                rec.mean_wait_ci,  # None from one run: no interval
             )
         )
     rows.sort(key=lambda r: (r[0], r[1]))
     lines = ["policy,param,msgs_per_job,mean_wait,mean_queue,ci_halfwidth"]
     for kind, param, msgs, wait, queue, ci in rows:
         param_txt = "" if param < 0 else _fmt(param)
-        lines.append(
-            f"{kind},{param_txt},{_fmt(msgs)},{_fmt(wait)},{_fmt(queue)},{_fmt(ci)}"
-        )
-    return "\n".join(lines) + "\n"
+        ci_txt = "" if ci is None else _fmt(ci)
+        lines.append(f"{kind},{param_txt},{_fmt(msgs)},{_fmt(wait)},{_fmt(queue)},{ci_txt}")
+    _write(args.out, "\n".join(lines) + "\n")
+    return 0
 
 
 def _initial_state(y0: str, lam: float, delta: float, jmax: int) -> FluidState:
@@ -137,12 +130,12 @@ def cmd_fluid(args: argparse.Namespace) -> int:
     jmax = args.jmax or default_jmax(args.lam, args.delta)
     y0 = _initial_state(args.y0, args.lam, args.delta, jmax)
     store = np.arange(0.0, args.t_end + 1e-12, args.grid_dt)
-    integrate = (
-        fluid_sync.integrate_sync if args.kind == "sync" else fluid_async.integrate_async
-    )
-    run = integrate(y0, args.lam, args.delta, args.t_end, dt=args.dt, store_times=store)
-    _write(args.out, _trajectory_csv(run.times, run.states))
-    if args.des_runs:
+    if args.kind == "sync":
+        run = fluid_sync.integrate_sync(y0, args.lam, args.delta, args.t_end, store_times=store)
+    else:
+        run = fluid_async.integrate_async(y0, args.lam, args.delta, args.t_end, args.dt, store)
+    text = _trajectory_csv(run.times, run.states)
+    if args.des_runs:  # simulated before anything is written
         kind = PolicyKind.SUJSQ_DET if args.kind == "sync" else PolicyKind.AUJSQ_EXP
         sim = des.SimConfig(
             params=ModelParams(n_servers=args.n, lam=args.lam),
@@ -156,10 +149,11 @@ def cmd_fluid(args: argparse.Namespace) -> int:
         rec = des.run_replications(sim, args.des_runs)
         overlay = _trajectory_csv(rec.trajectory.times, rec.trajectory.y)
         if args.out == "-":
-            sys.stdout.write(overlay)
+            text += overlay
         else:
             base = Path(args.out)
             base.with_name(base.stem + "_des" + base.suffix).write_text(overlay)
+    _write(args.out, text)
     return 0
 
 
@@ -219,9 +213,7 @@ def _validate_checks(budget: str, seed: int, scale: float) -> fluid_sync.CheckRe
     report.record("fixed_point_residual", worst_fp, 1e-8 * scale)
 
     # Synchronous trajectory structure checks.
-    run = fluid_sync.integrate_sync(
-        FluidState.empty(40), 0.7, 0.85, 6.0, dt=1e-3
-    )
+    run = fluid_sync.integrate_sync(FluidState.empty(40), 0.7, 0.85, 6.0)
     sync = fluid_sync.check_trajectory_invariants(run)
     report.record(
         "sync_trajectory_checks",
@@ -277,73 +269,82 @@ def build_parser() -> argparse.ArgumentParser:
         "fluid limits, fixed points, and validation oracles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="-")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[out])
+    seeded.add_argument("--seed", type=int, default=1)
 
-    p = sub.add_parser("sweep", help="policy sweep CSV (mean wait vs messages)")
-    p.add_argument("--config", default=None)
-    p.add_argument("--name", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--policies", nargs="+", default=None)
-    p.add_argument("--sweep", type=float, nargs="+", default=None)
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--warmup", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("fluid", help="integrate a fluid trajectory to CSV")
-    p.add_argument("kind", choices=["sync", "async"])
+    p = sub.add_parser("sweep", parents=[seeded], help="policy sweep CSV (mean wait vs messages)")
+    p.add_argument("--config", default=None, metavar="FILE",
+                   help="JSON manifest of flag values, read before the flags")
+    p.add_argument("--n", type=int, default=200)
     p.add_argument("--lambda", dest="lam", type=float, default=0.7)
-    p.add_argument("--delta", type=float, default=0.85)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out", default="-")
-    p.add_argument("--t-end", type=float, default=10.0)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--grid-dt", type=float, default=0.1)
-    p.add_argument("--jmax", type=int, default=None)
-    p.add_argument("--y0", default="empty", help="empty | fixed-point | FILE.json")
-    p.add_argument("--des-runs", type=int, default=0)
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--policies", nargs="+", default=["sujsq-det", "jiq-p", "jsq-d:2", "random"])
+    p.add_argument("--sweep", type=float, nargs="+", default=[0.25, 0.5, 1.0])
+    p.add_argument("--runs", type=int, default=10)
+    p.add_argument("--horizon", type=float, default=5000.0)
+    p.add_argument("--warmup", type=float, default=1000.0)
 
-    p = sub.add_parser("fixed-point", help="stationary quantities as JSON")
+    common = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    common.add_argument("--lambda", dest="lam", type=_load, default=0.7)
+    common.add_argument("--delta", type=_positive, default=0.85)
+    common.add_argument("--t-end", type=_positive, default=10.0)
+    common.add_argument("--grid-dt", type=_positive, default=0.1)
+    common.add_argument("--jmax", type=int, default=None)
+    common.add_argument("--y0", default="empty", help="empty | fixed-point | FILE.json")
+    common.add_argument("--des-runs", type=_count, default=0)
+    common.add_argument("--n", type=int, default=1000)
+    fluid = sub.add_parser("fluid", help="integrate a fluid trajectory to CSV")
+    kinds = fluid.add_subparsers(dest="kind", required=True)
+    kinds.add_parser("sync", parents=[common], help="exact synchronized limit")
+    p = kinds.add_parser("async", parents=[common], help="RK4 asynchronous limit")
+    p.add_argument("--dt", type=_positive, default=None, help="default min(1/delta, 1)/1000")
+
+    p = sub.add_parser("fixed-point", parents=[out], help="stationary quantities as JSON")
     p.add_argument("--lambda", dest="lam", type=float, default=0.7)
-    p.add_argument("--out", default="-")
     one_or_grid = p.add_mutually_exclusive_group()
     one_or_grid.add_argument("--delta", type=float, default=0.85)
     one_or_grid.add_argument("--delta-grid", type=float, nargs="+", default=None)
 
-    p = sub.add_parser("simulate", help="run the event simulator")
+    p = sub.add_parser("simulate", parents=[seeded], help="run the event simulator")
     p.add_argument("--lambda", dest="lam", type=float, default=0.7)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out", default="-")
     p.add_argument("--policy", required=True)
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--horizon", type=float, default=1000.0)
     p.add_argument("--warmup", type=float, default=None)
     p.add_argument("--runs", type=int, default=1)
 
-    p = sub.add_parser("validate", help="cross-layer consistency report")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out", default="-")
+    p = sub.add_parser("validate", parents=[seeded], help="cross-layer consistency report")
     p.add_argument("--budget", choices=["smoke", "default"], default="default")
     p.add_argument("--tolerance-scale", type=float, default=1.0)
     return parser
 
 
+def _manifest_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> list[str]:
+    """The sweep flags a manifest stands for: each key is a flag's
+    destination, each value its value or list of values."""
+    doc = json.loads(Path(args.config).read_text())
+    if not isinstance(doc, dict):
+        parser.error("--config: need a JSON object of flag values")
+    known = set(vars(args)) - {"command", "config"}
+    tokens = []
+    for key, value in doc.items():
+        if key not in known or value is None:
+            parser.error(f"--config: {key!r} is {'null' if key in known else 'not a sweep flag'}")
+        flag = "--lambda" if key == "lam" else f"--{key}"
+        tokens += [flag, *map(str, value)] if isinstance(value, list) else [f"{flag}={value}"]
+    return tokens
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "sweep":
-        overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
-        cfg = ExperimentConfig.load(args.config, overrides)
-        _write(cfg.out, cmd_sweep(cfg))
-        return 0
-    if args.command == "fluid":
-        return cmd_fluid(args)
-    if args.command == "fixed-point":
-        return cmd_fixed_point(args)
-    if args.command == "simulate":
-        return cmd_simulate(args)
-    return cmd_validate(args)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "sweep" and args.config:
+        args = parser.parse_args(["sweep", *_manifest_flags(parser, args), *argv[1:]])
+    commands = {"sweep": cmd_sweep, "fluid": cmd_fluid, "fixed-point": cmd_fixed_point,
+                "simulate": cmd_simulate, "validate": cmd_validate}
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

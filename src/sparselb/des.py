@@ -134,7 +134,7 @@ class SimConfig:
     horizon: float
     warmup: float | None = None
     seed: int = 0
-    trajectory_grid: float | np.ndarray | None = None
+    trajectory_grid: np.ndarray | None = None  # snapshot times
     snapshot_jmax: int = 40
     track_assignments: bool = False
     check_invariants: bool = False
@@ -159,12 +159,11 @@ class SimConfig:
             )
 
     def grid_times(self) -> np.ndarray | None:
-        g = self.trajectory_grid
-        if g is None:
+        if self.trajectory_grid is None:
             return None
-        if np.isscalar(g):
-            return np.arange(0.0, self.horizon + 1e-12, float(g))
-        g = np.asarray(g, dtype=float)
+        g = np.asarray(self.trajectory_grid, dtype=float)
+        if g.ndim != 1:
+            raise SimulationError("trajectory_grid must be a 1-d array of times")
         return g[g <= self.horizon + 1e-12]
 
 
@@ -428,7 +427,7 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
             if server < 0:
                 msgs = apply_global_update(spec, view, queues)
             else:
-                msgs = on_update(spec, view, server, queues[server])
+                msgs = on_update(view, server, queues[server])
             if t > warmup:
                 messages_pw += msgs
             t_up, s_up = next(updates)

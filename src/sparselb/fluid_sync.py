@@ -124,9 +124,14 @@ def _advance(rhs, y: np.ndarray, span: float, dt: float) -> np.ndarray:
 
 
 def _marks(t_end: float, epochs, store_times) -> list[tuple[float, bool]]:
-    """Sorted (time, is_epoch) stops in (0, t_end], merging times within
+    """Sorted (time, is_epoch) stops in (0, t_end] at the epochs and the
+    store times (default 1001 points from 0 to t_end), merging times within
     1e-12 * max(1, t_end) of each other.  A merged group keeps its epoch's
     time if it has one, else t_end if it holds t_end, else its first time."""
+    if not t_end > 0.0:
+        raise ValueError(f"need t_end > 0, got {t_end}")
+    if store_times is None:
+        store_times = np.linspace(0.0, t_end, 1001)
     eps = 1e-12 * max(1.0, t_end)
     # rank 0: store time, 1: t_end, 2: epoch
     stops = sorted(
@@ -144,14 +149,8 @@ def _marks(t_end: float, epochs, store_times) -> list[tuple[float, bool]]:
     return [(t, rank == 2) for t, rank in marks]
 
 
-def _start(y0, delta: float, dt: float | None) -> tuple[np.ndarray, float]:
-    """The start state as a float array, and dt (default
-    min(1/delta, 1)/1000) once it is checked against its range."""
-    if dt is None:
-        dt = min(1.0 / delta, 1.0) / 1000.0
-    if dt > min(1.0 / delta, 1.0) / 100.0:
-        raise ValueError("dt too coarse: need dt <= min(1/delta, 1)/100")
-    return np.array(y0.y if isinstance(y0, FluidState) else y0, dtype=float), dt
+def _state_array(y0: FluidState | np.ndarray) -> np.ndarray:
+    return np.array(y0.y if isinstance(y0, FluidState) else y0, dtype=float)
 
 
 def _settle(y: np.ndarray, clamped: float) -> float:
@@ -177,11 +176,13 @@ def integrate_fluid(
     store_times: np.ndarray | None = None,
 ) -> FluidRun:
     """Integrate y' = rhs(y) on [0, t_end] with classic fixed-step
-    4th-order steps, split exactly at stored grid points and estimate-level
-    switches."""
-    y, dt = _start(y0, delta, dt)
-    if store_times is None:
-        store_times = np.linspace(0.0, t_end, 1001)
+    4th-order steps of dt (default min(1/delta, 1)/1000), split exactly at
+    stored grid points and estimate-level switches."""
+    if dt is None:
+        dt = min(1.0 / delta, 1.0) / 1000.0
+    if not 0.0 < dt <= min(1.0 / delta, 1.0) / 100.0:
+        raise ValueError(f"need 0 < dt <= min(1/delta, 1)/100, got {dt}")
+    y = _state_array(y0)
     marks = _marks(t_end, (), store_times)
     states = np.empty((len(marks) + 1, *y.shape))
     states[0] = y
@@ -249,7 +250,6 @@ def integrate_sync(
     lam: float,
     delta: float,
     t_end: float,
-    dt: float | None = None,
     store_times: np.ndarray | None = None,
 ) -> FluidRun:
     """The synchronous fluid limit on [0, t_end], with update epochs at
@@ -258,12 +258,9 @@ def integrate_sync(
     The flow (see _flow) stops at every epoch and at every switch, where
     the minimum-estimate column m has drained at w_m/lam; there column m
     is zeroed and its round-off residue moves up to column m + 1.  All
-    stored times between two stops come from one call.  The flow takes no
-    steps: dt is only checked against its range.
+    stored times between two stops come from one call.
     """
-    y, _ = _start(y0, delta, dt)
-    if store_times is None:
-        store_times = np.linspace(0.0, t_end, 1001)
+    y = _state_array(y0)
     period = 1.0 / delta
     epochs = np.arange(1, math.floor(t_end / period + 1e-12) + 1) * period
     marks = _marks(t_end, epochs, store_times)

@@ -226,9 +226,7 @@ def on_assign(view: DispatcherView, server: int) -> None:
         view.set_estimate(server, view.est[server] + 1)
 
 
-def on_update(
-    spec: PolicySpec, view: DispatcherView, server: int, true_len: int
-) -> int:
+def on_update(view: DispatcherView, server: int, true_len: int) -> int:
     """Apply one server's own report (asynchronous kinds); returns messages sent."""
     view.set_estimate(server, true_len)
     return 1

@@ -49,9 +49,7 @@ def test_criterion_01_sync_cycle():
     period = 1.0 / delta
     target = two_point_state(LAM)
     grid = np.arange(0.05, 20 * period, 0.1)
-    run_s = integrate_sync(
-        target.copy(), LAM, delta, 20 * period, dt=period / 400, store_times=grid
-    )
+    run_s = integrate_sync(target.copy(), LAM, delta, 20 * period, store_times=grid)
     epoch_err = 0.0
     for te in run_s.update_epochs:
         idx = int(np.argmin(np.abs(run_s.times - te)))
@@ -77,8 +75,7 @@ def test_criterion_02_sync_convergence():
     delta = 2.5
     period = 1.0 / delta
     run_s = integrate_sync(
-        FluidState.empty(40), LAM, delta, 200 * period, dt=period / 250,
-        store_times=[200 * period],
+        FluidState.empty(40), LAM, delta, 200 * period, store_times=[200 * period]
     )
     err = float(np.abs(run_s.states[-1] - two_point_state(LAM)).max())
     elapsed = time.time() - t0
@@ -123,8 +120,7 @@ def test_criterion_04_fluid_vs_des():
             fl = integrate_async(FluidState.empty(40), LAM, delta, 10.0, dt=dt,
                                  store_times=grid)
         else:
-            fl = integrate_sync(FluidState.empty(40), LAM, delta, 10.0, dt=dt,
-                                store_times=grid)
+            fl = integrate_sync(FluidState.empty(40), LAM, delta, 10.0, store_times=grid)
         worst = max(worst, fluid_des_distance(rec.trajectory, fl))
     elapsed = time.time() - t0
     ok = worst <= 0.05 and elapsed < 300.0

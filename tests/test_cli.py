@@ -56,8 +56,7 @@ def test_fixed_point_known_value(tmp_path):
 def test_fluid_sync_csv_sawtooth(tmp_path):
     out = tmp_path / "traj.csv"
     assert run_cli(["fluid", "sync", "--lambda", "0.7", "--delta", "0.85",
-                    "--t-end", "4", "--grid-dt", "0.05", "--dt", "0.005",
-                    "--out", str(out)]) == 0
+                    "--t-end", "4", "--grid-dt", "0.05", "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,i,j,y"
     rows = [line.split(",") for line in lines[1:]]
@@ -158,7 +157,7 @@ def test_sweep_refuses_bad_policy_before_simulating(monkeypatch):
 def test_sweep_config_file_with_overrides(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "name": "demo", "n": 20, "lam": 0.6, "policies": ["random"],
+        "n": 20, "lam": 0.6, "policies": ["random"],
         "sweep": [1.0], "runs": 2, "horizon": 50.0, "warmup": 10.0,
         "seed": 9, "out": str(tmp_path / "from_config.csv"),
     }))
@@ -168,6 +167,29 @@ def test_sweep_config_file_with_overrides(tmp_path):
     other = tmp_path / "override.csv"
     assert run_cli(["sweep", "--config", str(cfg), "--out", str(other)]) == 0
     assert other.exists()
+
+
+
+def test_sweep_manifest_reads_as_flags(tmp_path, capsys):
+    # A manifest gives the same bytes as its flags; a flag after it wins.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 20, "lam": 0.6, "policies": ["random", "sujsq-det"],
+                               "sweep": [1.0, 0.5], "runs": 2, "horizon": 50.0}))
+    flags = ["--n", "20", "--lambda", "0.6", "--policies", "random", "sujsq-det",
+             "--sweep", "1.0", "0.5", "--runs", "2", "--horizon", "50.0"]
+    outputs = []
+    for argv in (["--config", str(cfg)], flags, ["--config", str(cfg), "--runs", "3"],
+                 [*flags, "--runs", "3"]):
+        assert run_cli(["sweep", *argv, "--warmup", "10"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != outputs[2] == outputs[3]
+
+
+def test_sweep_one_run_leaves_the_interval_empty(capsys):
+    assert run_cli(["sweep", "--n", "20", "--policies", "random", "jiq-p", "--sweep", "0.5",
+                    "--runs", "1", "--horizon", "50", "--warmup", "10"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [(r[0], r[1], r[5]) for r in rows] == [("jiq-p", "0.5", ""), ("random", "", "")]
 
 
 def test_fluid_rerun_byte_identical(tmp_path):
@@ -184,7 +206,7 @@ def test_fluid_initial_state_from_file(tmp_path):
     state.write_text(json.dumps({"entries": [[0, 0, 0.3], [1, 1, 0.7]]}))
     out = tmp_path / "traj.csv"
     assert run_cli(["fluid", "sync", "--lambda", "0.7", "--delta", "2.5",
-                    "--t-end", "0.8", "--grid-dt", "0.4", "--dt", "0.004",
+                    "--t-end", "0.8", "--grid-dt", "0.4",
                     "--y0", str(state), "--out", str(out)]) == 0
     first = out.read_text().strip().splitlines()[1]
     assert first == "0,0,0,0.3"
@@ -273,6 +295,8 @@ class ReadRecorder(argparse.Namespace):
     ["fixed-point"],
     ["simulate", "--policy", "random", "--n", "10", "--horizon", "20"],
     ["validate", "--budget", "smoke"],
+    ["fluid", "async", "--dt", "0.01", "--t-end", "0.4", "--grid-dt", "0.2",
+     "--des-runs", "1", "--n", "10"],
 ])
 def test_every_flag_is_read(argv, monkeypatch, tmp_path):
     # validate's checks are stubbed: its flags are read when they are passed
@@ -314,3 +338,51 @@ def test_fluid_overlay_simulates_the_exact_delta(monkeypatch, tmp_path):
 
 def test_sweep_points_keep_the_exact_value():
     assert cli._sweep_specs("sujsq-det", [0.1234567])[0].delta == 0.1234567
+
+
+def refused(argv, monkeypatch, capsys):
+    """The stderr of an argv that must exit 2 with nothing run or written."""
+    ran = []
+    for module, name in ((sparselb.des, "run_replications"),
+                         (sparselb.fluid_sync, "integrate_sync"),
+                         (sparselb.fluid_async, "integrate_async")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: ran.append(name))
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert ran == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    return err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["fluid", "sync", "--dt", "0.001"], "--dt"),
+    (["fluid", "async", "--grid-dt", "0"], "--grid-dt"),
+    (["fluid", "sync", "--t-end", "0"], "--t-end"),
+    (["fluid", "sync", "--t-end", "-1"], "--t-end"),
+    (["fluid", "sync", "--des-runs", "-1"], "--des-runs"),
+    (["fluid", "sync", "--lambda", "1.2"], "--lambda"),
+    (["fluid", "async", "--delta", "0"], "--delta"),
+    (["fluid", "async", "--dt", "0"], "--dt"),
+    (["sweep", "--name", "demo"], "--name"),
+])
+def test_bad_inputs_are_refused(argv, flag, monkeypatch, capsys):
+    assert flag in refused(argv, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("manifest, named", [
+    ({"name": "demo"}, "'name'"),
+    ({"nme": 3}, "'nme'"),
+    ({"n": 20, "warmup": None}, "'warmup'"),
+    ({"n": "ten"}, "--n"),
+    ({"n": 20.5}, "--n"),
+    ({"runs": [2, 3]}, "unrecognized arguments: 3"),
+    ({"policies": []}, "--policies"),
+    ({"config": "other.json"}, "'config'"),
+    ([["--n", "20"]], "JSON object"),
+])
+def test_bad_manifests_are_refused(manifest, named, tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(manifest))
+    assert named in refused(["sweep", "--config", str(cfg)], monkeypatch, capsys)

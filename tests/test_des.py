@@ -144,9 +144,9 @@ def scan_dispatch(spec, view, queues, rng):
 @pytest.mark.parametrize("n, horizon", [(2, 600.0), (7, 200.0), (60, 40.0)])
 @pytest.mark.parametrize("kind", sorted(k.value for k in ESTIMATE_KINDS))
 def test_level_index_replays_the_scan(kind, n, horizon, monkeypatch):
+    grid = np.arange(0.0, horizon + 1e-12, horizon / 40)
     cfg = make_config(f"{kind}:0.85", n=n, lam=0.9, horizon=horizon,
-                      warmup=horizon / 5, trajectory_grid=horizon / 40,
-                      track_assignments=True)
+                      warmup=horizon / 5, trajectory_grid=grid, track_assignments=True)
     indexed = run(cfg)
     monkeypatch.setattr(des, "dispatch", scan_dispatch)
     scanned = run(cfg)
@@ -185,6 +185,13 @@ def test_no_post_warmup_arrivals_raises():
         seed=1,
     )
     with pytest.raises(SimulationError):
+        run(cfg)
+
+
+def test_trajectory_grid_takes_only_times():
+    # a bare spacing is refused, not read as one snapshot time
+    cfg = make_config("random", n=10, horizon=5.0, warmup=0.0, trajectory_grid=1.0)
+    with pytest.raises(SimulationError, match="trajectory_grid"):
         run(cfg)
 
 
@@ -310,9 +317,9 @@ def reference_aujsq_exp(delta, n, rng):
 
 @pytest.mark.parametrize("n", [1, 7, 300])
 def test_aujsq_exp_schedule_replays_plain_draws(n, monkeypatch):
+    grid = np.arange(0.0, 3000.0 / n + 1e-12, 30.0 / n)
     cfg = make_config("aujsq-exp:0.85", n=n, lam=0.9, horizon=3000.0 / n,
-                      warmup=100.0 / n, trajectory_grid=30.0 / n,
-                      track_assignments=True, seed=12)
+                      warmup=100.0 / n, trajectory_grid=grid, track_assignments=True, seed=12)
     fast = run(cfg)
     monkeypatch.setattr(des, "schedule_updates", lambda spec, params, rng: reference_aujsq_exp(
         spec.delta, params.n_servers, rng_streams(cfg.seed, 0)["updates"]))
@@ -353,10 +360,11 @@ def test_policy_hooks_reached_through_des(policy, monkeypatch):
 
 
 def test_snapshot_clipping_is_counted():
+    grid = np.arange(0.0, 60.0 + 1e-12, 2.0)
     wide = make_config("random", n=20, lam=0.95, horizon=60.0, warmup=0.0,
-                       trajectory_grid=2.0, snapshot_jmax=60)
+                       trajectory_grid=grid, snapshot_jmax=60)
     narrow = make_config("random", n=20, lam=0.95, horizon=60.0, warmup=0.0,
-                         trajectory_grid=2.0, snapshot_jmax=2)
+                         trajectory_grid=grid, snapshot_jmax=2)
     full = run(wide).trajectory
     assert full.clipped == 0.0 and full.y[:, 60, :].sum() == 0.0
     expect = max(y[3:, :].sum() for y in full.y)

@@ -96,7 +96,7 @@ def test_cycle_stays_at_two_point_state():
     lam, delta = 0.7, 2.5
     y0 = two_point_state(lam, jmax=40)
     T = 1.0 / delta
-    run = integrate_sync(y0, lam, delta, 20 * T, dt=T / 400)
+    run = integrate_sync(y0, lam, delta, 20 * T)
     for te in run.update_epochs:
         idx = int(np.argmin(np.abs(run.times - te)))
         assert np.abs(run.states[idx] - y0).max() < 1e-6
@@ -107,7 +107,7 @@ def test_cycle_interior_is_linear():
     y0 = two_point_state(lam, jmax=40)
     T = 1.0 / delta
     grid = np.arange(0.05, 20 * T, 0.1)
-    run = integrate_sync(y0, lam, delta, 20 * T, dt=T / 400, store_times=grid)
+    run = integrate_sync(y0, lam, delta, 20 * T, store_times=grid)
     for t, y in zip(run.times, run.states):
         s = t % T
         if s < 1e-9 or T - s < 1e-9:
@@ -119,13 +119,13 @@ def test_cycle_interior_is_linear():
 
 def test_slow_updates_build_queues_of_two():
     # sparse updates: some servers accumulate two jobs
-    run = integrate_sync(FluidState.empty(40), 0.7, 0.85, 6.0, dt=1e-3)
+    run = integrate_sync(FluidState.empty(40), 0.7, 0.85, 6.0)
     v2_max = max(s.sum(axis=1)[2] for s in run.states)
     assert v2_max > 1e-3
 
 
 def test_min_level_never_decreases_between_epochs():
-    run = integrate_sync(FluidState.empty(40), 0.7, 0.85, 6.0, dt=1e-3)
+    run = integrate_sync(FluidState.empty(40), 0.7, 0.85, 6.0)
     epochs = set(np.round(run.update_epochs, 12))
     prev_m = None
     for t, y in zip(run.times, run.states):
@@ -137,7 +137,7 @@ def test_min_level_never_decreases_between_epochs():
 
 
 def test_mass_and_positivity_along_run():
-    run = integrate_sync(FluidState.empty(40), 0.7, 0.85, 8.0, dt=1e-3)
+    run = integrate_sync(FluidState.empty(40), 0.7, 0.85, 8.0)
     totals = run.states.sum(axis=(1, 2))
     assert np.abs(totals - 1.0).max() < 1e-9
     assert run.states.min() >= 0.0
@@ -150,9 +150,7 @@ def test_explicit_epoch_list():
     first = 1.0 / 0.85
     # a store time one ulp below an epoch merges into it
     grid = np.append(np.linspace(0.0, 4.0, 1001), np.nextafter(first, 0.0))
-    run = integrate_sync(
-        FluidState.empty(40), 0.7, 0.85, 4.0, dt=1e-3, store_times=grid
-    )
+    run = integrate_sync(FluidState.empty(40), 0.7, 0.85, 4.0, store_times=grid)
     assert list(run.update_epochs) == pytest.approx(epochs, abs=1e-12)
     assert list(run.times).count(first) == 1
     assert np.nextafter(first, 0.0) not in run.times
@@ -168,7 +166,8 @@ def test_run_ends_exactly_at_t_end(integrate):
     # the grid's last point overshoots t_end by an ulp and merges into it
     grid = np.arange(0, 7.3 + 1e-12, 0.1)
     assert grid[-1] > 7.3
-    run = integrate(FluidState.empty(40), 0.7, 0.85, 7.3, dt=0.01, store_times=grid)
+    kwargs = {"dt": 0.01} if integrate is integrate_async else {}
+    run = integrate(FluidState.empty(40), 0.7, 0.85, 7.3, store_times=grid, **kwargs)
     assert run.times[-1] == 7.3
     assert np.all(np.diff(run.times) > 0.0)
 
@@ -177,12 +176,21 @@ def test_truncation_guard_trips():
     y0 = np.zeros((3, 3))
     y0[0, 0] = 1.0
     with pytest.raises(TruncationError):
-        integrate_sync(y0, 0.7, 0.85, 4.0, dt=1e-3)
+        integrate_sync(y0, 0.7, 0.85, 4.0)
 
 
 def test_dt_precondition():
-    with pytest.raises(ValueError):
-        integrate_sync(FluidState.empty(40), 0.7, 0.85, 1.0, dt=0.5)
+    # integrate_async is the one integrator that takes steps
+    for dt in (0.5, 0.0, -1e-3):
+        with pytest.raises(ValueError, match="dt"):
+            integrate_async(FluidState.empty(40), 0.7, 0.85, 1.0, dt=dt)
+
+
+@pytest.mark.parametrize("integrate", [integrate_sync, integrate_async])
+@pytest.mark.parametrize("t_end", [0.0, -1.0])
+def test_t_end_must_be_positive(integrate, t_end):
+    with pytest.raises(ValueError, match="t_end"):
+        integrate(FluidState.empty(40), 0.7, 0.85, t_end)
 
 
 # --- Poisson drain quantities ----------------------------------------------
@@ -228,7 +236,7 @@ def test_tail_mass_vanishes_above_bound():
     y0 = np.zeros((41, 41))
     y0[0, 0] = 0.5
     y0[3, 3] = 0.5  # start with queue mass at level 3
-    run = integrate_sync(y0, lam, delta, 60.0, dt=1e-3)
+    run = integrate_sync(y0, lam, delta, 60.0)
     v = run.states[-1].sum(axis=1)
     idx = np.arange(41)
     tail = float(((idx[idx > bound] - bound) * v[idx > bound]).sum())
@@ -240,20 +248,20 @@ def test_tail_mass_vanishes_above_bound():
 
 def test_trajectory_checks_pass_on_cycle_run():
     lam, delta = 0.7, 2.5
-    run = integrate_sync(two_point_state(lam, 40), lam, delta, 8 / delta, dt=4e-4)
+    run = integrate_sync(two_point_state(lam, 40), lam, delta, 8 / delta)
     report = check_trajectory_invariants(run)
     assert report.passed, report.violations
     assert report.residuals["queue_balance"] < 1e-6
 
 
 def test_trajectory_checks_pass_from_empty():
-    run = integrate_sync(FluidState.empty(40), 0.7, 0.85, 6.0, dt=1e-3)
+    run = integrate_sync(FluidState.empty(40), 0.7, 0.85, 6.0)
     report = check_trajectory_invariants(run)
     assert report.passed, report.violations
 
 
 def test_trajectory_checks_flag_doctored_run():
-    run = integrate_sync(FluidState.empty(40), 0.7, 0.85, 3.0, dt=1e-3)
+    run = integrate_sync(FluidState.empty(40), 0.7, 0.85, 3.0)
     run.states[-1] *= 1.5  # break mass conservation
     report = check_trajectory_invariants(run)
     assert not report.passed
@@ -306,13 +314,13 @@ def loop_checks(run):
     return report
 
 
-@pytest.mark.parametrize("y0, lam, delta, t_end, dt", [
-    (two_point_state(0.7, 40), 0.7, 2.5, 3.2, 4e-4),
-    (FluidState.empty(40), 0.7, 0.85, 6.0, 1e-3),
-    (FluidState.empty(40), 0.9, 0.3, 8.0, None),
+@pytest.mark.parametrize("y0, lam, delta, t_end", [
+    (two_point_state(0.7, 40), 0.7, 2.5, 3.2),
+    (FluidState.empty(40), 0.7, 0.85, 6.0),
+    (FluidState.empty(40), 0.9, 0.3, 8.0),
 ])
-def test_trajectory_checks_replay_the_loops(y0, lam, delta, t_end, dt):
-    run = integrate_sync(y0, lam, delta, t_end, dt=dt)
+def test_trajectory_checks_replay_the_loops(y0, lam, delta, t_end):
+    run = integrate_sync(y0, lam, delta, t_end)
     report = check_trajectory_invariants(run)
     ref = loop_checks(run)
     for name in ("min_level_drain_slope", "next_level_fill_slope", "tail_mass_monotone"):

@@ -118,9 +118,9 @@ def test_on_assign_noop_for_token_kinds():
 
 
 def test_on_update_resets_estimate():
-    spec, view = view_for("aujsq-exp:1.0", 2)
+    _, view = view_for("aujsq-exp:1.0", 2)
     view.set_estimates([5, 3])
-    assert on_update(spec, view, 0, 2) == 1
+    assert on_update(view, 0, 2) == 1
     assert list(view.estimates) == [2, 3]
 
 
