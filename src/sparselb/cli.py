@@ -56,6 +56,7 @@ def _checked(kind, test, need: str):
 _positive = _checked(float, lambda x: 0.0 < x < np.inf, "a finite value > 0")
 _load = _checked(float, lambda x: 0.0 < x < 1.0, "0 < lambda < 1")
 _count = _checked(int, lambda x: x >= 0, "an integer >= 0")
+_runs = _checked(int, lambda x: x >= 1, "an integer >= 1")
 
 
 def _sim_config(args: argparse.Namespace, spec: PolicySpec) -> des.SimConfig:
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=0.7)
     p.add_argument("--policies", nargs="+", default=["sujsq-det", "jiq-p", "jsq-d:2", "random"])
     p.add_argument("--sweep", type=float, nargs="+", default=[0.25, 0.5, 1.0])
-    p.add_argument("--runs", type=int, default=10)
+    p.add_argument("--runs", type=_runs, default=10)
     p.add_argument("--horizon", type=float, default=5000.0)
     p.add_argument("--warmup", type=float, default=1000.0)
 
@@ -312,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--horizon", type=float, default=1000.0)
     p.add_argument("--warmup", type=float, default=None)
-    p.add_argument("--runs", type=int, default=1)
+    p.add_argument("--runs", type=_runs, default=1)
 
     p = sub.add_parser("validate", parents=[seeded], help="cross-layer consistency report")
     p.add_argument("--budget", choices=["smoke", "default"], default="default")
@@ -342,6 +343,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "sweep" and args.config:
         args = parser.parse_args(["sweep", *_manifest_flags(parser, args), *argv[1:]])
+    if args.command == "fluid" and args.kind == "async" and args.dt is not None:
+        try:  # the bound on --dt depends on --delta
+            fluid_sync.check_dt(args.dt, args.delta)
+        except ValueError as err:
+            parser.error(f"argument --dt: {err}")
     commands = {"sweep": cmd_sweep, "fluid": cmd_fluid, "fixed-point": cmd_fixed_point,
                 "simulate": cmd_simulate, "validate": cmd_validate}
     return commands[args.command](args)

@@ -327,7 +327,12 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
     level_counts = [n]
     hist_area = [0.0]
     top = 0
-    t_mark = 0.0
+    # The time averages are folded in as each stretch of constant state
+    # ends: area_queue since t_mark, the last queue change, and hist_area[j]
+    # since level_since[j], the last change of level j.  Both are clipped
+    # to the window, so they stay at warmup until an event passes it.
+    t_mark = warmup
+    level_since = [warmup]
     assignments = [0] * n if config.track_assignments else None
 
     grid = config.grid_times()
@@ -343,22 +348,6 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
         high = q if e is None else np.maximum(q, e)
         clipped = max(clipped, np.count_nonzero(high > jmax) / n)
 
-    def account(t: float) -> None:
-        """Fold the constant stretch since the last queue change into the
-        time-averaged totals (clipped to the measurement window)."""
-        nonlocal area_queue, t_mark
-        lo = t_mark if t_mark > warmup else warmup
-        hi = t if t < horizon else horizon
-        if hi > lo:
-            dt = hi - lo
-            area_queue += total_queue * dt
-            # Empty levels would add 0.0, so skipping them changes no sum.
-            for j in range(top + 1):
-                c = level_counts[j]
-                if c:
-                    hist_area[j] += c * dt
-        t_mark = t
-
     # dispatch, on_assign, on_update, apply_global_update and on_idle are
     # looked up as module globals at each call, so that a tracer or a test
     # that patches them in this module sees every call.
@@ -372,18 +361,23 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
 
         if kind == ARRIVAL:
             target, msgs = dispatch(spec, view, queues, rng_pol)
-            if t > warmup:
-                n_arrivals_pw += 1
-                messages_pw += msgs
-            account(t)
             q_old = queues[target]
-            queues[target] = q_old + 1
-            total_queue += 1
             if q_old == top:
                 top += 1
                 if top == len(level_counts):
                     level_counts.append(0)
                     hist_area.append(0.0)
+                    level_since.append(warmup)
+            if t > warmup:
+                n_arrivals_pw += 1
+                messages_pw += msgs
+                area_queue += total_queue * (t - t_mark)
+                t_mark = t
+                for j in (q_old, q_old + 1):
+                    hist_area[j] += level_counts[j] * (t - level_since[j])
+                    level_since[j] = t
+            queues[target] = q_old + 1
+            total_queue += 1
             level_counts[q_old] -= 1
             level_counts[q_old + 1] += 1
             if uses_estimates:
@@ -401,8 +395,13 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
             heappush(heap, (t + next_arrival_gap(), ARRIVAL, seq, -1))
             seq += 1
         elif kind == DEPARTURE:
-            account(t)
             q_old = queues[server]
+            if t > warmup:
+                area_queue += total_queue * (t - t_mark)
+                t_mark = t
+                for j in (q_old - 1, q_old):
+                    hist_area[j] += level_counts[j] * (t - level_since[j])
+                    level_since[j] = t
             queues[server] = q_old - 1
             total_queue -= 1
             level_counts[q_old] -= 1
@@ -443,7 +442,9 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
                 view.check_index()
             assert sum(map(len, waiting)) == sum(q - 1 for q in queues if q)
 
-    account(horizon)
+    area_queue += total_queue * (horizon - t_mark)
+    for j, c in enumerate(level_counts):
+        hist_area[j] += c * (horizon - level_since[j])
     for _ in grid_left:
         snapshot()
 

@@ -8,6 +8,7 @@ feeding it are recomputed from the state at every derivative evaluation.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +26,12 @@ CAP_TOL = 1e-12
 @dataclass(frozen=True)
 class AsyncDriver:
     """Assignment driver derived from a state: u[k] is the rate at which
-    update-triggered top-ups can absorb jobs below estimate level k; n is
-    the dispatch level; zeta = lam - u[n] >= 0 is the residual rate of jobs
+    update-triggered top-ups can absorb jobs below estimate level k, listed
+    for k = 0..m + 1 with m the minimum occupied estimate level; n is the
+    dispatch level; zeta = lam - u[n] >= 0 is the residual rate of jobs
     assigned at level n itself."""
 
-    u: np.ndarray
+    u: list[float]
     n: int
     zeta: float
 
@@ -43,6 +45,24 @@ def update_capacity(v: np.ndarray, delta: float) -> np.ndarray:
     return u
 
 
+def _driver(v: list[float], w: list[float], lam: float, delta: float) -> AsyncDriver:
+    """driver_of from the queue marginal v and the estimate marginal w, in
+    Python floats; u is summed in update_capacity's order, so every value
+    equals the one from numpy's cumulative sums."""
+    m = min_estimate_level(w, SWITCH_TOL)
+    u = [0.0]
+    c1 = c2 = 0.0
+    for vi in v[: m + 1]:
+        c1 += vi
+        c2 += c1
+        u.append(delta * c2)
+    if u[m] <= lam + CAP_TOL:
+        n = m
+    else:  # bisect_right is numpy's searchsorted(side="right") step for step
+        n = bisect.bisect_right(u, lam + CAP_TOL, 0, m + 1) - 1
+    return AsyncDriver(u=u, n=n, zeta=max(lam - u[n], 0.0))
+
+
 def driver_of(y: np.ndarray, lam: float, delta: float) -> AsyncDriver:
     """Dispatch level and residual rate for a state.
 
@@ -51,15 +71,7 @@ def driver_of(y: np.ndarray, lam: float, delta: float) -> AsyncDriver:
     capacity still fits under lam (then n <= m - 1 and updates soak up u[n]
     of the arrival flow before it ever reaches level m).
     """
-    v = y.sum(axis=1)
-    w = y.sum(axis=0)
-    m = min_estimate_level(w, SWITCH_TOL)
-    u = update_capacity(v, delta)
-    if u[m] <= lam + CAP_TOL:
-        n = m
-    else:
-        n = int(np.searchsorted(u[: m + 1], lam + CAP_TOL, side="right")) - 1
-    return AsyncDriver(u=u, n=n, zeta=max(lam - u[n], 0.0))
+    return _driver(y.sum(axis=1).tolist(), y.sum(axis=0).tolist(), lam, delta)
 
 
 def rhs_async(y: np.ndarray, lam: float, delta: float) -> np.ndarray:
@@ -68,24 +80,23 @@ def rhs_async(y: np.ndarray, lam: float, delta: float) -> np.ndarray:
     Six flux groups: service shifts, residual assignments into and out of
     the dispatch level n, top-ups from below landing at (n, n), on-level
     reports refreshing the diagonal at i = j >= n, and the uniform update
-    drain -delta*y.
+    drain -delta*y.  Each moves mass at most one level.
     """
-    drv = driver_of(y, lam, delta)
+    v = y.sum(axis=1)
+    drv = _driver(v.tolist(), y.sum(axis=0).tolist(), lam, delta)
     n, zeta = drv.n, drv.zeta
     w_n = y[:, n].sum()
-    v = y.sum(axis=1)
-    jmax = y.shape[0] - 1
+    size = y.shape[0]
 
-    dy = -delta * y
+    dy = np.multiply(-delta, y, order="C")  # C order: the diagonal is a view
     dy[:-1, :] += y[1:, :]
     dy[1:, :] -= y[1:, :]
     if w_n > SWITCH_TOL and zeta > 0.0:
         arr = y[:, n] / w_n
         dy[:, n] -= zeta * arr
-        if n + 1 <= jmax:
+        if n + 1 < size:
             dy[1:, n + 1] += zeta * arr[:-1]
-    diag = np.arange(n, jmax + 1)
-    dy[diag, diag] += delta * v[n:]
+    dy.reshape(-1)[n * (size + 1) :: size + 1] += delta * v[n:]
     if n >= 1:
         dy[n, n] += delta * v[:n].sum()
     return dy

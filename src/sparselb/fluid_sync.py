@@ -6,9 +6,9 @@ ODE between epochs whose assignment flux targets the minimum estimate
 level; at each epoch every column collapses onto the diagonal (estimates
 snap to true queue lengths).  Between two stops that flow has a closed
 form, so integrate_sync takes no steps.  fluid_async integrates its
-right-hand side with fixed RK4 steps.  The module also carries the Poisson
-drain quantities A/B, the queue-length bound scan, and trajectory-level
-consistency checks.
+right-hand side with fixed RK4 steps over the occupied block of the state.
+The module also carries the Poisson drain quantities A/B, the queue-length
+bound scan, and trajectory-level consistency checks.
 """
 from __future__ import annotations
 
@@ -26,6 +26,11 @@ from .model import (
 # An estimate level counts as occupied above this mass; the step bisection
 # at level switches drives the depleting column to within it of zero.
 SWITCH_TOL = 1e-10
+
+# Levels past the occupied ones that an RK4 step works on: its four stages
+# each move mass at most one level, so the step leaves every cell beyond
+# them at zero.
+BLOCK_MARGIN = 4
 
 
 class IntegrationError(RuntimeError):
@@ -103,24 +108,56 @@ def split_step_at_switch(step, y: np.ndarray, h: float, m: int):
     raise IntegrationError("switch-point bisection did not converge")
 
 
-def _advance(rhs, y: np.ndarray, span: float, dt: float) -> np.ndarray:
-    """Integrate over a span, splitting steps exactly at minimum-estimate
-    switch points (where the lowest occupied column hits zero mass)."""
+def _block_side(y: np.ndarray, n: int) -> int:
+    """Side k of the leading block [:k, :k] of an n-by-n state that one RK4
+    step works on; y is a leading block of the state that holds all of its
+    non-zero cells.
+
+    The block holds every non-zero cell and BLOCK_MARGIN more levels,
+    rounded up to a multiple of eight.  numpy sums a row or column pairwise,
+    with eight partial sums over a leading run of at most 128 entries, so
+    such a block sums every line in the order the whole state would.  Where
+    no such side fits, the block is the whole state.
+    """
+    occupied = np.flatnonzero(y.any(axis=0) | y.any(axis=1))
+    extent = int(occupied[-1]) + 1 if occupied.size else 0
+    side = -(-(extent + BLOCK_MARGIN) // 8) * 8
+    leaf = n  # numpy's leading pairwise run for a line of n entries
+    while leaf > 128:
+        leaf = leaf // 2 - leaf // 2 % 8
+    return side if side <= leaf else n
+
+
+def _advance(rhs, y: np.ndarray, span: float, dt: float) -> None:
+    """Integrate over a span in place, splitting steps exactly at
+    minimum-estimate switch points (where the lowest occupied column hits
+    zero mass).
+
+    Each step and each bisection works on the leading block of y that holds
+    the occupied levels (see _block_side), and writes its result back.
+    Precondition: rhs moves mass at most one level per evaluation, as
+    rhs_sync and rhs_async do.  Then every cell past the block has a
+    derivative of exactly zero in all four RK4 stages, so the block step
+    equals a step of all of y bit for bit.
+    """
+    n = len(y)
+    k = _block_side(y, n)
     remaining = span
     while remaining > 1e-14:
-        m = min_estimate_level(y.sum(axis=0), SWITCH_TOL)
+        block = y[:k, :k]
+        m = min_estimate_level(block.sum(axis=0), SWITCH_TOL)
         h = min(dt, remaining)
-        y_new = _rk4(rhs, y, h)
+        y_new = _rk4(rhs, block, h)
         if y_new[:, m].sum() < -1e-13:
-            h, y_new = split_step_at_switch(lambda z, hh: _rk4(rhs, z, hh), y, h, m)
+            h, y_new = split_step_at_switch(lambda z, hh: _rk4(rhs, z, hh), block, h, m)
             # The drained column's leftover (at most SWITCH_TOL in total, in
             # cells of either sign) moves up one estimate level.
-            if m + 1 < y.shape[1]:
+            if m + 1 < k:
                 y_new[:, m + 1] += y_new[:, m]
                 y_new[:, m] = 0.0
-        y = y_new
+        block[...] = y_new
+        k = _block_side(y_new, n)
         remaining -= h
-    return y
 
 
 def _marks(t_end: float, epochs, store_times) -> list[tuple[float, bool]]:
@@ -166,6 +203,12 @@ def _settle(y: np.ndarray, clamped: float) -> float:
     return clamped
 
 
+def check_dt(dt: float, delta: float) -> None:
+    """Refuse an RK4 step dt outside (0, min(1/delta, 1)/100]."""
+    if not 0.0 < dt <= min(1.0 / delta, 1.0) / 100.0:
+        raise ValueError(f"need 0 < dt <= min(1/delta, 1)/100, got {dt}")
+
+
 def integrate_fluid(
     rhs,
     y0: FluidState | np.ndarray,
@@ -177,11 +220,14 @@ def integrate_fluid(
 ) -> FluidRun:
     """Integrate y' = rhs(y) on [0, t_end] with classic fixed-step
     4th-order steps of dt (default min(1/delta, 1)/1000), split exactly at
-    stored grid points and estimate-level switches."""
+    stored grid points and estimate-level switches.
+
+    rhs must move mass at most one level per evaluation: each step works on
+    the occupied block of the state only (see _advance).
+    """
     if dt is None:
         dt = min(1.0 / delta, 1.0) / 1000.0
-    if not 0.0 < dt <= min(1.0 / delta, 1.0) / 100.0:
-        raise ValueError(f"need 0 < dt <= min(1/delta, 1)/100, got {dt}")
+    check_dt(dt, delta)
     y = _state_array(y0)
     marks = _marks(t_end, (), store_times)
     states = np.empty((len(marks) + 1, *y.shape))
@@ -189,7 +235,7 @@ def integrate_fluid(
     clamped = 0.0
     t = 0.0
     for k, (t_next, _) in enumerate(marks, 1):
-        y = _advance(rhs, y, t_next - t, dt)
+        _advance(rhs, y, t_next - t, dt)
         clamped = _settle(y, clamped)
         states[k] = y
         t = t_next

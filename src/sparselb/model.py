@@ -101,12 +101,12 @@ class DerivedFunctionals:
     q_mass: float
 
 
-def min_estimate_level(w: np.ndarray, tol: float = 0.0) -> int:
-    """Smallest level j with w[j] > tol."""
-    idx = np.flatnonzero(w > tol)
-    if idx.size == 0:
-        raise StateError("no estimate level carries mass")
-    return int(idx[0])
+def min_estimate_level(w, tol: float = 0.0) -> int:
+    """Smallest level j with w[j] > tol; w is an array or a list."""
+    for j, wj in enumerate(w):
+        if wj > tol:
+            return j
+    raise StateError("no estimate level carries mass")
 
 
 def derive(state: FluidState | np.ndarray) -> DerivedFunctionals:

@@ -366,6 +366,11 @@ def refused(argv, monkeypatch, capsys):
     (["fluid", "async", "--delta", "0"], "--delta"),
     (["fluid", "async", "--dt", "0"], "--dt"),
     (["sweep", "--name", "demo"], "--name"),
+    (["sweep", "--runs", "0"], "--runs"),
+    (["simulate", "--policy", "random", "--runs", "0"], "--runs"),
+    (["simulate", "--policy", "random", "--runs", "-2"], "--runs"),
+    (["fluid", "async", "--dt", "0.5"], "--dt"),
+    (["fluid", "async", "--delta", "2.5", "--dt", "0.005"], "--dt"),
 ])
 def test_bad_inputs_are_refused(argv, flag, monkeypatch, capsys):
     assert flag in refused(argv, monkeypatch, capsys)

@@ -1,3 +1,7 @@
+import heapq
+from collections import deque
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -408,8 +412,10 @@ def test_replication_interval_uses_student_t():
 # lambda = 0.7, seed 17: about 7000 arrivals and as many services per run, so
 # each stream crosses several draw blocks.  Recorded before the arrival and
 # service draws were taken in blocks; any change to a draw or to the order of
-# a float sum shows here.  Values: mean_wait, msgs_per_job,
-# mean_queue_per_server, queue_len_hist.
+# a float sum shows here.  The N = 200 histograms were recorded again when
+# the histogram came to be folded per level at each change of that level,
+# which reordered its float sums (a move of at most 6.7e-15 relative).
+# Values: mean_wait, msgs_per_job, mean_queue_per_server, queue_len_hist.
 PINNED = {
     ("sujsq-det:0.85", 2): (
         1.098192900849077, 1.247248716067498, 1.4251668751668984,
@@ -497,57 +503,58 @@ PINNED = {
     ),
     ("sujsq-det:0.85", 200): (
         0.27036161621256233, 1.247248716067498, 0.865506468000522,
-        [0.32410720469125437, 0.4862791226169721, 0.18961367269177545],
+        [0.3241072046912548, 0.4862791226169721, 0.1896136726917751],
     ),
     ("sujsq-exp:0.85", 200): (
         0.3223992987103492, 1.3939838591342626, 0.8993001967196149,
-        [0.326759548968336, 0.46272653505304284, 0.19572026948265475,
-         0.014041463282604387, 0.0007521832133614464],
+        [0.32675954896833576, 0.46272653505304295, 0.19572026948265606,
+         0.01404146328260435, 0.0007521832133614464],
     ),
     ("aujsq-det:0.85", 200): (
         0.20609384564484148, 1.247248716067498, 0.8215790257332196,
-        [0.32405444120142113, 0.5303120918639385, 0.14563346693463922],
+        [0.3240544412014217, 0.5303120918639385, 0.14563346693463952],
     ),
     ("aujsq-exp:0.85", 200): (
         0.43627808528925044, 1.2360601614086573, 0.9797408519278681,
-        [0.32533857103565916, 0.37132979748019423, 0.3015838400047582,
+        [0.3253385710356609, 0.37132979748019435, 0.30158384000475796,
          0.001747791479386041],
     ),
     ("sujsq-det-idle:0.85", 200): (
         0.337713903713525, 0.47010271460014674, 0.9131016661893079,
-        [0.3249862260490731, 0.45019847883398423, 0.21154269799550596,
-         0.013272597121436648],
+        [0.324986226049073, 0.45019847883398423, 0.21154269799550637,
+         0.0132725971214367],
     ),
     ("jiq", 200): (
         0.008360910056088635, 0.991929567131328, 0.6818781184193978,
-        [0.3238198417838262, 0.670482198012951, 0.005697960203224404],
+        [0.32381984178382633, 0.670482198012951, 0.005697960203224404],
     ),
     ("jiq-p:0.5", 200): (
         1.040501542934292, 0.235509904622157, 1.434801676505628,
-        [0.3292314203769481, 0.32916629776469447, 0.15860207540454532,
-         0.07930817474744319, 0.04617360245447874, 0.02711133452120361,
-         0.011389262570628104, 0.006674179837201582, 0.0046455191641319145,
+        [0.32923142037694714, 0.32916629776469525, 0.1586020754045451,
+         0.07930817474744312, 0.046173602454478505, 0.02711133452120371,
+         0.011389262570628094, 0.006674179837201581, 0.0046455191641319145,
          0.0029098101354059977, 0.001990282711750062, 0.0018666321385422075,
          0.0006957444411390612, 0.00023566373188897938],
     ),
     ("jsq-d:2", 200): (
         0.5192582465504234, 4.0, 1.0425308338851913,
-        [0.32483781298240577, 0.36898247527107436, 0.2473807125315758,
-         0.05640906330881138, 0.002389935906133766],
+        [0.3248378129824069, 0.3689824752710756, 0.24738071253157498,
+         0.05640906330881106, 0.002389935906133766],
     ),
     ("random", 200): (
         1.685246079732242, 0.0, 1.8681910252100535,
-        [0.33365845800175936, 0.22651972926960715, 0.15886853461791445,
-         0.09547384217261984, 0.06932359172754368, 0.04336555156627807,
-         0.028159126058589556, 0.017571004189985598, 0.010813642004703392,
-         0.006880753802939895, 0.0034248724970343584, 0.0032040936601043847,
+        [0.33365845800176114, 0.22651972926960642, 0.15886853461791395,
+         0.09547384217261956, 0.06932359172754343, 0.04336555156627826,
+         0.028159126058589553, 0.01757100418998563, 0.010813642004703387,
+         0.00688075380293991, 0.0034248724970343584, 0.0032040936601043847,
          0.0020692913337884704, 0.0006675090971325441],
     ),
     ("round-robin", 200): (
         0.6567081393133993, 0.0, 1.1397007439833529,
-        [0.328495794409276, 0.3852906464059625, 0.1706088543397502, 0.0708637848384571,
-         0.029446982021762713, 0.010960635417539461, 0.003138773538732317,
-         0.0005779983757294644, 0.0004174765298213492, 0.00019905412296624192],
+        [0.32849579440927634, 0.38529064640596256, 0.17060885433975007,
+         0.0708637848384571, 0.02944698202176275, 0.010960635417539465,
+         0.003138773538732317, 0.0005779983757294644, 0.0004174765298213492,
+         0.00019905412296624192],
     ),
 }
 
@@ -561,3 +568,134 @@ def test_outputs_pinned(policy, n):
     assert rec.msgs_per_job == msgs_per_job
     assert rec.mean_queue_per_server == mean_queue
     assert rec.queue_len_hist.tolist() == hist
+
+
+def account_replay(cfg, events, targets, messages):
+    """The outputs of one run rebuilt from its popped events, the dispatched
+    servers and the (time, messages) of each policy hook, with the per-event
+    account loop that the level fold replaced: at every queue change, every
+    occupied level gains count x stretch.  Kept as the reference."""
+    n, warmup, horizon = cfg.params.n_servers, cfg.warmup, cfg.horizon
+    jmax = cfg.snapshot_jmax
+    queues = [0] * n
+    waiting = [deque() for _ in range(n)]
+    level_counts, hist_area, top = [n], [0.0], 0
+    total_queue, area_queue, t_mark = 0, 0.0, 0.0
+    wait_sum, n_waits, n_arrivals = 0.0, 0, 0
+    grid, snaps = cfg.grid_times().tolist(), []
+
+    def account(t):
+        nonlocal area_queue, t_mark
+        lo = t_mark if t_mark > warmup else warmup
+        hi = t if t < horizon else horizon
+        if hi > lo:
+            dt = hi - lo
+            area_queue += total_queue * dt
+            for j in range(top + 1):
+                c = level_counts[j]
+                if c:
+                    hist_area[j] += c * dt
+        t_mark = t
+
+    def snapshot():
+        snaps.append(np.bincount(np.minimum(queues, jmax), minlength=jmax + 1))
+
+    targets = iter(targets)
+    for t, kind, _, server in events:
+        if t > horizon:
+            break
+        while grid and grid[0] < t:
+            snapshot()
+            grid.pop(0)
+        if kind == des.UPDATE:
+            continue
+        account(t)
+        if kind == des.ARRIVAL:
+            server = next(targets)
+            n_arrivals += t > warmup
+            q_old = queues[server]
+            queues[server] += 1
+            total_queue += 1
+            if q_old == top:
+                top += 1
+                if top == len(level_counts):
+                    level_counts.append(0)
+                    hist_area.append(0.0)
+            level_counts[q_old] -= 1
+            level_counts[q_old + 1] += 1
+            if q_old:
+                waiting[server].append(t)
+            elif t > warmup:
+                n_waits += 1
+        else:
+            q_old = queues[server]
+            queues[server] -= 1
+            total_queue -= 1
+            level_counts[q_old] -= 1
+            level_counts[q_old - 1] += 1
+            if q_old == top and not level_counts[q_old]:
+                top -= 1
+            if q_old > 1:
+                arrived = waiting[server].popleft()
+                if arrived > warmup:
+                    wait_sum += t - arrived
+                    n_waits += 1
+    account(horizon)
+    for _ in grid:
+        snapshot()
+    window = (horizon - warmup) * n
+    hist = np.array(hist_area) / window
+    hist = hist[: int(np.flatnonzero(hist)[-1]) + 1]
+    return {
+        "mean_wait": wait_sum / n_waits if n_waits else 0.0,
+        "msgs_per_job": sum(m for t, m in messages if t > warmup) / n_arrivals,
+        "mean_queue_per_server": area_queue / window,
+        "n_arrivals": n_arrivals,
+        "queue_len_hist": hist,
+        "queue_counts": np.array(snaps),
+    }
+
+
+@pytest.mark.parametrize("n, horizon, warmup", [(2, 700.3, 151.7), (200, 20.3, 4.1)])
+@pytest.mark.parametrize("policy", sorted({policy for policy, _ in PINNED}))
+def test_level_fold_replays_the_account_loop(policy, n, horizon, warmup, monkeypatch):
+    events, targets, messages = [], [], []
+    real = {name: getattr(des, name)
+            for name in ("dispatch", "on_idle", "on_update", "apply_global_update")}
+
+    def heappop(heap):
+        events.append(heapq.heappop(heap))
+        return events[-1]
+
+    def dispatch(*args):
+        target, msgs = real["dispatch"](*args)
+        targets.append(target)
+        messages.append((events[-1][0], msgs))
+        return target, msgs
+
+    def recorded(name):
+        def hook(*args):
+            msgs = real[name](*args)
+            messages.append((events[-1][0], msgs))
+            return msgs
+        return hook
+
+    monkeypatch.setattr(des, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=heappop))
+    monkeypatch.setattr(des, "dispatch", dispatch)
+    for name in ("on_idle", "on_update", "apply_global_update"):
+        monkeypatch.setattr(des, name, recorded(name))
+    grid = np.arange(0.0, horizon, horizon / 37)
+    cfg = make_config(policy, n=n, horizon=horizon, warmup=warmup, seed=5,
+                      trajectory_grid=grid)
+    rec = run(cfg)
+    ref = account_replay(cfg, events, targets, messages)
+    # warmup and horizon each fall inside a stretch between queue changes
+    changes = [t for t, kind, _, _ in events if kind != des.UPDATE]
+    assert changes[0] < warmup < changes[-1] and events[-1][0] > horizon
+    assert warmup not in changes and horizon not in changes
+    for name in ("mean_wait", "msgs_per_job", "mean_queue_per_server", "n_arrivals"):
+        assert getattr(rec, name) == ref[name], name
+    assert len(rec.queue_len_hist) == len(ref["queue_len_hist"])
+    assert np.all(np.abs(rec.queue_len_hist - ref["queue_len_hist"])
+                  <= 1e-14 * ref["queue_len_hist"])
+    assert np.array_equal(np.rint(rec.trajectory.y.sum(axis=2) * n), ref["queue_counts"])
