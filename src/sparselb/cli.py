@@ -56,7 +56,7 @@ def _checked(kind, test, need: str):
 _positive = _checked(float, lambda x: 0.0 < x < np.inf, "a finite value > 0")
 _load = _checked(float, lambda x: 0.0 < x < 1.0, "0 < lambda < 1")
 _count = _checked(int, lambda x: x >= 0, "an integer >= 0")
-_runs = _checked(int, lambda x: x >= 1, "an integer >= 1")
+_positive_int = _checked(int, lambda x: x >= 1, "an integer >= 1")
 
 
 def _sim_config(args: argparse.Namespace, spec: PolicySpec) -> des.SimConfig:
@@ -184,14 +184,7 @@ def cmd_fixed_point(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    sim = des.SimConfig(
-        params=ModelParams(n_servers=args.n, lam=args.lam),
-        policy=PolicySpec.parse(args.policy),
-        horizon=args.horizon,
-        warmup=args.warmup,
-        seed=args.seed,
-    )
-    rec = des.run_replications(sim, args.runs)
+    rec = des.run_replications(_sim_config(args, PolicySpec.parse(args.policy)), args.runs)
     _write(args.out, json.dumps(rec.to_dict(), sort_keys=True, indent=2) + "\n")
     return 0
 
@@ -274,46 +267,45 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", default="-")
     seeded = argparse.ArgumentParser(add_help=False, parents=[out])
     seeded.add_argument("--seed", type=int, default=1)
+    loaded = argparse.ArgumentParser(add_help=False)
+    loaded.add_argument("--lambda", dest="lam", type=_load, default=0.7)
 
-    p = sub.add_parser("sweep", parents=[seeded], help="policy sweep CSV (mean wait vs messages)")
+    p = sub.add_parser("sweep", parents=[seeded, loaded],
+                       help="policy sweep CSV (mean wait vs messages)")
     p.add_argument("--config", default=None, metavar="FILE",
                    help="JSON manifest of flag values, read before the flags")
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.7)
+    p.add_argument("--n", type=_positive_int, default=200)
     p.add_argument("--policies", nargs="+", default=["sujsq-det", "jiq-p", "jsq-d:2", "random"])
     p.add_argument("--sweep", type=float, nargs="+", default=[0.25, 0.5, 1.0])
-    p.add_argument("--runs", type=_runs, default=10)
+    p.add_argument("--runs", type=_positive_int, default=10)
     p.add_argument("--horizon", type=float, default=5000.0)
     p.add_argument("--warmup", type=float, default=1000.0)
 
-    common = argparse.ArgumentParser(add_help=False, parents=[seeded])
-    common.add_argument("--lambda", dest="lam", type=_load, default=0.7)
+    common = argparse.ArgumentParser(add_help=False, parents=[seeded, loaded])
     common.add_argument("--delta", type=_positive, default=0.85)
     common.add_argument("--t-end", type=_positive, default=10.0)
     common.add_argument("--grid-dt", type=_positive, default=0.1)
-    common.add_argument("--jmax", type=int, default=None)
+    common.add_argument("--jmax", type=_count, default=None, help="0 or unset: default_jmax")
     common.add_argument("--y0", default="empty", help="empty | fixed-point | FILE.json")
     common.add_argument("--des-runs", type=_count, default=0)
-    common.add_argument("--n", type=int, default=1000)
+    common.add_argument("--n", type=_positive_int, default=1000)
     fluid = sub.add_parser("fluid", help="integrate a fluid trajectory to CSV")
     kinds = fluid.add_subparsers(dest="kind", required=True)
     kinds.add_parser("sync", parents=[common], help="exact synchronized limit")
     p = kinds.add_parser("async", parents=[common], help="RK4 asynchronous limit")
     p.add_argument("--dt", type=_positive, default=None, help="default min(1/delta, 1)/1000")
 
-    p = sub.add_parser("fixed-point", parents=[out], help="stationary quantities as JSON")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.7)
+    p = sub.add_parser("fixed-point", parents=[out, loaded], help="stationary quantities as JSON")
     one_or_grid = p.add_mutually_exclusive_group()
-    one_or_grid.add_argument("--delta", type=float, default=0.85)
-    one_or_grid.add_argument("--delta-grid", type=float, nargs="+", default=None)
+    one_or_grid.add_argument("--delta", type=_positive, default=0.85)
+    one_or_grid.add_argument("--delta-grid", type=_positive, nargs="+", default=None)
 
-    p = sub.add_parser("simulate", parents=[seeded], help="run the event simulator")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.7)
+    p = sub.add_parser("simulate", parents=[seeded, loaded], help="run the event simulator")
     p.add_argument("--policy", required=True)
-    p.add_argument("--n", type=int, default=200)
+    p.add_argument("--n", type=_positive_int, default=200)
     p.add_argument("--horizon", type=float, default=1000.0)
     p.add_argument("--warmup", type=float, default=None)
-    p.add_argument("--runs", type=_runs, default=1)
+    p.add_argument("--runs", type=_positive_int, default=1)
 
     p = sub.add_parser("validate", parents=[seeded], help="cross-layer consistency report")
     p.add_argument("--budget", choices=["smoke", "default"], default="default")

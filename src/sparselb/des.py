@@ -6,15 +6,14 @@ insertion order), so a seed pins down the whole trace.  Waiting time is
 measured from arrival to service start; statistics only count the window
 after warmup.
 
-Each replication draws from four numpy streams, one per purpose.  Arrival
-gaps and service times are drawn BLOCK at a time (exponentials).  The
-policy stream of every kind but jsq-d, which needs Generator.choice, is
-read as raw PCG64 words BLOCK at a time, and WordDraws turns them into the
-integers(n) and random() values the Generator itself would return; the
-update stream of aujsq-exp, whose integers interleave with exponential
-draws, takes its words one at a time.  So every draw, and every output for
-a seed, is what scalar Generator calls give.  The loop keeps the queues
-and the dispatcher's estimates in Python lists, which are faster than numpy
+Each replication draws from four numpy streams, one per purpose, and each
+stream has one reader.  Arrival gaps and service times are drawn BLOCK at a
+time (exponentials).  The policy stream is read as raw PCG64 words BLOCK at
+a time, and WordDraws turns them into the values the Generator itself would
+return; the update stream, whose draws may interleave with exponential
+ones, takes its words one at a time.  So every draw, and every output for a
+seed, is what scalar Generator calls give.  The loop keeps the queues and
+the dispatcher's estimates in Python lists, which are faster than numpy
 arrays for one element at a time.
 """
 from __future__ import annotations
@@ -31,7 +30,6 @@ import numpy as np
 from .model import ModelParams
 from .policies import (
     DispatcherView,
-    PolicyKind,
     PolicySpec,
     apply_global_update,
     dispatch,
@@ -79,17 +77,17 @@ def raw_words(rng: np.random.Generator) -> Iterator[int]:
 
 
 class WordDraws:
-    """Generator.integers(n) and Generator.random() of a PCG64 stream,
-    rebuilt bit for bit from its raw 64-bit words (next_word gives the next
-    one), at a fraction of numpy's per-call cost.
+    """Generator.integers(n), random() and choice(n, d, replace=False) of a
+    PCG64 stream, rebuilt bit for bit from its raw 64-bit words (next_word
+    gives the next one), at a fraction of numpy's per-call cost.
 
     integers(n) is numpy's Lemire method on 32-bit halves: each word serves
     two draws, low half first, and the high half waits for the next draw as
     in the bit generator's next_uint32, while random() takes a whole word
     and leaves a waiting half alone, as numpy's next_double does.  n == 1
-    reads nothing.  exponential, when given, is the Generator's own method,
-    for a stream whose words are taken one at a time so that both readers
-    stay in order.
+    reads nothing.  sample(n, d) is the choice, built from integers draws.
+    exponential, when given, is the Generator's own method, for a stream
+    whose words are taken one at a time so that both readers stay in order.
     """
 
     __slots__ = ("_next_word", "_half", "exponential")
@@ -125,6 +123,29 @@ class WordDraws:
 
     def random(self) -> float:
         return (self._next_word() >> 11) * 2.0**-53
+
+    def sample(self, n: int, d: int) -> list[int]:
+        """Generator.choice(n, d, replace=False).tolist().  As in numpy,
+        Floyd's algorithm picks d values of range(n), or for n > 10000 and
+        d > n // 50 all of range(n) is taken; the last d places are then
+        shuffled top down, place i with place integers(i + 1)."""
+        if not 0 <= d <= n:
+            raise ValueError(f"sample(n, d) needs 0 <= d <= n, got n = {n}, d = {d}")
+        if n > 10000 and d > n // 50:
+            picked = list(range(n))
+        else:
+            picked, seen = [], set()
+            for k in range(n - d, n):
+                value = self.integers(k + 1)
+                if value in seen:
+                    value = k
+                seen.add(value)
+                picked.append(value)
+        top = len(picked)
+        for i in range(top - 1, top - d - 1, -1):
+            j = self.integers(i + 1)
+            picked[i], picked[j] = picked[j], picked[i]
+        return picked[top - d :]
 
 
 @dataclass
@@ -289,18 +310,13 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
     rngs = rng_streams(config.seed, run_index)
     next_arrival_gap = exponentials(rngs["arrivals"], 1.0 / lam_total).__next__
     next_service = exponentials(rngs["services"], 1.0).__next__
-    rng_pol = rngs["policy"]
-    if spec.kind is not PolicyKind.JSQ_D:  # jsq-d draws with Generator.choice
-        rng_pol = WordDraws(raw_words(rng_pol).__next__)
+    rng_pol = WordDraws(raw_words(rngs["policy"]).__next__)
     uses_estimates = spec.uses_estimates
     updates = None
-    if uses_estimates:
-        rng_upd = rngs["updates"]
-        if spec.kind is PolicyKind.AUJSQ_EXP:
-            # Its integers interleave with exponential draws, so they take
-            # one word at a time from the bit generator exponential reads.
-            rng_upd = WordDraws(rng_upd.bit_generator.random_raw, rng_upd.exponential)
-        updates = schedule_updates(spec, params, rng_upd)
+    if uses_estimates:  # one word at a time, in step with exponential's reads
+        upd = rngs["updates"]
+        updates = schedule_updates(
+            spec, params, WordDraws(upd.bit_generator.random_raw, upd.exponential))
 
     view = DispatcherView(spec, n)
     queues = [0] * n

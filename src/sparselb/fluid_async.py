@@ -36,19 +36,11 @@ class AsyncDriver:
     zeta: float
 
 
-def update_capacity(v: np.ndarray, delta: float) -> np.ndarray:
-    """u[k] = delta * sum_{i<k} (k - i) v[i] for k = 0..len(v)."""
-    c1 = np.cumsum(v)
-    u = np.empty(len(v) + 1)
-    u[0] = 0.0
-    u[1:] = delta * np.cumsum(c1)
-    return u
-
-
 def _driver(v: list[float], w: list[float], lam: float, delta: float) -> AsyncDriver:
     """driver_of from the queue marginal v and the estimate marginal w, in
-    Python floats; u is summed in update_capacity's order, so every value
-    equals the one from numpy's cumulative sums."""
+    Python floats: u[k] = delta * sum_{i<k} (k - i) v[i], summed as two
+    running sums in the order of numpy's cumsum of a cumsum, so every value
+    equals numpy's."""
     m = min_estimate_level(w, SWITCH_TOL)
     u = [0.0]
     c1 = c2 = 0.0

@@ -186,8 +186,7 @@ class DispatcherView:
 
 def dispatch(spec: PolicySpec, view: DispatcherView, queues: list[int], rng) -> tuple[int, int]:
     """Pick the target server for one arriving job.  rng is the policy
-    stream: a numpy Generator, or for every kind but jsq-d a des.WordDraws
-    that draws the same integers and floats from it.
+    stream's des.WordDraws.
 
     Returns (server index, messages incurred by the decision).
     """
@@ -200,12 +199,12 @@ def dispatch(spec: PolicySpec, view: DispatcherView, queues: list[int], rng) -> 
     if kind in TOKEN_KINDS:
         tokens = view.idle_tokens
         if tokens:
-            i = int(rng.integers(len(tokens)))
+            i = rng.integers(len(tokens))
             tokens[i], tokens[-1] = tokens[-1], tokens[i]
             return tokens.pop(), 0
-        return int(rng.integers(view.n_servers)), 0
+        return rng.integers(view.n_servers), 0
     if kind is PolicyKind.JSQ_D:
-        cand = rng.choice(view.n_servers, size=spec.d, replace=False).tolist()
+        cand = rng.sample(view.n_servers, spec.d)
         lens = [queues[c] for c in cand]
         least = min(lens)
         ties = [c for c, q in zip(cand, lens) if q == least]
@@ -213,7 +212,7 @@ def dispatch(spec: PolicySpec, view: DispatcherView, queues: list[int], rng) -> 
             return ties[0], 2 * spec.d
         return ties[rng.integers(len(ties))], 2 * spec.d
     if kind is PolicyKind.RANDOM:
-        return int(rng.integers(view.n_servers)), 0
+        return rng.integers(view.n_servers), 0
     # round-robin: cyclic sweep over server indices
     server = view.rr_counter % view.n_servers
     view.rr_counter += 1
@@ -244,7 +243,8 @@ def apply_global_update(spec: PolicySpec, view: DispatcherView, queues: list[int
 
 
 def on_idle(spec: PolicySpec, view: DispatcherView, server: int, rng) -> int:
-    """A server just drained its queue; JIQ kinds may emit a token."""
+    """A server just drained its queue; JIQ kinds may emit a token.  rng is
+    the policy stream's des.WordDraws."""
     if spec.kind is PolicyKind.JIQ:
         view.idle_tokens.append(server)
         return 1
@@ -265,9 +265,8 @@ def on_idle(spec: PolicySpec, view: DispatcherView, server: int, rng) -> int:
 
 def schedule_updates(spec: PolicySpec, params: ModelParams, rng):
     """Infinite stream of update events as (time, server) pairs; server is
-    None for synchronous (all-at-once) epochs.  rng is the update stream: a
-    numpy Generator, or for aujsq-exp a des.WordDraws over it that also
-    carries the Generator's exponential.
+    None for synchronous (all-at-once) epochs.  rng is the update stream's
+    des.WordDraws, which carries the Generator's exponential.
 
     sujsq-det / sujsq-det-idle: fixed epochs k/delta.
     sujsq-exp: global epochs with i.i.d. Exponential(delta) gaps.
@@ -291,7 +290,8 @@ def schedule_updates(spec: PolicySpec, params: ModelParams, rng):
             t += rng.exponential(1.0 / delta)
             yield t, None
     elif spec.kind is PolicyKind.AUJSQ_DET:
-        clocks = [(rng.uniform(0.0, 1.0 / delta), s) for s in range(n)]
+        # uniform(0, 1/delta) as numpy computes it: 0.0 + (1/delta) * random().
+        clocks = [((1.0 / delta) * rng.random(), s) for s in range(n)]
         heapq.heapify(clocks)
         while True:
             t, s = heapq.heappop(clocks)
@@ -301,4 +301,4 @@ def schedule_updates(spec: PolicySpec, params: ModelParams, rng):
         t = 0.0
         while True:
             t += rng.exponential(1.0 / (delta * n))
-            yield t, int(rng.integers(n))
+            yield t, rng.integers(n)

@@ -371,6 +371,12 @@ def refused(argv, monkeypatch, capsys):
     (["simulate", "--policy", "random", "--runs", "-2"], "--runs"),
     (["fluid", "async", "--dt", "0.5"], "--dt"),
     (["fluid", "async", "--delta", "2.5", "--dt", "0.005"], "--dt"),
+    (["simulate", "--policy", "random", "--lambda", "1.5"], "--lambda"),
+    (["fixed-point", "--lambda", "1.2"], "--lambda"),
+    (["fixed-point", "--delta", "0"], "--delta"),
+    (["sweep", "--n", "0"], "--n"),
+    (["simulate", "--policy", "random", "--n", "0"], "--n"),
+    (["fluid", "async", "--jmax", "-3"], "--jmax"),
 ])
 def test_bad_inputs_are_refused(argv, flag, monkeypatch, capsys):
     assert flag in refused(argv, monkeypatch, capsys)

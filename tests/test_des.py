@@ -310,6 +310,42 @@ def test_word_draws_refuse_bad_bounds(n):
         words.integers(n)
 
 
+@st.composite
+def choice_args(draw):
+    """(n, d) for choice(n, d, replace=False), in both of numpy's branches:
+    Floyd's algorithm, or a partial shuffle of range(n) when n > 10000 and
+    d > n // 50."""
+    n = draw(st.one_of(st.integers(1, 60), st.integers(1, 20000)))
+    if n > 10000 and draw(st.booleans()):
+        return n, draw(st.integers(n // 50 + 1, n))
+    return n, draw(st.one_of(st.just(1), st.just(n), st.integers(0, min(n, 12))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.lists(st.one_of(draws, choice_args()), min_size=1, max_size=6))
+@example(1, [(20000, 401), 7, None])  # the smallest partial shuffle at n = 20000
+@example(2, [(10001, 201), (10001, 200)])  # either side of the branch
+@example(3, [(12000, 3000), None, (10001, 10001)])
+@example(4, [(10000, 10000), (2, 2), (1, 1), (300, 1)])
+def test_word_draws_sample_equals_generator_choice(seed, pattern):
+    words = des.WordDraws(des.raw_words(np.random.default_rng(seed)).__next__)
+    scalar = np.random.default_rng(seed)
+    for step in pattern * 3:
+        if step is None:
+            assert words.random() == scalar.random()
+        elif isinstance(step, tuple):
+            assert words.sample(*step) == scalar.choice(*step, replace=False).tolist()
+        else:
+            assert words.integers(step) == scalar.integers(step)
+
+
+@pytest.mark.parametrize("n, d", [(3, 4), (3, -1), (20000, 20001)])
+def test_word_draws_sample_refuses_bad_sizes(n, d):
+    words = des.WordDraws(des.raw_words(np.random.default_rng(0)).__next__)
+    with pytest.raises(ValueError):
+        words.sample(n, d)
+
+
 def reference_aujsq_exp(delta, n, rng):
     """aujsq-exp's update schedule on a plain Generator, kept as the
     reference for the one that takes its integers from raw words."""

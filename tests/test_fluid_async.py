@@ -7,7 +7,6 @@ from sparselb.fluid_async import (
     driver_of,
     integrate_async,
     rhs_async,
-    update_capacity,
 )
 from sparselb.fixed_point import y_star
 from sparselb.fluid_sync import SWITCH_TOL, IntegrationError
@@ -44,12 +43,16 @@ def test_driver_zeta_zero_at_capacity_boundary():
     assert drv.zeta == pytest.approx(0.0, abs=1e-12)
 
 
-def test_update_capacity_formula_on_random_states():
+def test_driver_capacity_formula_on_random_states():
+    # every estimate at the top level, so that u lists every level 0..len(v)
     rng = np.random.default_rng(23)
     for _ in range(20):
         v = rng.random(6)
         delta = rng.uniform(0.1, 3.0)
-        u = update_capacity(v, delta)
+        y = np.zeros((6, 6))
+        y[:, -1] = v
+        u = driver_of(y, 0.7, delta).u
+        assert len(u) == len(v) + 1
         for k in range(len(v) + 1):
             direct = delta * sum((k - i) * v[i] for i in range(min(k, len(v))))
             assert u[k] == pytest.approx(direct, abs=1e-12)
@@ -60,7 +63,7 @@ def numpy_driver(y, lam, delta):
     u up to level m + 1, n and zeta."""
     v, w = y.sum(axis=1), y.sum(axis=0)
     m = int(np.flatnonzero(w > SWITCH_TOL)[0])
-    u = update_capacity(v, delta)
+    u = np.concatenate([[0.0], delta * np.cumsum(np.cumsum(v))])
     if u[m] <= lam + CAP_TOL:
         n = m
     else:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sparselb.des import WordDraws, raw_words
 from sparselb.model import ModelParams
 from sparselb.policies import (
     DispatcherView,
@@ -18,6 +21,17 @@ from sparselb.policies import (
 def view_for(text, n):
     spec = PolicySpec.parse(text)
     return spec, DispatcherView(spec, n)
+
+
+def policy_draws(seed):
+    """The policy stream's reader, as des reads a seeded Generator."""
+    return WordDraws(raw_words(np.random.default_rng(seed)).__next__)
+
+
+def update_draws(seed):
+    """The update stream's reader, as des reads a seeded Generator."""
+    rng = np.random.default_rng(seed)
+    return WordDraws(rng.bit_generator.random_raw, rng.exponential)
 
 
 def test_parse_grammar():
@@ -59,7 +73,7 @@ def test_estimates_are_read_only():
 def test_dispatch_unique_argmin():
     spec, view = view_for("sujsq-det:0.85", 3)
     view.set_estimates([2, 0, 1])
-    rng = np.random.default_rng(0)
+    rng = policy_draws(0)
     server, msgs = dispatch(spec, view, np.zeros(3, dtype=int), rng)
     assert server == 1 and msgs == 0
 
@@ -67,7 +81,7 @@ def test_dispatch_unique_argmin():
 def test_dispatch_tie_break_is_uniform():
     spec, view = view_for("sujsq-det:0.85", 4)
     view.set_estimates([1, 0, 0, 1])
-    rng = np.random.default_rng(1)
+    rng = policy_draws(1)
     hits = [dispatch(spec, view, np.zeros(4, dtype=int), rng)[0] for _ in range(400)]
     assert set(hits) == {1, 2}
     assert 120 < sum(1 for h in hits if h == 1) < 280
@@ -76,7 +90,7 @@ def test_dispatch_tie_break_is_uniform():
 def test_jsq_d_messages_and_choice():
     spec, view = view_for("jsq-d:2", 10)
     queues = np.array([3, 0, 2, 5, 1, 4, 2, 2, 3, 1])
-    rng = np.random.default_rng(2)
+    rng = policy_draws(2)
     for _ in range(50):
         server, msgs = dispatch(spec, view, queues, rng)
         assert msgs == 4
@@ -86,15 +100,23 @@ def test_jsq_d_messages_and_choice():
 def test_jsq_d_picks_min_of_sample():
     spec, view = view_for("jsq-d:10", 10)  # samples every server
     queues = np.array([3, 0, 2, 5, 1, 4, 2, 2, 3, 1])
-    rng = np.random.default_rng(3)
+    rng = policy_draws(3)
     server, msgs = dispatch(spec, view, queues, rng)
     assert server == 1
     assert msgs == 20
 
 
+def test_jsq_d_refuses_a_bare_generator():
+    # Generator.choice(n, d) would draw with replacement; sample has no
+    # namesake on a Generator, so a bare one fails instead of drawing.
+    spec, view = view_for("jsq-d:2", 10)
+    with pytest.raises(AttributeError):
+        dispatch(spec, view, [0] * 10, np.random.default_rng(0))
+
+
 def test_round_robin_cyclic_order():
     spec, view = view_for("round-robin", 3)
-    rng = np.random.default_rng(0)
+    rng = policy_draws(0)
     order = [dispatch(spec, view, np.zeros(3, dtype=int), rng)[0] for _ in range(7)]
     assert order == [0, 1, 2, 0, 1, 2, 0]
     counts = np.bincount(order, minlength=3)
@@ -139,7 +161,7 @@ def test_apply_global_update():
 
 def test_jiq_token_cycle():
     spec, view = view_for("jiq", 3)
-    rng = np.random.default_rng(4)
+    rng = policy_draws(4)
     assert on_idle(spec, view, 2, rng) == 1
     assert view.idle_tokens == [2]
     server, msgs = dispatch(spec, view, np.zeros(3, dtype=int), rng)
@@ -148,7 +170,7 @@ def test_jiq_token_cycle():
 
 
 def test_jiq_p_degenerate_probabilities():
-    rng = np.random.default_rng(5)
+    rng = policy_draws(5)
     spec, view = view_for("jiq-p:0", 3)
     assert on_idle(spec, view, 0, rng) == 0
     assert view.idle_tokens == []
@@ -159,21 +181,21 @@ def test_jiq_p_degenerate_probabilities():
 
 def test_jiq_p_intermediate_rate():
     spec, view = view_for("jiq-p:0.3", 3)
-    rng = np.random.default_rng(6)
+    rng = policy_draws(6)
     sent = sum(on_idle(spec, view, 0, rng) for _ in range(2000))
     assert 500 < sent < 700
 
 
 def test_schedule_sujsq_det_epochs():
     spec = PolicySpec.parse("sujsq-det:0.85")
-    gen = schedule_updates(spec, ModelParams(5, 0.7, 0.85), np.random.default_rng(0))
+    gen = schedule_updates(spec, ModelParams(5, 0.7, 0.85), update_draws(0))
     times = [next(gen) for _ in range(3)]
     assert times == [(1 / 0.85, None), (2 / 0.85, None), (3 / 0.85, None)]
 
 
 def test_schedule_sujsq_exp_gap_mean():
     spec = PolicySpec.parse("sujsq-exp:2.0")
-    gen = schedule_updates(spec, ModelParams(5, 0.7, 2.0), np.random.default_rng(8))
+    gen = schedule_updates(spec, ModelParams(5, 0.7, 2.0), update_draws(8))
     events = [next(gen) for _ in range(4000)]
     times = np.array([t for t, _ in events])
     gaps = np.diff(np.concatenate([[0.0], times]))
@@ -184,7 +206,7 @@ def test_schedule_sujsq_exp_gap_mean():
 def test_schedule_aujsq_det_per_server_period():
     spec = PolicySpec.parse("aujsq-det:0.5")
     n = 4
-    gen = schedule_updates(spec, ModelParams(n, 0.7, 0.5), np.random.default_rng(9))
+    gen = schedule_updates(spec, ModelParams(n, 0.7, 0.5), update_draws(9))
     events = [next(gen) for _ in range(4 * n)]
     times = np.array([t for t, _ in events])
     assert np.all(np.diff(times) >= 0)
@@ -195,10 +217,21 @@ def test_schedule_aujsq_det_per_server_period():
         assert 0.0 <= own[0] <= 2.0
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.floats(1e-3, 1e3), st.integers(1, 40))
+def test_schedule_aujsq_det_phases_equal_uniform(seed, delta, n):
+    # Every phase is below the period, so the first n events are the phases.
+    spec = PolicySpec(PolicyKind.AUJSQ_DET, delta=delta)
+    gen = schedule_updates(spec, ModelParams(n, 0.7, delta), update_draws(seed))
+    plain = np.random.default_rng(seed)
+    phases = sorted((plain.uniform(0.0, 1.0 / delta), s) for s in range(n))
+    assert [next(gen) for _ in range(n)] == phases
+
+
 def test_schedule_aujsq_exp_rate():
     spec = PolicySpec.parse("aujsq-exp:1.5")
     n = 10
-    gen = schedule_updates(spec, ModelParams(n, 0.7, 1.5), np.random.default_rng(10))
+    gen = schedule_updates(spec, ModelParams(n, 0.7, 1.5), update_draws(10))
     horizon = 200.0
     count = 0
     servers = []
@@ -215,4 +248,4 @@ def test_schedule_aujsq_exp_rate():
 def test_schedule_rejects_non_update_kinds():
     spec = PolicySpec.parse("random")
     with pytest.raises(ValueError):
-        next(schedule_updates(spec, ModelParams(2, 0.7), np.random.default_rng(0)))
+        next(schedule_updates(spec, ModelParams(2, 0.7), update_draws(0)))
