@@ -59,40 +59,55 @@ _count = _checked(int, lambda x: x >= 0, "an integer >= 0")
 _positive_int = _checked(int, lambda x: x >= 1, "an integer >= 1")
 
 
-def _sim_config(args: argparse.Namespace, spec: PolicySpec) -> des.SimConfig:
-    return des.SimConfig(
-        params=ModelParams(n_servers=args.n, lam=args.lam),
-        policy=spec,
-        horizon=args.horizon,
-        warmup=args.warmup,
-        seed=args.seed,
-    )
+def _policy(text: str) -> PolicySpec:
+    """An argparse type: a policy selector, read by PolicySpec.parse."""
+    try:
+        return PolicySpec.parse(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _sweep_specs(text: str, sweep: list[float]) -> list[PolicySpec]:
     """The points of one --policies entry: one per sweep value if it names a
-    kind that takes a parameter and gives none, else the entry itself."""
+    kind that takes a parameter and gives none, else the entry itself.  A
+    bad entry or sweep value raises ArgumentTypeError."""
     name = text.strip()
     kind = next((k for k in PARAM_RULES if k.value == name), None)
     if kind is None:
-        return [PolicySpec.parse(name)]
+        return [_policy(name)]
     # The sweep values are rates and probabilities, never a probe count.
     if kind is PolicyKind.JSQ_D:
-        raise ValueError("sweep: jsq-d needs an explicit integer d, e.g. jsq-d:2")
+        raise argparse.ArgumentTypeError("jsq-d needs an explicit integer d, e.g. jsq-d:2")
     specs = []
     for val in sweep:
         try:
             specs.append(PolicySpec(kind, **{PARAM_RULES[kind].field: val}))
         except ValueError as err:
-            raise ValueError(f"sweep: {name}:{val:g}: {err}") from None
+            raise argparse.ArgumentTypeError(f"argument --sweep: {name}:{val:g}: {err}") from None
     return specs
+
+
+def _sweep_entry(text: str) -> str:
+    """An argparse type: a --policies entry that _sweep_specs accepts."""
+    _sweep_specs(text, [])
+    return text
+
+
+def _sim_configs(args: argparse.Namespace, specs: list[PolicySpec], flag: str
+                 ) -> list[des.SimConfig]:
+    """One simulation per spec, all set up before the first one runs."""
+    params = ModelParams(n_servers=args.n, lam=args.lam)
+    try:
+        return [des.SimConfig(params=params, policy=spec, horizon=args.horizon,
+                              warmup=args.warmup, seed=args.seed) for spec in specs]
+    except des.SimulationError as err:
+        raise argparse.ArgumentTypeError(f"argument {flag}/--n/--horizon/--warmup: {err}")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """One CSV row per (policy, parameter) point, Figure-1 style."""
-    # Every point is set up before the first simulation, so a bad one fails fast.
-    configs = [_sim_config(args, spec)
-               for text in args.policies for spec in _sweep_specs(text, args.sweep)]
+    specs = [spec for text in args.policies for spec in _sweep_specs(text, args.sweep)]
+    configs = _sim_configs(args, specs, "--policies")
     rows = []
     for config in configs:
         spec = config.policy
@@ -184,36 +199,34 @@ def cmd_fixed_point(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    rec = des.run_replications(_sim_config(args, PolicySpec.parse(args.policy)), args.runs)
+    [config] = _sim_configs(args, [args.policy], "--policy")
+    rec = des.run_replications(config, args.runs)
     _write(args.out, json.dumps(rec.to_dict(), sort_keys=True, indent=2) + "\n")
     return 0
 
 
-def _validate_checks(budget: str, seed: int, scale: float) -> fluid_sync.CheckReport:
+def _validate_checks(budget: str, seed: int) -> fluid_sync.CheckReport:
     report = fluid_sync.CheckReport()
 
     # Analytic identities.
     worst_ab, worst_mono = checks.poisson_identity_residuals(np.linspace(0.0, 5.0, 11))
-    report.record("poisson_ab_identity", worst_ab, 1e-12 * scale)
-    report.record("poisson_a_ratio_monotone", worst_mono, 1e-12 * scale)
+    report.record("poisson_ab_identity", worst_ab, 1e-12)
+    report.record("poisson_a_ratio_monotone", worst_mono, 1e-12)
 
     bound = fluid_sync.queue_bound(0.7, 1.0 / 0.85)
-    report.record("queue_bound_is_minimal", float(bound.s_star != 7), 0.5 * scale)
+    report.record("queue_bound_is_minimal", float(bound.s_star != 7), 0.5)
 
     worst_fp = 0.0
     for lam in (0.3, 0.5, 0.7, 0.9):
         for delta in (0.3, 0.85, 2.5):
             worst_fp = max(worst_fp, fixed_point.y_star(lam, delta).residual)
-    report.record("fixed_point_residual", worst_fp, 1e-8 * scale)
+    report.record("fixed_point_residual", worst_fp, 1e-8)
 
     # Synchronous trajectory structure checks.
     run = fluid_sync.integrate_sync(FluidState.empty(40), 0.7, 0.85, 6.0)
     sync = fluid_sync.check_trajectory_invariants(run)
-    report.record(
-        "sync_trajectory_checks",
-        max(sync.residuals[k] / sync.tolerances[k] for k in sync.residuals),
-        1.0 * scale,
-    )
+    worst_sync = max(sync.residuals[k] / sync.tolerances[k] for k in sync.residuals)
+    report.record("sync_trajectory_checks", worst_sync, 1.0)
 
     # Fluid vs simulation, small scale.  The tolerance tracks the sampling
     # noise of the averaged occupancy fractions at the chosen size.
@@ -235,17 +248,17 @@ def _validate_checks(budget: str, seed: int, scale: float) -> fluid_sync.CheckRe
         FluidState.empty(40), 0.7, 0.85, 6.0, dt=5e-3, store_times=grid
     )
     worst = checks.fluid_des_distance(rec.trajectory, fl)
-    report.record("fluid_vs_des_supnorm", worst, 8.0 / np.sqrt(n * runs) * scale)
+    report.record("fluid_vs_des_supnorm", worst, 8.0 / np.sqrt(n * runs))
 
     # Exact chain vs simulation at N=2.
     horizon = 20000.0 if budget == "smoke" else 80000.0
     tv, *_ = checks.chain_vs_des(ModelParams(n_servers=2, lam=0.7), spec, 10, horizon, seed)
-    report.record("ctmc_vs_des_tv", tv, 0.05 * scale)
+    report.record("ctmc_vs_des_tv", tv, 0.05)
     return report
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    report = _validate_checks(args.budget, args.seed, args.tolerance_scale)
+    report = _validate_checks(args.budget, args.seed)
     failed = report.violations
     checks = [
         dict(name=k, value=v, tolerance=report.tolerances[k], passed=k not in failed)
@@ -275,10 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, metavar="FILE",
                    help="JSON manifest of flag values, read before the flags")
     p.add_argument("--n", type=_positive_int, default=200)
-    p.add_argument("--policies", nargs="+", default=["sujsq-det", "jiq-p", "jsq-d:2", "random"])
+    p.add_argument("--policies", type=_sweep_entry, nargs="+",
+                   default=["sujsq-det", "jiq-p", "jsq-d:2", "random"])
     p.add_argument("--sweep", type=float, nargs="+", default=[0.25, 0.5, 1.0])
     p.add_argument("--runs", type=_positive_int, default=10)
-    p.add_argument("--horizon", type=float, default=5000.0)
+    p.add_argument("--horizon", type=_positive, default=5000.0)
     p.add_argument("--warmup", type=float, default=1000.0)
 
     common = argparse.ArgumentParser(add_help=False, parents=[seeded, loaded])
@@ -301,15 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
     one_or_grid.add_argument("--delta-grid", type=_positive, nargs="+", default=None)
 
     p = sub.add_parser("simulate", parents=[seeded, loaded], help="run the event simulator")
-    p.add_argument("--policy", required=True)
+    p.add_argument("--policy", type=_policy, required=True)
     p.add_argument("--n", type=_positive_int, default=200)
-    p.add_argument("--horizon", type=float, default=1000.0)
+    p.add_argument("--horizon", type=_positive, default=1000.0)
     p.add_argument("--warmup", type=float, default=None)
     p.add_argument("--runs", type=_positive_int, default=1)
 
     p = sub.add_parser("validate", parents=[seeded], help="cross-layer consistency report")
     p.add_argument("--budget", choices=["smoke", "default"], default="default")
-    p.add_argument("--tolerance-scale", type=float, default=1.0)
     return parser
 
 
@@ -337,12 +350,15 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(["sweep", *_manifest_flags(parser, args), *argv[1:]])
     if args.command == "fluid" and args.kind == "async" and args.dt is not None:
         try:  # the bound on --dt depends on --delta
-            fluid_sync.check_dt(args.dt, args.delta)
+            fluid_async.check_dt(args.dt, args.delta)
         except ValueError as err:
             parser.error(f"argument --dt: {err}")
     commands = {"sweep": cmd_sweep, "fluid": cmd_fluid, "fixed-point": cmd_fixed_point,
                 "simulate": cmd_simulate, "validate": cmd_validate}
-    return commands[args.command](args)
+    try:
+        return commands[args.command](args)
+    except argparse.ArgumentTypeError as err:  # refused before anything ran
+        parser.error(str(err))
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
-"""Fluid limit under asynchronous exponential status updates.
+"""Fluid limit under asynchronous exponential status updates, and the
+fixed-step RK4 integrator that runs it.
 
 Updates arrive continuously at rate delta per server, so the limit has no
-jumps: it runs on the shared integrator of fluid_sync with no epochs.  A
-server reporting a queue below the effective dispatch level is topped up
-instantly at fluid scale; the level n and the residual arrival rate zeta
-feeding it are recomputed from the state at every derivative evaluation.
+jumps and no epochs.  A server reporting a queue below the effective
+dispatch level is topped up instantly at fluid scale; the level n and the
+residual arrival rate zeta feeding it are recomputed from the state at
+every derivative evaluation.
 """
 from __future__ import annotations
 
@@ -13,14 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fluid_sync
 from .model import FluidState, min_estimate_level
-from .fluid_sync import SWITCH_TOL, FluidRun, integrate_fluid
+from .fluid_sync import SWITCH_TOL, FluidRun, _marks, _settle, _state_array
 
 # The minimum estimate level is located with the integrator's SWITCH_TOL,
 # or drained crumb columns would keep receiving assignment flux.  CAP_TOL
 # is slack on the capacity comparison that prevents chattering when u_n
 # sits exactly on lam.
 CAP_TOL = 1e-12
+
+# Levels past the occupied ones that an RK4 step works on: its four stages
+# each move mass at most one level, so the step leaves every cell beyond
+# them at zero.
+BLOCK_MARGIN = 4
 
 
 @dataclass(frozen=True)
@@ -94,6 +101,74 @@ def rhs_async(y: np.ndarray, lam: float, delta: float) -> np.ndarray:
     return dy
 
 
+def _rk4(rhs, y: np.ndarray, h: float) -> np.ndarray:
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _block_side(y: np.ndarray, n: int) -> int:
+    """Side k of the leading block [:k, :k] of an n-by-n state that one RK4
+    step works on; y is a leading block of the state that holds all of its
+    non-zero cells.
+
+    The block holds every non-zero cell and BLOCK_MARGIN more levels,
+    rounded up to a multiple of eight.  numpy sums a row or column pairwise,
+    with eight partial sums over a leading run of at most 128 entries, so
+    such a block sums every line in the order the whole state would.  Where
+    no such side fits, the block is the whole state.
+    """
+    occupied = np.flatnonzero(y.any(axis=0) | y.any(axis=1))
+    extent = int(occupied[-1]) + 1 if occupied.size else 0
+    side = -(-(extent + BLOCK_MARGIN) // 8) * 8
+    leaf = n  # numpy's leading pairwise run for a line of n entries
+    while leaf > 128:
+        leaf = leaf // 2 - leaf // 2 % 8
+    return side if side <= leaf else n
+
+
+def _advance(rhs, y: np.ndarray, span: float, dt: float) -> None:
+    """Integrate y' = rhs(y) over a span in place, splitting steps exactly
+    at minimum-estimate switch points (where the lowest occupied column hits
+    zero mass).
+
+    Each step and each bisection works on the leading block of y that holds
+    the occupied levels (see _block_side), and writes its result back.
+    Precondition: rhs moves mass at most one level per evaluation, as
+    rhs_async and fluid_sync.rhs_sync do.  Then every cell past the block
+    has a derivative of exactly zero in all four RK4 stages, so the block
+    step equals a step of all of y bit for bit.
+    """
+    n = len(y)
+    k = _block_side(y, n)
+    remaining = span
+    while remaining > 1e-14:
+        block = y[:k, :k]
+        m = min_estimate_level(block.sum(axis=0), SWITCH_TOL)
+        h = min(dt, remaining)
+        y_new = _rk4(rhs, block, h)
+        if y_new[:, m].sum() < -1e-13:
+            # Called via fluid_sync, where perfbench's INNER patches it, until INNER is mended.
+            h, y_new = fluid_sync.split_step_at_switch(
+                lambda z, hh: _rk4(rhs, z, hh), block, h, m)
+            # The drained column's leftover (at most SWITCH_TOL in total, in
+            # cells of either sign) moves up one estimate level.
+            if m + 1 < k:
+                y_new[:, m + 1] += y_new[:, m]
+                y_new[:, m] = 0.0
+        block[...] = y_new
+        k = _block_side(y_new, n)
+        remaining -= h
+
+
+def check_dt(dt: float, delta: float) -> None:
+    """Refuse an RK4 step dt outside (0, min(1/delta, 1)/100]."""
+    if not 0.0 < dt <= min(1.0 / delta, 1.0) / 100.0:
+        raise ValueError(f"need 0 < dt <= min(1/delta, 1)/100, got {dt}")
+
+
 def integrate_async(
     y0: FluidState | np.ndarray,
     lam: float,
@@ -102,8 +177,28 @@ def integrate_async(
     dt: float | None = None,
     store_times: np.ndarray | None = None,
 ) -> FluidRun:
-    """Fixed-step 4th-order integration on [0, t_end]; the dispatch level is
+    """The asynchronous limit on [0, t_end] by classic fixed-step 4th-order
+    steps of dt (default min(1/delta, 1)/1000), split exactly at stored
+    grid points and estimate-level switches.  The dispatch level is
     re-derived from the state at every evaluation, and there are no jumps."""
-    return integrate_fluid(
-        lambda y: rhs_async(y, lam, delta), y0, lam, delta, t_end, dt, store_times
+    if dt is None:
+        dt = min(1.0 / delta, 1.0) / 1000.0
+    check_dt(dt, delta)
+    y = _state_array(y0)
+    marks = _marks(t_end, (), store_times)
+    states = np.empty((len(marks) + 1, *y.shape))
+    states[0] = y
+    clamped = 0.0
+    t = 0.0
+    for k, (t_next, _) in enumerate(marks, 1):
+        _advance(lambda z: rhs_async(z, lam, delta), y, t_next - t, dt)
+        clamped = _settle(y, clamped)
+        states[k] = y
+        t = t_next
+    return FluidRun(
+        times=np.array([0.0, *(t for t, _ in marks)]),
+        states=states,
+        update_epochs=np.empty(0),
+        lam=lam,
+        clamped=clamped,
     )

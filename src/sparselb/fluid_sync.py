@@ -1,14 +1,14 @@
-"""Fluid limits: the synchronized limit as an exact piecewise flow, and the
-fixed-step integrator that fluid_async runs on.
+"""Fluid limits: the synchronized limit as an exact piecewise flow, and what
+both limits share.
 
 Under synchronized updates the occupancy fractions follow a piecewise-smooth
 ODE between epochs whose assignment flux targets the minimum estimate
 level; at each epoch every column collapses onto the diagonal (estimates
 snap to true queue lengths).  Between two stops that flow has a closed
-form, so integrate_sync takes no steps.  fluid_async integrates its
-right-hand side with fixed RK4 steps over the occupied block of the state.
-The module also carries the Poisson drain quantities A/B, the queue-length
-bound scan, and trajectory-level consistency checks.
+form, so integrate_sync takes no steps.  Both limits share the stops, the
+clamp, FluidRun and SWITCH_TOL; fluid_async's RK4 stepper calls
+split_step_at_switch.  The module also carries the Poisson drain
+quantities A/B, the queue-length bound scan, and trajectory checks.
 """
 from __future__ import annotations
 
@@ -17,20 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (
-    FluidState,
-    check_truncation,
-    min_estimate_level,
-)
+from .model import FluidState, check_truncation, min_estimate_level
 
 # An estimate level counts as occupied above this mass; the step bisection
 # at level switches drives the depleting column to within it of zero.
 SWITCH_TOL = 1e-10
-
-# Levels past the occupied ones that an RK4 step works on: its four stages
-# each move mass at most one level, so the step leaves every cell beyond
-# them at zero.
-BLOCK_MARGIN = 4
 
 
 class IntegrationError(RuntimeError):
@@ -79,14 +70,6 @@ class FluidRun:
         return self.states[-1]
 
 
-def _rk4(rhs, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * h * k1)
-    k3 = rhs(y + 0.5 * h * k2)
-    k4 = rhs(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def split_step_at_switch(step, y: np.ndarray, h: float, m: int):
     """Bisect a step length onto the point where column m drains to zero.
 
@@ -106,58 +89,6 @@ def split_step_at_switch(step, y: np.ndarray, h: float, m: int):
         else:
             hi = mid
     raise IntegrationError("switch-point bisection did not converge")
-
-
-def _block_side(y: np.ndarray, n: int) -> int:
-    """Side k of the leading block [:k, :k] of an n-by-n state that one RK4
-    step works on; y is a leading block of the state that holds all of its
-    non-zero cells.
-
-    The block holds every non-zero cell and BLOCK_MARGIN more levels,
-    rounded up to a multiple of eight.  numpy sums a row or column pairwise,
-    with eight partial sums over a leading run of at most 128 entries, so
-    such a block sums every line in the order the whole state would.  Where
-    no such side fits, the block is the whole state.
-    """
-    occupied = np.flatnonzero(y.any(axis=0) | y.any(axis=1))
-    extent = int(occupied[-1]) + 1 if occupied.size else 0
-    side = -(-(extent + BLOCK_MARGIN) // 8) * 8
-    leaf = n  # numpy's leading pairwise run for a line of n entries
-    while leaf > 128:
-        leaf = leaf // 2 - leaf // 2 % 8
-    return side if side <= leaf else n
-
-
-def _advance(rhs, y: np.ndarray, span: float, dt: float) -> None:
-    """Integrate over a span in place, splitting steps exactly at
-    minimum-estimate switch points (where the lowest occupied column hits
-    zero mass).
-
-    Each step and each bisection works on the leading block of y that holds
-    the occupied levels (see _block_side), and writes its result back.
-    Precondition: rhs moves mass at most one level per evaluation, as
-    rhs_sync and rhs_async do.  Then every cell past the block has a
-    derivative of exactly zero in all four RK4 stages, so the block step
-    equals a step of all of y bit for bit.
-    """
-    n = len(y)
-    k = _block_side(y, n)
-    remaining = span
-    while remaining > 1e-14:
-        block = y[:k, :k]
-        m = min_estimate_level(block.sum(axis=0), SWITCH_TOL)
-        h = min(dt, remaining)
-        y_new = _rk4(rhs, block, h)
-        if y_new[:, m].sum() < -1e-13:
-            h, y_new = split_step_at_switch(lambda z, hh: _rk4(rhs, z, hh), block, h, m)
-            # The drained column's leftover (at most SWITCH_TOL in total, in
-            # cells of either sign) moves up one estimate level.
-            if m + 1 < k:
-                y_new[:, m + 1] += y_new[:, m]
-                y_new[:, m] = 0.0
-        block[...] = y_new
-        k = _block_side(y_new, n)
-        remaining -= h
 
 
 def _marks(t_end: float, epochs, store_times) -> list[tuple[float, bool]]:
@@ -201,51 +132,6 @@ def _settle(y: np.ndarray, clamped: float) -> float:
         np.maximum(y, 0.0, out=y)
     check_truncation(y)
     return clamped
-
-
-def check_dt(dt: float, delta: float) -> None:
-    """Refuse an RK4 step dt outside (0, min(1/delta, 1)/100]."""
-    if not 0.0 < dt <= min(1.0 / delta, 1.0) / 100.0:
-        raise ValueError(f"need 0 < dt <= min(1/delta, 1)/100, got {dt}")
-
-
-def integrate_fluid(
-    rhs,
-    y0: FluidState | np.ndarray,
-    lam: float,
-    delta: float,
-    t_end: float,
-    dt: float | None = None,
-    store_times: np.ndarray | None = None,
-) -> FluidRun:
-    """Integrate y' = rhs(y) on [0, t_end] with classic fixed-step
-    4th-order steps of dt (default min(1/delta, 1)/1000), split exactly at
-    stored grid points and estimate-level switches.
-
-    rhs must move mass at most one level per evaluation: each step works on
-    the occupied block of the state only (see _advance).
-    """
-    if dt is None:
-        dt = min(1.0 / delta, 1.0) / 1000.0
-    check_dt(dt, delta)
-    y = _state_array(y0)
-    marks = _marks(t_end, (), store_times)
-    states = np.empty((len(marks) + 1, *y.shape))
-    states[0] = y
-    clamped = 0.0
-    t = 0.0
-    for k, (t_next, _) in enumerate(marks, 1):
-        _advance(rhs, y, t_next - t, dt)
-        clamped = _settle(y, clamped)
-        states[k] = y
-        t = t_next
-    return FluidRun(
-        times=np.array([0.0, *(t for t, _ in marks)]),
-        states=states,
-        update_epochs=np.empty(0),
-        lam=lam,
-        clamped=clamped,
-    )
 
 
 def _flow(y: np.ndarray, m: int, lam: float, r: np.ndarray, out: np.ndarray) -> None:

@@ -128,11 +128,13 @@ def test_sweep_default_policies(tmp_path):
     assert len(jsq) == 1 and float(jsq[0][2]) == 4.0
 
 
-def test_sweep_refuses_bare_jsq_d(tmp_path):
-    with pytest.raises(ValueError, match="explicit integer d"):
+def test_sweep_refuses_bare_jsq_d(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
         run_cli(["sweep", "--n", "20", "--policies", "jsq-d", "--runs", "2",
                  "--horizon", "50", "--warmup", "10",
                  "--out", str(tmp_path / "sweep.csv")])
+    assert exit_info.value.code == 2
+    assert "explicit integer d" in capsys.readouterr().err
 
 
 def test_sweep_refuses_bad_policy_before_simulating(monkeypatch):
@@ -142,16 +144,17 @@ def test_sweep_refuses_bad_policy_before_simulating(monkeypatch):
     simulated = []
     monkeypatch.setattr(sparselb.des, "run_replications",
                         lambda *a: simulated.append(a))
-    with pytest.raises(ValueError, match="jiq-p"):
+    with pytest.raises(SystemExit) as exit_info:
         run_cli(args)
+    assert exit_info.value.code == 2
     assert simulated == []
     env = {**os.environ, "PYTHONPATH": str(Path(sparselb.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-m", "sparselb.cli", *args],
                           capture_output=True, text=True, env=env)
-    assert proc.returncode != 0
+    assert proc.returncode == 2
     assert proc.stdout == ""
     assert "jiq-p" in proc.stderr
-    assert proc.stderr.count("Traceback") == 1  # one error, no chained one
+    assert "Traceback" not in proc.stderr
 
 
 def test_sweep_config_file_with_overrides(tmp_path):
@@ -248,13 +251,14 @@ def test_validate_smoke_passes(tmp_path):
     ]
 
 
-def test_validate_tightened_tolerance_fails(tmp_path):
+def test_validate_failing_check_exits_1(tmp_path, monkeypatch):
+    monkeypatch.setattr(sparselb.checks, "fluid_des_distance", lambda *a: 1.0)
     out = tmp_path / "report.json"
-    rc = run_cli(["validate", "--budget", "smoke", "--seed", "3",
-                  "--tolerance-scale", "1e-9", "--out", str(out)])
+    rc = run_cli(["validate", "--budget", "smoke", "--seed", "3", "--out", str(out)])
     assert rc == 1
     doc = json.loads(out.read_text())
     assert not doc["passed"]
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["fluid_vs_des_supnorm"]
 
 
 def test_validate_stable_across_seeds(tmp_path):
@@ -377,6 +381,12 @@ def refused(argv, monkeypatch, capsys):
     (["sweep", "--n", "0"], "--n"),
     (["simulate", "--policy", "random", "--n", "0"], "--n"),
     (["fluid", "async", "--jmax", "-3"], "--jmax"),
+    (["simulate", "--policy", "bogus"], "--policy"),
+    (["simulate", "--policy", "jsq-d:5", "--n", "2"], "--policy"),
+    (["simulate", "--policy", "random", "--horizon", "10", "--warmup", "20"], "--warmup"),
+    (["sweep", "--policies", "sujsq-det", "--sweep", "0"], "--sweep"),
+    (["simulate", "--policy", "random", "--horizon", "inf"], "--horizon"),
+    (["sweep", "--horizon", "0"], "--horizon"),
 ])
 def test_bad_inputs_are_refused(argv, flag, monkeypatch, capsys):
     assert flag in refused(argv, monkeypatch, capsys)

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from sparselb.model import FluidState
+from sparselb import fluid_async, fluid_sync
+from sparselb.model import FluidState, StateError, default_jmax, min_estimate_level
 from sparselb.fluid_async import (
     CAP_TOL,
     driver_of,
@@ -9,7 +12,7 @@ from sparselb.fluid_async import (
     rhs_async,
 )
 from sparselb.fixed_point import y_star
-from sparselb.fluid_sync import SWITCH_TOL, IntegrationError
+from sparselb.fluid_sync import SWITCH_TOL, IntegrationError, rhs_sync
 
 
 def test_driver_empty_state():
@@ -177,3 +180,108 @@ def test_sparse_feedback_run_stays_non_negative():
     # -0.164, which its one store at t = 300 never sees.
     run = integrate_async(FluidState.empty(58), 0.7, 0.3, 60.0, dt=5e-3)
     assert run.states.min() >= 0.0
+
+
+# --- block steps against full-array steps --------------------------------------
+
+
+def full_advance(rhs, y, span, dt):
+    """The stepper before steps worked on the occupied block: every RK4 step
+    and bisection works on all of y.  Kept as the reference."""
+    step = lambda z, h: fluid_async._rk4(rhs, z, h)
+    remaining = span
+    while remaining > 1e-14:
+        m = min_estimate_level(y.sum(axis=0), SWITCH_TOL)
+        h = min(dt, remaining)
+        y_new = step(y, h)
+        if y_new[:, m].sum() < -1e-13:
+            h, y_new = fluid_sync.split_step_at_switch(step, y, h, m)
+            if m + 1 < y.shape[1]:
+                y_new[:, m + 1] += y_new[:, m]
+                y_new[:, m] = 0.0
+        y = y_new
+        remaining -= h
+    return y
+
+
+def random_state(rng, jmax, extent):
+    """A random upper-triangular state whose last occupied level is
+    extent - 1, with entries spread over nine decades.  Its lowest occupied
+    column, often the last one, holds little enough mass to drain within a
+    few steps, and half the states hold a total mass of 0.01 to 1, so that
+    a column can drain within one stage and the next one after it."""
+    y = np.zeros((jmax + 1, jmax + 1))
+    cells = np.triu(rng.random((extent, extent)) * 10.0 ** rng.uniform(-9, 0, (extent, extent)))
+    low = extent - 1 if rng.random() < 0.3 else int(rng.integers(0, extent))
+    cells[:, :low] = 0.0
+    cells[0, extent - 1] += 0.1
+    cells /= cells.sum()
+    cells[:, low] *= rng.uniform(1e-4, 1e-2) / cells[:, low].sum()
+    mass = 1.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-2, 0)
+    y[:extent, :extent] = cells * (mass / cells.sum())
+    return y
+
+
+@pytest.mark.parametrize("kind", ["async", "sync"])
+def test_block_step_equals_full_array_step(kind, monkeypatch):
+    # The trailing cases sit on both sides of numpy's first pairwise run of
+    # 64 entries (side 130) and 120 entries (side 251): past it the block
+    # must be the whole state.
+    rng = np.random.default_rng(12 if kind == "async" else 13)
+    cases = [(int(rng.integers(3, 46)), None) for _ in range(150)]
+    cases += [(129, 58), (129, 61), (129, 66), (129, 70), (250, 113), (250, 117), (250, 124)]
+    splits, sides, failed = [], [], 0
+    split = fluid_sync.split_step_at_switch
+    monkeypatch.setattr(fluid_sync, "split_step_at_switch",
+                        lambda *args: splits.append(1) or split(*args))
+    for jmax, extent in cases:
+        size = jmax + 1
+        if extent is None:
+            extent = size if rng.random() < 0.25 else int(rng.integers(1, size + 1))
+        y = random_state(rng, jmax, extent)
+        lam, delta = rng.uniform(0.3, 0.95), rng.uniform(0.1, 3.0)
+        dt = min(1.0 / delta, 1.0) / 100.0 * rng.uniform(0.1, 1.0)
+        span = dt * rng.uniform(2.0, 6.0)
+        if kind == "async":
+            rhs = lambda z: rhs_async(z, lam, delta)
+        else:
+            rhs = lambda z: rhs_sync(z, lam)
+        block_rhs = lambda z: sides.append(len(z) < size) or rhs(z)
+        try:
+            ref = full_advance(rhs, y, span, dt)
+        except (IntegrationError, StateError) as err:  # no landing, no level
+            with pytest.raises(type(err)):
+                fluid_async._advance(block_rhs, y, span, dt)
+            failed += 1
+            continue
+        fluid_async._advance(block_rhs, y, span, dt)
+        assert np.array_equal(y, ref), (jmax, extent)
+    assert splits  # the bisection ran on blocks
+    assert failed < len(cases) / 10
+    assert any(sides) and not all(sides)  # blocks smaller than the state, and whole states
+
+
+
+# Runs from empty by (lam, delta, jmax, dt, t_end), None for the default,
+# with the sha256 of their states.tobytes() and their number of switch
+# bisections, recorded before the RK4 stepper moved into fluid_async.
+ASYNC_PINNED = [
+    ((0.7, 0.85, 40, 1e-3, 2.0),
+     "5f84d9669f88cd4874e4acd47f37fb9794d2b913d0be08c4c5267abbd6c874ac", 1),
+    ((0.7, 0.3, None, None, 10.0),
+     "7b3ac43278a33aeb012af0831d76795c3f3b21b223c762e80cee2feeb2cd4fec", 3),
+]
+
+
+@pytest.mark.parametrize("inputs, digest, n_splits", ASYNC_PINNED,
+                         ids=["mean-field", "sparse-feedback"])
+def test_async_outputs_pinned(inputs, digest, n_splits, monkeypatch):
+    lam, delta, jmax, dt, t_end = inputs
+    splits = []
+    split = fluid_sync.split_step_at_switch
+    monkeypatch.setattr(fluid_sync, "split_step_at_switch",
+                        lambda *args: splits.append(1) or split(*args))
+    y0 = FluidState.empty(jmax or default_jmax(lam, delta))
+    run = integrate_async(y0, lam, delta, t_end, dt)
+    assert hashlib.sha256(run.states.tobytes()).hexdigest() == digest
+    assert len(splits) == n_splits

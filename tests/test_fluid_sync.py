@@ -3,24 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from sparselb import fluid_sync
+from sparselb import fluid_async, fluid_sync
 from sparselb.cli import main
 from sparselb.fixed_point import y_star
 from sparselb.model import (
     FluidState,
-    StateError,
     TruncationError,
     default_jmax,
     min_estimate_level,
 )
-from sparselb.fluid_async import integrate_async, rhs_async
+from sparselb.fluid_async import integrate_async
 from sparselb.fluid_sync import (
     SWITCH_TOL,
     CheckReport,
-    IntegrationError,
     apply_sync_update,
     check_trajectory_invariants,
-    integrate_fluid,
     integrate_sync,
     poisson_ab,
     queue_bound,
@@ -357,19 +354,18 @@ def test_fluid_cli_starts_from_the_fixed_point(tmp_path):
 
 
 def rk4_sync(y0, lam, delta, t_end, store_times):
-    """The synchronous limit by fine RK4 steps: integrate_fluid(rhs_sync)
-    over one epoch span at a time, with the epoch jump applied between;
-    t_end must not be an epoch."""
+    """The synchronous limit by fine RK4 steps: fluid_async._advance(rhs_sync)
+    from each store time or epoch to the next, with the epoch jump applied
+    at each epoch; t_end must not be an epoch."""
     dt = min(1.0 / delta, 1.0) / 10000.0
     y = np.array(y0.y if isinstance(y0, FluidState) else y0, dtype=float)
+    epochs = {*np.arange(1, math.floor(t_end * delta + 1e-12) + 1) / delta}
     states, start = [], 0.0
-    ends = [*np.arange(1, math.floor(t_end * delta + 1e-12) + 1) / delta, t_end]
-    for end in ends:
-        inside = [t - start for t in store_times if start < t < end]
-        run = integrate_fluid(lambda z: rhs_sync(z, lam), y, lam, delta, end - start,
-                              dt, store_times=inside)
-        y = run.states[-1] if end == t_end else apply_sync_update(run.states[-1])
-        states += [*run.states[1:-1], y]
+    for end in sorted(epochs | {t for t in store_times if t > 0.0} | {t_end}):
+        fluid_async._advance(lambda z: rhs_sync(z, lam), y, end - start, dt)
+        if end in epochs:
+            y = apply_sync_update(y)
+        states.append(y.copy())
         start = end
     return np.array(states)
 
@@ -394,88 +390,10 @@ def test_sync_takes_no_rk4_steps(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the synchronous limit must not step")
 
-    for name in ("rhs_sync", "_rk4", "split_step_at_switch"):
+    for name in ("rhs_sync", "split_step_at_switch"):
         monkeypatch.setattr(fluid_sync, name, refuse)
+    monkeypatch.setattr(fluid_async, "_rk4", refuse)
     for y0 in (FluidState.empty(40), y_star(0.7, 0.85, jmax=40).y_star):
         run = integrate_sync(y0, 0.7, 0.85, 6.0)
         assert run.times[-1] == 6.0
         assert np.abs(run.states.sum(axis=(1, 2)) - 1.0).max() < 1e-9
-
-
-# --- block steps against full-array steps --------------------------------------
-
-
-def full_advance(rhs, y, span, dt):
-    """The stepper before steps worked on the occupied block: every RK4 step
-    and bisection works on all of y.  Kept as the reference."""
-    step = lambda z, h: fluid_sync._rk4(rhs, z, h)
-    remaining = span
-    while remaining > 1e-14:
-        m = min_estimate_level(y.sum(axis=0), SWITCH_TOL)
-        h = min(dt, remaining)
-        y_new = step(y, h)
-        if y_new[:, m].sum() < -1e-13:
-            h, y_new = fluid_sync.split_step_at_switch(step, y, h, m)
-            if m + 1 < y.shape[1]:
-                y_new[:, m + 1] += y_new[:, m]
-                y_new[:, m] = 0.0
-        y = y_new
-        remaining -= h
-    return y
-
-
-def random_state(rng, jmax, extent):
-    """A random upper-triangular state whose last occupied level is
-    extent - 1, with entries spread over nine decades.  Its lowest occupied
-    column, often the last one, holds little enough mass to drain within a
-    few steps, and half the states hold a total mass of 0.01 to 1, so that
-    a column can drain within one stage and the next one after it."""
-    y = np.zeros((jmax + 1, jmax + 1))
-    cells = np.triu(rng.random((extent, extent)) * 10.0 ** rng.uniform(-9, 0, (extent, extent)))
-    low = extent - 1 if rng.random() < 0.3 else int(rng.integers(0, extent))
-    cells[:, :low] = 0.0
-    cells[0, extent - 1] += 0.1
-    cells /= cells.sum()
-    cells[:, low] *= rng.uniform(1e-4, 1e-2) / cells[:, low].sum()
-    mass = 1.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-2, 0)
-    y[:extent, :extent] = cells * (mass / cells.sum())
-    return y
-
-
-@pytest.mark.parametrize("kind", ["async", "sync"])
-def test_block_step_equals_full_array_step(kind, monkeypatch):
-    # The trailing cases sit on both sides of numpy's first pairwise run of
-    # 64 entries (side 130) and 120 entries (side 251): past it the block
-    # must be the whole state.
-    rng = np.random.default_rng(12 if kind == "async" else 13)
-    cases = [(int(rng.integers(3, 46)), None) for _ in range(150)]
-    cases += [(129, 58), (129, 61), (129, 66), (129, 70), (250, 113), (250, 117), (250, 124)]
-    splits, sides, failed = [], [], 0
-    split = fluid_sync.split_step_at_switch
-    monkeypatch.setattr(fluid_sync, "split_step_at_switch",
-                        lambda *args: splits.append(1) or split(*args))
-    for jmax, extent in cases:
-        size = jmax + 1
-        if extent is None:
-            extent = size if rng.random() < 0.25 else int(rng.integers(1, size + 1))
-        y = random_state(rng, jmax, extent)
-        lam, delta = rng.uniform(0.3, 0.95), rng.uniform(0.1, 3.0)
-        dt = min(1.0 / delta, 1.0) / 100.0 * rng.uniform(0.1, 1.0)
-        span = dt * rng.uniform(2.0, 6.0)
-        if kind == "async":
-            rhs = lambda z: rhs_async(z, lam, delta)
-        else:
-            rhs = lambda z: rhs_sync(z, lam)
-        block_rhs = lambda z: sides.append(len(z) < size) or rhs(z)
-        try:
-            ref = full_advance(rhs, y, span, dt)
-        except (IntegrationError, StateError) as err:  # no landing, no level
-            with pytest.raises(type(err)):
-                fluid_sync._advance(block_rhs, y, span, dt)
-            failed += 1
-            continue
-        fluid_sync._advance(block_rhs, y, span, dt)
-        assert np.array_equal(y, ref), (jmax, extent)
-    assert splits  # the bisection ran on blocks
-    assert failed < len(cases) / 10
-    assert any(sides) and not all(sides)  # blocks smaller than the state, and whole states

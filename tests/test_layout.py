@@ -1,0 +1,37 @@
+"""Rules of the package layout that no other test sees: every import sits at
+module level, but for the scipy imports that ctmc defers so that the CLI
+loads without scipy, and the synchronous limit does not depend on the
+asynchronous one.  The modules are parsed, not imported."""
+import ast
+import importlib.util
+from pathlib import Path
+
+PACKAGE = Path(importlib.util.find_spec("sparselb").origin).parent
+MODULES = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+
+
+def imports(tree):
+    """(node, module name) for every import in tree, relative names with
+    their dots; "from . import x" reads module ".x"."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            yield node, base
+            if not node.module:
+                yield from ((node, base + alias.name) for alias in node.names)
+
+
+def test_no_import_inside_a_function():
+    deferred = {(name, module)
+                for name, tree in MODULES.items()
+                for func in ast.walk(tree)
+                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for _, module in imports(func)}
+    assert deferred == {("ctmc", "scipy.sparse"), ("ctmc", "scipy.sparse.linalg")}
+
+
+def test_fluid_sync_imports_nothing_from_fluid_async():
+    modules = [module for _, module in imports(MODULES["fluid_sync"])]
+    assert modules and not any(module.endswith("fluid_async") for module in modules)
