@@ -1,9 +1,15 @@
 """Exact stationary analysis of the small-N Markov models.
 
 Only the exponential-update variants are Markovian on the occupancy state.
-Server exchangeability reduces the state to occupancy counts over
-(queue, estimate) pairs; arrivals that would push the minimum estimate past
-the cap are rejected and their rate recorded as truncation loss.
+Server exchangeability reduces the state to the multiset of the servers'
+(queue, estimate) pairs, stored as the sorted tuple of their pair indices;
+arrivals that would push the minimum estimate past the cap are rejected and
+their rate recorded as truncation loss.
+
+The memory of a chain is bounded through its state count: the generator
+holds nnz entries, the incomplete LU that preconditions the solve at most
+ILU_FILL_FACTOR * nnz, and GMRES GMRES_RESTART + 1 vectors of one entry
+per state.  So MAX_STATES bounds memory too.
 """
 from __future__ import annotations
 
@@ -19,13 +25,24 @@ if TYPE_CHECKING:
     from scipy.sparse import csr_array
 
 MAX_STATES = 50000
+# stationary's solver.  On 36 chains (both kinds at N 1-3, caps 3-14,
+# lam 0.3-0.95, delta 0.05-50) GMRES took at most 63 iterations and every
+# pi came within 2.5e-13 of a sparse LU solve's.  A relative residual of
+# 1e-13 is out of reach where pi[0] is small (the solve fixes pi[0] = 1):
+# at N = 3, cap 6, lam 0.95, delta 0.05 (aujsq-exp, pi[0] = 1.4e-5) the
+# residual of b - A x stalls at 5e-13.
+ILU_DROP_TOL = 0.1
+ILU_FILL_FACTOR = 10
+GMRES_RTOL = 1e-12
+GMRES_RESTART = 50
+GMRES_MAXITER = 10
 
 
 class ChainError(RuntimeError):
     pass
 
 
-State = tuple[int, ...]  # counts over enumerated (i, j) pairs
+State = tuple[int, ...]  # each server's index into pairs, sorted
 
 
 @dataclass
@@ -55,44 +72,39 @@ def _transitions(
     delta = policy.delta
     moves: list[tuple[State, float]] = []
     trunc = 0.0
-    # (index, (queue, estimate), count) of the occupied pairs, in index
-    # order: at most n_servers of the state's entries are non-zero.
-    occupied = [(idx, pairs[idx], c) for idx, c in enumerate(state) if c]
+    # (position of its first copy, (queue, estimate), count) of each
+    # occupied pair, in index order.
+    occupied = [
+        (state.index(idx), pairs[idx], state.count(idx)) for idx in dict.fromkeys(state)
+    ]
 
-    def moved(src: int, dst: int) -> State:
-        nxt = list(state)
-        nxt[src] -= 1
-        nxt[dst] += 1
-        return tuple(nxt)
+    def moved(pos: int, dst: int) -> State:
+        return tuple(sorted(state[:pos] + (dst,) + state[pos + 1:]))
 
     # Arrivals: uniformly random server among those at the minimum estimate.
-    w = {}
-    for _, (_, j), c in occupied:
-        w[j] = w.get(j, 0) + c
-    m = min(w)
+    # The pairs run in estimate order, so state[0] holds the minimum.
+    m = pairs[state[0]][1]
     if m >= cap:
         trunc += lam_total
     else:
-        for idx, (i, j), c in occupied:
+        w = sum(1 for idx in state if pairs[idx][1] == m)
+        for pos, (i, j), c in occupied:
             if j == m:
-                rate = lam_total * c / w[m]
-                moves.append((moved(idx, pair_index[(i + 1, j + 1)]), rate))
+                rate = lam_total * c / w
+                moves.append((moved(pos, pair_index[(i + 1, j + 1)]), rate))
 
     # Services: each busy server completes at unit rate.
-    for idx, (i, j), c in occupied:
+    for pos, (i, j), c in occupied:
         if i >= 1:
-            moves.append((moved(idx, pair_index[(i - 1, j)]), float(c)))
+            moves.append((moved(pos, pair_index[(i - 1, j)]), float(c)))
 
     # Updates.
     if policy.kind is PolicyKind.AUJSQ_EXP:
-        for idx, (i, j), c in occupied:
+        for pos, (i, j), c in occupied:
             if j > i:
-                moves.append((moved(idx, pair_index[(i, i)]), delta * c))
+                moves.append((moved(pos, pair_index[(i, i)]), delta * c))
     else:  # SUJSQ_EXP: one global collapse at rate delta
-        collapsed = [0] * len(state)
-        for _, (i, _), c in occupied:
-            collapsed[pair_index[(i, i)]] += c
-        collapsed = tuple(collapsed)
+        collapsed = tuple(sorted(pair_index[(pairs[idx][0],) * 2] for idx in state))
         if collapsed != state:
             moves.append((collapsed, delta))
     return moves, trunc
@@ -118,7 +130,7 @@ def build_generator(
         )
     pairs = [(i, j) for j in range(cap + 1) for i in range(j + 1)]
     pair_index = {p: k for k, p in enumerate(pairs)}
-    init = (params.n_servers,) + (0,) * (len(pairs) - 1)  # all at pairs[0] = (0, 0)
+    init = (0,) * params.n_servers  # all at pairs[0] = (0, 0)
 
     # Breadth-first: states grows while it is walked, so every state is
     # expanded once, in the order it was found.
@@ -168,24 +180,43 @@ def _singular(gen: csr_array) -> ChainError:
 
 
 def stationary(chain: TruncatedChain) -> np.ndarray:
-    """Solve pi G = 0, sum(pi) = 1 by a sparse LU solve: fix pi[0] = 1,
-    solve the other n - 1 balance equations, then normalise.  The generator
-    may be dense or scipy.sparse."""
+    """Solve pi G = 0, sum(pi) = 1: fix pi[0] = 1, solve the other n - 1
+    balance equations by ILU-preconditioned GMRES, then normalise.  The
+    generator may be dense or scipy.sparse."""
     # Imported here for the same reason as in build_generator;
     # scipy.sparse.linalg alone takes about 0.35 s to import.
     from scipy.sparse import csr_array
-    from scipy.sparse.linalg import splu
+    from scipy.sparse.linalg import LinearOperator, gmres, spilu
 
     gen = csr_array(chain.generator)
     n = gen.shape[0]
-    pi = np.ones(n)
+    a = gen[1:, 1:].T.tocsc()
+    b = -gen[[0], 1:].toarray().ravel()
     try:
-        # A minimum-degree ordering on A^T + A keeps the LU fill-in of these
-        # chains well below that of the default COLAMD ordering.
-        lu = splu(gen[1:, 1:].T.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        pi[1:] = lu.solve(-gen[[0], 1:].toarray().ravel())
-    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        # The columns of A are rows of the generator, so A is column
+        # diagonally dominant and is factored without pivoting, on a
+        # symmetric minimum-degree ordering.
+        ilu = spilu(
+            a, drop_tol=ILU_DROP_TOL, fill_factor=ILU_FILL_FACTOR,
+            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError:  # SuperLU: "matrix is singular"
         raise _singular(gen) from None
+    residuals: list[float] = []
+    x, info = gmres(
+        a, b, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
+        maxiter=GMRES_MAXITER, M=LinearOperator(a.shape, ilu.solve),
+        callback=residuals.append, callback_type="pr_norm",
+    )
+    if info:
+        rel = float(np.linalg.norm(b - a @ x) / np.linalg.norm(b))
+        raise ChainError(
+            f"GMRES stopped unconverged after {len(residuals)} iterations: "
+            f"relative residual {rel:.3g} > {GMRES_RTOL}"
+        )
+    pi = np.ones(n)
+    pi[1:] = x
     if not np.isfinite(pi).all():
         raise _singular(gen)
     if pi.min() < -1e-10:
@@ -198,15 +229,16 @@ def stationary(chain: TruncatedChain) -> np.ndarray:
     return pi
 
 
+def _queues(chain: TruncatedChain) -> np.ndarray:
+    """(n_states, N) array of each server's queue length."""
+    return np.array([i for i, _ in chain.pairs])[np.asarray(chain.states)]
+
+
 def queue_marginal(chain: TruncatedChain, dist: np.ndarray) -> np.ndarray:
     """Stationary distribution of a single server's queue length."""
-    probs = np.zeros(chain.cap + 1)
-    n = chain.params.n_servers
-    for s, p in zip(chain.states, dist):
-        for idx, c in enumerate(s):
-            if c:
-                probs[chain.pairs[idx][0]] += p * c / n
-    return probs
+    queues = _queues(chain)
+    weights = np.repeat(dist / chain.params.n_servers, queues.shape[1])
+    return np.bincount(queues.ravel(), weights=weights, minlength=chain.cap + 1)
 
 
 def truncation_loss(chain: TruncatedChain, dist: np.ndarray) -> float:
@@ -218,10 +250,7 @@ def truncation_loss(chain: TruncatedChain, dist: np.ndarray) -> float:
 def oracle_metrics(chain: TruncatedChain, dist: np.ndarray) -> tuple[float, float]:
     """(mean queue per server, mean wait) from the stationary law; the wait
     comes from the flow identity mean_queue = lam * (wait + service)."""
-    n = chain.params.n_servers
-    mean_queue = 0.0
-    for s, p in zip(chain.states, dist):
-        jobs = sum(c * chain.pairs[idx][0] for idx, c in enumerate(s))
-        mean_queue += p * jobs / n
+    jobs = _queues(chain).sum(axis=1)
+    mean_queue = float(dist @ jobs) / chain.params.n_servers
     mean_wait = mean_queue / chain.params.lam - 1.0
     return mean_queue, mean_wait

@@ -8,6 +8,7 @@ messages per job at dispatch time.
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_left, insort
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -56,7 +57,8 @@ class ParamRule(NamedTuple):
 
 PARAM_RULES: dict[PolicyKind, ParamRule] = {
     **dict.fromkeys(
-        ESTIMATE_KINDS, ParamRule("delta", float, lambda x: x > 0.0, "delta > 0")
+        ESTIMATE_KINDS,
+        ParamRule("delta", float, lambda x: 0.0 < x < math.inf, "a finite delta > 0"),
     ),
     PolicyKind.JSQ_D: ParamRule("d", int, lambda x: x >= 1, "an integer d >= 1"),
     PolicyKind.JIQ_P: ParamRule("p", float, lambda x: 0.0 <= x <= 1.0, "p in [0, 1]"),

@@ -387,6 +387,8 @@ def refused(argv, monkeypatch, capsys):
     (["sweep", "--policies", "sujsq-det", "--sweep", "0"], "--sweep"),
     (["simulate", "--policy", "random", "--horizon", "inf"], "--horizon"),
     (["sweep", "--horizon", "0"], "--horizon"),
+    (["simulate", "--policy", "sujsq-det:inf", "--n", "5", "--horizon", "10"], "--policy"),
+    (["sweep", "--sweep", "inf"], "--sweep"),
 ])
 def test_bad_inputs_are_refused(argv, flag, monkeypatch, capsys):
     assert flag in refused(argv, monkeypatch, capsys)

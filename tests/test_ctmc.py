@@ -1,15 +1,18 @@
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from scipy.sparse import coo_array
 
 import sparselb
 from sparselb import ctmc
 from sparselb.model import ModelParams
-from sparselb.policies import PolicySpec
+from sparselb.policies import PolicyKind, PolicySpec
 from sparselb.ctmc import (
     ChainError,
     TruncatedChain,
@@ -57,8 +60,8 @@ def test_stationary_reducible_chain_raises():
 def test_stationary_matches_dense_solve():
     # reference: the dense solve of G^T pi = 0 with the last equation
     # replaced by sum(pi) = 1
-    for kind in ("aujsq-exp", "sujsq-exp"):
-        chain = build(kind=kind)
+    for kind, (n, cap) in product(("aujsq-exp", "sujsq-exp"), ((2, 6), (3, 4), (3, 5))):
+        chain = build(n=n, kind=kind, cap=cap)
         a = chain.generator.toarray().T
         a[-1, :] = 1.0
         b = np.zeros(chain.n_states)
@@ -187,3 +190,113 @@ def test_occupancy_reduction_matches_labeled_chain():
         for q, _ in s:
             marg_full[q] += pi_full[k] / n
     assert np.abs(marg_full - marg_red).max() < 1e-10
+
+
+def test_unconverged_gmres_raises(monkeypatch):
+    monkeypatch.setattr(scipy.sparse.linalg, "gmres",
+                        lambda a, b, **kwargs: (np.zeros_like(b), 10))
+    with pytest.raises(ChainError, match=r"unconverged after \d+ iterations: relative residual 1 "):
+        stationary(build())
+
+
+def reference_transitions(state, pairs, pair_index, params, policy, cap):
+    """Outgoing moves of a state stored as counts over pairs: the
+    enumeration that the server multisets replaced, kept as the reference."""
+    lam_total = params.lam * params.n_servers
+    moves = []
+    trunc = 0.0
+    occupied = [(idx, pairs[idx], c) for idx, c in enumerate(state) if c]
+
+    def moved(src, dst):
+        nxt = list(state)
+        nxt[src] -= 1
+        nxt[dst] += 1
+        return tuple(nxt)
+
+    w = {}
+    for _, (_, j), c in occupied:
+        w[j] = w.get(j, 0) + c
+    m = min(w)
+    if m >= cap:
+        trunc += lam_total
+    else:
+        for idx, (i, j), c in occupied:
+            if j == m:
+                moves.append((moved(idx, pair_index[(i + 1, j + 1)]), lam_total * c / w[m]))
+    for idx, (i, j), c in occupied:
+        if i >= 1:
+            moves.append((moved(idx, pair_index[(i - 1, j)]), float(c)))
+    if policy.kind is PolicyKind.AUJSQ_EXP:
+        for idx, (i, j), c in occupied:
+            if j > i:
+                moves.append((moved(idx, pair_index[(i, i)]), policy.delta * c))
+    else:
+        collapsed = [0] * len(state)
+        for _, (i, _), c in occupied:
+            collapsed[pair_index[(i, i)]] += c
+        if tuple(collapsed) != state:
+            moves.append((tuple(collapsed), policy.delta))
+    return moves, trunc
+
+
+def reference_build(params, policy, cap):
+    """(count-vector states, CSR generator, truncation rates) in the
+    breadth-first order of the count-vector enumeration."""
+    pairs = [(i, j) for j in range(cap + 1) for i in range(j + 1)]
+    pair_index = {p: k for k, p in enumerate(pairs)}
+    init = (params.n_servers,) + (0,) * (len(pairs) - 1)
+    states, state_index = [init], {init: 0}
+    rows, cols, rates, trunc_rates = [], [], [], []
+    for si, s in enumerate(states):
+        moves, trunc = reference_transitions(s, pairs, pair_index, params, policy, cap)
+        trunc_rates.append(trunc)
+        for target, rate in moves:
+            if target not in state_index:
+                state_index[target] = len(states)
+                states.append(target)
+            rows.append(si)
+            cols.append(state_index[target])
+            rates.append(rate)
+    n = len(states)
+    diag = np.arange(n)
+    gen = coo_array(
+        (
+            np.concatenate([rates, -np.bincount(rows, weights=rates, minlength=n)]),
+            (np.concatenate([rows, diag]), np.concatenate([cols, diag])),
+        ),
+        shape=(n, n),
+    ).tocsr()
+    return states, gen, np.asarray(trunc_rates)
+
+
+@pytest.mark.parametrize("n, cap", [(1, 3), (1, 10), (2, 4), (2, 9), (3, 3), (3, 5)])
+@pytest.mark.parametrize("kind", ["aujsq-exp", "sujsq-exp"])
+def test_multiset_enumeration_replays_the_count_vectors(kind, n, cap):
+    params = ModelParams(n, 0.7, 0.85)
+    spec = PolicySpec.parse(f"{kind}:0.85")
+    chain = build_generator(params, spec, cap=cap)
+    states, gen, trunc = reference_build(params, spec, cap)
+    counts = [tuple(np.bincount(s, minlength=len(chain.pairs)).tolist()) for s in chain.states]
+    assert counts == states
+    for name in ("data", "indices", "indptr"):
+        assert getattr(chain.generator, name).tobytes() == getattr(gen, name).tobytes()
+    assert chain.truncation_rates.tobytes() == trunc.tobytes()
+
+
+@pytest.mark.parametrize("n, cap", [(2, 8), (3, 5)])
+def test_vectorised_summaries_match_the_loops(n, cap):
+    # the per-state loops over count vectors that queue_marginal and
+    # oracle_metrics replaced; they sum in another order, so the two agree
+    # to round-off
+    chain = build(n=n, cap=cap)
+    pi = stationary(chain)
+    states, _, _ = reference_build(chain.params, PolicySpec.parse("aujsq-exp:0.85"), cap)
+    marginal = np.zeros(cap + 1)
+    mean_queue = 0.0
+    for s, p in zip(states, pi):
+        for idx, c in enumerate(s):
+            if c:
+                marginal[chain.pairs[idx][0]] += p * c / n
+        mean_queue += p * sum(c * chain.pairs[idx][0] for idx, c in enumerate(s)) / n
+    assert np.abs(queue_marginal(chain, pi) - marginal).max() < 1e-14
+    assert oracle_metrics(chain, pi)[0] == pytest.approx(mean_queue, abs=1e-14)
