@@ -1,10 +1,12 @@
 """Event-driven simulation of the finite-N dispatching system.
 
-One replication is a single-threaded event loop over a binary-heap calendar
-with a fixed tie-break (departures before updates before arrivals, then
-insertion order), so a seed pins down the whole trace.  Waiting time is
-measured from arrival to service start; statistics only count the window
-after warmup.
+One replication is a single-threaded event loop over a calendar of three
+clocks: the next arrival, the next update, and a binary heap of departures
+holding one per busy server.  Each turn takes the earliest clock, with a
+fixed tie-break (departures before updates before arrivals, and tied
+departures in the order they were scheduled), so a seed pins down the whole
+trace.  Waiting time is measured from arrival to service start; statistics
+only count the window after warmup.
 
 Each replication draws from four numpy streams, one per purpose, and each
 stream has one reader.  Arrival gaps and service times are drawn BLOCK at a
@@ -161,6 +163,8 @@ class SimConfig:
     check_invariants: bool = False
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.horizon):
+            raise SimulationError(f"need a finite horizon, got {self.horizon}")
         if self.warmup is None:
             self.warmup = 0.2 * self.horizon
         if not 0.0 <= self.warmup < self.horizon:
@@ -312,24 +316,21 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
     next_service = exponentials(rngs["services"], 1.0).__next__
     rng_pol = WordDraws(raw_words(rngs["policy"]).__next__)
     uses_estimates = spec.uses_estimates
-    updates = None
+    t_up, s_up = math.inf, None  # the update clock and its server
     if uses_estimates:  # one word at a time, in step with exponential's reads
         upd = rngs["updates"]
         updates = schedule_updates(
             spec, params, WordDraws(upd.bit_generator.random_raw, upd.exponential))
+        t_up, s_up = next(updates)
 
     view = DispatcherView(spec, n)
     queues = [0] * n
     waiting: list[deque[float]] = [deque() for _ in range(n)]
 
-    heap: list[tuple[float, int, int, int]] = []
-    heappush, heappop = heapq.heappush, heapq.heappop
-    heappush(heap, (next_arrival_gap(), ARRIVAL, 0, -1))
-    seq = 1
-    if updates is not None:
-        t_up, s_up = next(updates)
-        heappush(heap, (t_up, UPDATE, seq, -1 if s_up is None else s_up))
-        seq += 1
+    departures: list[tuple[float, int, int]] = []  # (time, seq, server)
+    heappush, heapreplace, heappop = heapq.heappush, heapq.heapreplace, heapq.heappop
+    t_arr, seq = next_arrival_gap(), 0
+    check = config.check_invariants
 
     # Post-warmup accumulators.
     wait_sum = 0.0
@@ -367,8 +368,10 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
     # dispatch, on_assign, on_update, apply_global_update and on_idle are
     # looked up as module globals at each call, so that a tracer or a test
     # that patches them in this module sees every call.
-    while heap:
-        t, kind, _, server = heappop(heap)
+    while True:  # ties go to departures, then the update, then the arrival
+        t, kind = (t_up, UPDATE) if t_up <= t_arr else (t_arr, ARRIVAL)
+        if departures and departures[0][0] <= t:
+            (t, _, server), kind = departures[0], DEPARTURE
         if t > horizon:
             break
         while grid_left and grid_left[-1] < t:
@@ -378,8 +381,9 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
         if kind == ARRIVAL:
             target, msgs = dispatch(spec, view, queues, rng_pol)
             q_old = queues[target]
+            q_new = q_old + 1
             if q_old == top:
-                top += 1
+                top = q_new
                 if top == len(level_counts):
                     level_counts.append(0)
                     hist_area.append(0.0)
@@ -389,13 +393,13 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
                 messages_pw += msgs
                 area_queue += total_queue * (t - t_mark)
                 t_mark = t
-                for j in (q_old, q_old + 1):
-                    hist_area[j] += level_counts[j] * (t - level_since[j])
-                    level_since[j] = t
-            queues[target] = q_old + 1
+                hist_area[q_old] += level_counts[q_old] * (t - level_since[q_old])
+                hist_area[q_new] += level_counts[q_new] * (t - level_since[q_new])
+                level_since[q_old] = level_since[q_new] = t
+            queues[target] = q_new
             total_queue += 1
             level_counts[q_old] -= 1
-            level_counts[q_old + 1] += 1
+            level_counts[q_new] += 1
             if uses_estimates:
                 on_assign(view, target)
             if assignments is not None:
@@ -406,25 +410,25 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
                 # Service starts on arrival: a zero wait.
                 if t > warmup:
                     n_waits += 1
-                heappush(heap, (t + next_service(), DEPARTURE, seq, target))
+                heappush(departures, (t + next_service(), seq, target))
                 seq += 1
-            heappush(heap, (t + next_arrival_gap(), ARRIVAL, seq, -1))
-            seq += 1
+            t_arr = t + next_arrival_gap()
         elif kind == DEPARTURE:
             q_old = queues[server]
+            q_new = q_old - 1
             if t > warmup:
                 area_queue += total_queue * (t - t_mark)
                 t_mark = t
-                for j in (q_old - 1, q_old):
-                    hist_area[j] += level_counts[j] * (t - level_since[j])
-                    level_since[j] = t
-            queues[server] = q_old - 1
+                hist_area[q_new] += level_counts[q_new] * (t - level_since[q_new])
+                hist_area[q_old] += level_counts[q_old] * (t - level_since[q_old])
+                level_since[q_new] = level_since[q_old] = t
+            queues[server] = q_new
             total_queue -= 1
             level_counts[q_old] -= 1
-            level_counts[q_old - 1] += 1
+            level_counts[q_new] += 1
             if q_old == top and not level_counts[q_old]:
-                top -= 1
-            if q_old > 1:
+                top = q_new
+            if q_new:
                 arrived = waiting[server].popleft()
                 if arrived > warmup:
                     w = t - arrived
@@ -432,24 +436,23 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
                     n_waits += 1
                     if w > 0.0:
                         n_positive += 1
-                heappush(heap, (t + next_service(), DEPARTURE, seq, server))
+                heapreplace(departures, (t + next_service(), seq, server))
                 seq += 1
             else:
+                heappop(departures)
                 msgs = on_idle(spec, view, server, rng_pol)
                 if t > warmup:
                     messages_pw += msgs
         else:  # UPDATE
-            if server < 0:
+            if s_up is None:
                 msgs = apply_global_update(spec, view, queues)
             else:
-                msgs = on_update(view, server, queues[server])
+                msgs = on_update(view, s_up, queues[s_up])
             if t > warmup:
                 messages_pw += msgs
             t_up, s_up = next(updates)
-            heappush(heap, (t_up, UPDATE, seq, -1 if s_up is None else s_up))
-            seq += 1
 
-        if config.check_invariants:
+        if check:
             assert min(queues) >= 0
             assert top == max(queues) and not any(level_counts[top + 1 :])
             assert level_counts[: top + 1] == np.bincount(queues).tolist()
@@ -457,6 +460,7 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
                 assert all(e >= q for e, q in zip(view.est, queues))
                 view.check_index()
             assert sum(map(len, waiting)) == sum(q - 1 for q in queues if q)
+            assert sorted(e[2] for e in departures) == np.flatnonzero(queues).tolist()
 
     area_queue += total_queue * (horizon - t_mark)
     for j, c in enumerate(level_counts):

@@ -1,4 +1,6 @@
 import heapq
+import itertools
+import math
 from collections import deque
 from types import SimpleNamespace
 
@@ -134,6 +136,35 @@ def test_level_index_invariant_checked(corruption, monkeypatch):
         run(cfg)
 
 
+CALENDAR_CORRUPTIONS = {
+    "dropped": lambda heap, entry: None,
+    "doubled": lambda heap, entry: heap.extend([entry, entry]),
+    "misrouted": lambda heap, entry: heap.append((*entry[:2], (entry[2] + 1) % 4)),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CALENDAR_CORRUPTIONS))
+def test_departure_calendar_invariant_checked(corruption, monkeypatch):
+    # invariant-checking mode asserts that the departure heap holds one
+    # entry per busy server; corrupt the first departure and expect the check
+    pushed = []
+
+    def heappush(heap, entry):
+        if pushed:
+            heapq.heappush(heap, entry)
+        else:
+            CALENDAR_CORRUPTIONS[corruption](heap, entry)
+        pushed.append(entry)
+
+    monkeypatch.setattr(des, "heapq", SimpleNamespace(
+        heappush=heappush, heapreplace=heapq.heapreplace, heappop=heapq.heappop))
+    cfg = make_config("aujsq-exp:0.85", n=4, horizon=20.0, warmup=5.0,
+                      check_invariants=True)
+    with pytest.raises(AssertionError):
+        run(cfg)
+    assert len(pushed) == 1
+
+
 def scan_dispatch(spec, view, queues, rng):
     """The O(N) scan that the level index replaced, kept as the reference."""
     if not spec.uses_estimates:
@@ -177,6 +208,18 @@ def test_warmup_too_long_raises():
             policy=PolicySpec.parse("random"),
             horizon=10.0,
             warmup=10.0,
+        )
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan])
+def test_non_finite_horizon_refused(horizon):
+    # Only built, never run: an infinite horizon would never end.
+    with pytest.raises(SimulationError, match="finite horizon"):
+        SimConfig(
+            params=ModelParams(2, 0.5, 1.0),
+            policy=PolicySpec.parse("random"),
+            horizon=horizon,
+            warmup=1.0,
         )
 
 
@@ -606,11 +649,52 @@ def test_outputs_pinned(policy, n):
     assert rec.queue_len_hist.tolist() == hist
 
 
+# Arrival gaps of 0.5 and services of 1.0, 2.0, 1.0, ... put arrivals,
+# departures and the epochs of delta 1.0 on one grid, so the calendar meets
+# exact ties of all three clocks and of departures among themselves.  jiq
+# pins departures before arrivals, sujsq-det departures before updates before
+# arrivals, and both the scheduling order of tied departures.  The values are
+# those of the single-heap calendar that the three clocks replaced.
+TIED = {
+    "jiq": (
+        0.8723404255319149, 0.40625, 1.5972222222222223, 0.5851063829787234,
+        96, 94,
+        [0.003472222222222222, 0.5, 0.3923611111111111, 0.10416666666666667],
+        [31, 46, 43],
+    ),
+    "sujsq-det:1.0": (
+        0.47368421052631576, 1.5, 1.3194444444444444, 0.5263157894736842,
+        96, 95, [0.003472222222222222, 0.6736111111111112, 0.3229166666666667],
+        [40, 33, 47],
+    ),
+    "sujsq-det-idle:1.0": (
+        0.48947368421052634, 0.5, 1.3333333333333333, 0.49473684210526314,
+        96, 95, [0.0, 0.6666666666666666, 0.3333333333333333], [32, 58, 30],
+    ),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(TIED))
+def test_exact_ties_follow_the_tie_rule(policy, monkeypatch):
+    def dyadic(rng, scale):  # the service stream is the one of scale 1
+        return itertools.cycle([1.0, 2.0]) if scale == 1.0 else itertools.repeat(0.5)
+
+    monkeypatch.setattr(des, "exponentials", dyadic)
+    rec = run(make_config(policy, n=3, horizon=60.0, warmup=12.0, seed=4,
+                          track_assignments=True, check_invariants=True))
+    assert (
+        rec.mean_wait, rec.msgs_per_job, rec.mean_queue_per_server,
+        rec.frac_wait_positive, rec.n_arrivals, rec.n_waits,
+        rec.queue_len_hist.tolist(), rec.assignments.tolist(),
+    ) == TIED[policy]
+
+
 def account_replay(cfg, events, targets, messages):
-    """The outputs of one run rebuilt from its popped events, the dispatched
-    servers and the (time, messages) of each policy hook, with the per-event
-    account loop that the level fold replaced: at every queue change, every
-    occupied level gains count x stretch.  Kept as the reference."""
+    """The outputs of one run rebuilt from its events in calendar order, the
+    dispatched servers and the (time, messages) of each policy hook, with
+    the per-event account loop that the level fold replaced: at every queue
+    change, every occupied level gains count x stretch.  Kept as the
+    reference."""
     n, warmup, horizon = cfg.params.n_servers, cfg.warmup, cfg.horizon
     jmax = cfg.snapshot_jmax
     queues = [0] * n
@@ -695,35 +779,73 @@ def account_replay(cfg, events, targets, messages):
 @pytest.mark.parametrize("n, horizon, warmup", [(2, 700.3, 151.7), (200, 20.3, 4.1)])
 @pytest.mark.parametrize("policy", sorted({policy for policy, _ in PINNED}))
 def test_level_fold_replays_the_account_loop(policy, n, horizon, warmup, monkeypatch):
-    events, targets, messages = [], [], []
+    # The events are rebuilt from what the loop schedules, as (t, kind, seq,
+    # server): arrival times from the arrival gaps, updates from the
+    # schedule and departures from the heap pushes.  Sorted, they follow
+    # the tie rule; the run ends at the first event past the horizon.
+    arrivals, updates, departures, idled = [], [], [], []
+    targets, messages, streams = [], [], {}
     real = {name: getattr(des, name)
-            for name in ("dispatch", "on_idle", "on_update", "apply_global_update")}
+            for name in ("dispatch", "on_idle", "on_update", "apply_global_update",
+                         "rng_streams", "exponentials", "schedule_updates")}
+
+    def rng_streams(*args):
+        streams.update(real["rng_streams"](*args))
+        return streams
+
+    def exponentials(rng, scale):
+        for gap in real["exponentials"](rng, scale):
+            if rng is streams["arrivals"]:
+                t = arrivals[-1][0] + gap if arrivals else gap
+                arrivals.append((t, des.ARRIVAL, len(arrivals), -1))
+            yield gap
+
+    def schedule_updates(*args):
+        for t, server in real["schedule_updates"](*args):
+            mark = -1 if server is None else server
+            updates.append((t, des.UPDATE, len(updates), mark))
+            yield t, server
+
+    def scheduled(push):
+        def departure(heap, entry):
+            departures.append((entry[0], des.DEPARTURE, entry[1], entry[2]))
+            return push(heap, entry)
+        return departure
 
     def heappop(heap):
-        events.append(heapq.heappop(heap))
-        return events[-1]
+        idled.append(heap[0])
+        return heapq.heappop(heap)
 
+    # Each hook runs while its own clock still reads the current event.
     def dispatch(*args):
         target, msgs = real["dispatch"](*args)
         targets.append(target)
-        messages.append((events[-1][0], msgs))
+        messages.append((arrivals[-1][0], msgs))
         return target, msgs
 
-    def recorded(name):
+    def recorded(name, clock):
         def hook(*args):
             msgs = real[name](*args)
-            messages.append((events[-1][0], msgs))
+            messages.append((clock[-1][0], msgs))
             return msgs
         return hook
 
-    monkeypatch.setattr(des, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=heappop))
+    monkeypatch.setattr(des, "heapq", SimpleNamespace(
+        heappush=scheduled(heapq.heappush), heapreplace=scheduled(heapq.heapreplace),
+        heappop=heappop))
+    monkeypatch.setattr(des, "rng_streams", rng_streams)
+    monkeypatch.setattr(des, "exponentials", exponentials)
+    monkeypatch.setattr(des, "schedule_updates", schedule_updates)
     monkeypatch.setattr(des, "dispatch", dispatch)
-    for name in ("on_idle", "on_update", "apply_global_update"):
-        monkeypatch.setattr(des, name, recorded(name))
+    for name, clock in (("on_idle", idled), ("on_update", updates),
+                        ("apply_global_update", updates)):
+        monkeypatch.setattr(des, name, recorded(name, clock))
     grid = np.arange(0.0, horizon, horizon / 37)
     cfg = make_config(policy, n=n, horizon=horizon, warmup=warmup, seed=5,
                       trajectory_grid=grid)
     rec = run(cfg)
+    events = sorted(arrivals + updates + departures)
+    events = events[: next(i for i, e in enumerate(events) if e[0] > horizon) + 1]
     ref = account_replay(cfg, events, targets, messages)
     # warmup and horizon each fall inside a stretch between queue changes
     changes = [t for t, kind, _, _ in events if kind != des.UPDATE]
