@@ -182,6 +182,12 @@ class SimConfig:
             raise SimulationError(
                 f"jsq-d:{d} probes d = {d} distinct servers, more than N = {n}"
             )
+        jmax = self.snapshot_jmax
+        if not isinstance(jmax, (int, np.integer)) or jmax < 0:
+            raise SimulationError(f"need an integer snapshot_jmax >= 0, got {jmax!r}")
+        grid = self.trajectory_grid
+        if grid is not None and not np.isfinite(np.asarray(grid, dtype=float)).all():
+            raise SimulationError("trajectory_grid times must be finite")
 
     def grid_times(self) -> np.ndarray | None:
         if self.trajectory_grid is None:
@@ -360,7 +366,8 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
 
     def snapshot() -> None:
         nonlocal clipped
-        q, e = np.array(queues), view.estimates
+        q = np.fromiter(queues, np.int64, n)
+        e = None if view.est is None else np.fromiter(view.est, np.int64, n)
         snaps.append(snapshot_fractions(q, e, jmax))
         high = q if e is None else np.maximum(q, e)
         clipped = max(clipped, np.count_nonzero(high > jmax) / n)

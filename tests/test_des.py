@@ -1,6 +1,8 @@
+import hashlib
 import heapq
 import itertools
 import math
+from bisect import insort
 from collections import deque
 from types import SimpleNamespace
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sparselb import des
+from sparselb import des, policies
 from sparselb.checks import fluid_des_distance
 from sparselb.fluid_async import integrate_async
 from sparselb.model import FluidState, ModelParams, derive
@@ -111,29 +113,44 @@ def test_estimate_dominance_invariant_checked():
         run(cfg)
 
 
+def misplace(view, server):
+    """Move the server just assigned into the lowest level, in order."""
+    for level in view.levels:
+        if server in level:
+            level.remove(server)
+    insort(view.levels[view.lowest], server)
+
+
+# name -> (a break of the level index after an assignment to server, the
+# message of the one check in check_index that must catch it)
 CORRUPTIONS = {
-    "unsorted": lambda view: view.levels[view.lowest].reverse(),
-    "misplaced": lambda view: view.levels.append([view.levels[view.lowest].pop()]),
-    "dropped": lambda view: view.levels[view.lowest].pop(),
-    "lowest": lambda view: setattr(view, "lowest", view.lowest + 1),
+    "unsorted": (lambda view, server: view.levels[view.lowest].reverse(), "not sorted"),
+    "misplaced": (misplace, "stranger"),
+    "dropped": (lambda view, server: view.levels[view.lowest].pop(), "unlisted"),
+    "lowest": (lambda view, server: setattr(view, "lowest", view.lowest + 1), "least"),
+    "ceiling": (lambda view, server: setattr(view, "ceiling", view.ceiling + 1), "top level"),
 }
 
 
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
 def test_level_index_invariant_checked(corruption, monkeypatch):
     # invariant-checking mode asserts that the level index matches the
-    # estimates; break it after the first assignment and expect the check
+    # estimates; break it after the first assignment and expect the check,
+    # in a view that lists every level (n = 4) and in one under a ceiling
     real = des.on_assign
+    corrupt, message = CORRUPTIONS[corruption]
 
     def corrupting_assign(view, server):
         real(view, server)
-        CORRUPTIONS[corruption](view)
+        corrupt(view, server)
 
     monkeypatch.setattr(des, "on_assign", corrupting_assign)
-    cfg = make_config("aujsq-exp:0.85", n=4, horizon=20.0, warmup=5.0,
-                      check_invariants=True)
-    with pytest.raises(AssertionError):
-        run(cfg)
+    for n in (4, 40):
+        assert (n < policies.LIST_ALL_BELOW) == (n == 4)
+        cfg = make_config("aujsq-exp:0.85", n=n, horizon=20.0, warmup=5.0,
+                          check_invariants=True)
+        with pytest.raises(AssertionError, match=message):
+            run(cfg)
 
 
 CALENDAR_CORRUPTIONS = {
@@ -176,7 +193,7 @@ def scan_dispatch(spec, view, queues, rng):
     return int(lowest[rng.integers(lowest.size)]), 0
 
 
-@pytest.mark.parametrize("n, horizon", [(2, 600.0), (7, 200.0), (60, 40.0)])
+@pytest.mark.parametrize("n, horizon", [(2, 600.0), (7, 200.0), (60, 40.0), (3000, 4.0)])
 @pytest.mark.parametrize("kind", sorted(k.value for k in ESTIMATE_KINDS))
 def test_level_index_replays_the_scan(kind, n, horizon, monkeypatch):
     grid = np.arange(0.0, horizon + 1e-12, horizon / 40)
@@ -221,6 +238,25 @@ def test_non_finite_horizon_refused(horizon):
             horizon=horizon,
             warmup=1.0,
         )
+
+
+@pytest.mark.parametrize("setting", [
+    {"snapshot_jmax": -1},
+    {"snapshot_jmax": 2.5},
+    {"trajectory_grid": np.array([0.5, math.nan])},
+    {"trajectory_grid": np.array([0.5, math.inf])},
+    {"trajectory_grid": [-math.inf]},
+], ids=["negative-jmax", "fractional-jmax", "nan-time", "inf-time", "minus-inf-time"])
+def test_bad_snapshot_settings_refused(setting):
+    # Only built, never run: the refusal comes before any event.
+    with pytest.raises(SimulationError, match="snapshot_jmax|trajectory_grid"):
+        make_config("random", n=4, horizon=5.0, warmup=0.0, **setting)
+
+
+def test_grid_times_past_the_horizon_dropped():
+    cfg = make_config("random", n=4, horizon=5.0, warmup=0.0,
+                      trajectory_grid=np.array([1.0, 5.0, 6.0]))
+    assert cfg.grid_times().tolist() == [1.0, 5.0]
 
 
 def test_no_post_warmup_arrivals_raises():
@@ -643,6 +679,47 @@ def test_outputs_pinned(policy, n):
     horizon = {2: 5000.0, 200: 50.0}[n]
     rec = run(make_config(policy, n=n, horizon=horizon, warmup=horizon / 5, seed=17))
     mean_wait, msgs_per_job, mean_queue, hist = PINNED[policy, n]
+    assert rec.mean_wait == mean_wait
+    assert rec.msgs_per_job == msgs_per_job
+    assert rec.mean_queue_per_server == mean_queue
+    assert rec.queue_len_hist.tolist() == hist
+
+
+# Trajectories at N = 2000 (horizon 5, a snapshot every 0.1, seed 17), where
+# the estimate kinds' levels hold hundreds of servers and the snapshots read
+# whole queue and estimate lists.  Recorded before the level index got its
+# ceiling and the snapshots their one conversion per list.  Values: sha256 of
+# trajectory.y.tobytes(), clipped, mean_wait, msgs_per_job,
+# mean_queue_per_server, queue_len_hist.
+PINNED_TRAJECTORIES = {
+    "aujsq-exp:0.85": (
+        "a44dcacda0b642b2fa57578116f1c363cfdbbee534e45f620dd98827e2580415", 0.0,
+        0.08777213546495506, 1.2360601614086573, 0.6687243283275724,
+        [0.4251335509625418, 0.48100856974734785, 0.0938578792901128],
+    ),
+    "random": (
+        "792a5088a78e0acfd5c5589f629f87d773ff7852f7cfea7eb03cc27055878a82", 0.0,
+        0.31086145320896663, 0.0, 0.8587866744187054,
+        [0.496803675464939, 0.2835862890782411, 0.13239131119065767,
+         0.054353008552399454, 0.022130274786105353, 0.00675542814245113,
+         0.0028687889175210667, 0.0010420270013511792, 6.91968663360556e-05],
+    ),
+    "sujsq-det:0.85": (
+        "1441faaa503f55d0b683778cf4e1d73ef32773be23a92fa5da22fd6fab571fba", 0.0,
+        0.0782137962668462, 1.467351430667645, 0.6646218742783733,
+        [0.41882719112410943, 0.4977237434734116, 0.08344906540247951],
+    ),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(PINNED_TRAJECTORIES))
+def test_trajectories_pinned(policy):
+    rec = run(make_config(policy, n=2000, horizon=5.0, warmup=1.0, seed=17,
+                          trajectory_grid=np.arange(0.1, 5.05, 0.1)))
+    digest, clipped, mean_wait, msgs_per_job, mean_queue, hist = PINNED_TRAJECTORIES[policy]
+    assert rec.trajectory.y.shape == (50, 41, 41)
+    assert hashlib.sha256(rec.trajectory.y.tobytes()).hexdigest() == digest
+    assert rec.trajectory.clipped == clipped
     assert rec.mean_wait == mean_wait
     assert rec.msgs_per_job == msgs_per_job
     assert rec.mean_queue_per_server == mean_queue

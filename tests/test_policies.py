@@ -146,6 +146,35 @@ def test_on_update_resets_estimate():
     assert list(view.estimates) == [2, 3]
 
 
+class WatchedLevel(list):
+    """A level list that counts the deletions and insertions made in it."""
+
+    changes = 0
+
+    def __delitem__(self, i):
+        self.changes += 1
+        super().__delitem__(i)
+
+    def insert(self, i, x):
+        self.changes += 1
+        super().insert(i, x)
+
+
+@pytest.mark.parametrize("n", [3, 40])  # every level listed, and under a ceiling
+def test_report_equal_to_the_estimate_changes_nothing(n):
+    _, view = view_for("aujsq-exp:1.0", n)
+    view.set_estimates([2] + [1] * (n - 1))
+    lowest_level = view.levels[1] = WatchedLevel(view.levels[1])
+    levels = [list(level) for level in view.levels]
+    est = view.est
+    assert on_update(view, 0, 2) == 1  # still one message
+    assert on_update(view, n - 1, 1) == 1
+    assert view.est is est and view.est == [2] + [1] * (n - 1)
+    assert view.lowest == 1 and view.levels[1] is lowest_level
+    assert view.levels == levels and lowest_level.changes == 0
+    view.check_index()
+
+
 def test_apply_global_update():
     spec, view = view_for("sujsq-det:0.85", 4)
     view.set_estimates([9, 9, 9, 9])
