@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -133,17 +134,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _initial_state(y0: str, lam: float, delta: float, jmax: int) -> FluidState:
-    if y0 == "empty":
-        return FluidState.empty(jmax)
-    if y0 == "fixed-point":
-        return fixed_point.y_star(lam, delta, jmax=jmax).y_star
-    data = json.loads(Path(y0).read_text())
-    entries = {(int(i), int(j)): float(v) for i, j, v in data["entries"]}
-    return FluidState.from_entries(entries, jmax=jmax)
+    """The --y0 state; a file that cannot be read as a state, or a fixed
+    point that y_star refuses, raises ArgumentTypeError."""
+    try:
+        if y0 == "empty":
+            return FluidState.empty(jmax)
+        if y0 == "fixed-point":
+            return fixed_point.y_star(lam, delta, jmax=jmax).y_star
+        data = json.loads(Path(y0).read_text())
+        entries = {(int(i), int(j)): float(v) for i, j, v in data["entries"]}
+        return FluidState.from_entries(entries, jmax=jmax)
+    except (OSError, ValueError, KeyError, TypeError) as err:
+        raise argparse.ArgumentTypeError(f"argument --y0: {y0}: {err}") from None
 
 
 def cmd_fluid(args: argparse.Namespace) -> int:
     jmax = args.jmax or default_jmax(args.lam, args.delta)
+    stops = math.ceil((args.t_end + 1e-12) / args.grid_dt)  # len(store)
+    need = stops * 8 * (jmax + 1) ** 2
+    if need > fixed_point.MAX_STATE_BYTES:
+        raise argparse.ArgumentTypeError(
+            f"argument --jmax/--delta/--t-end/--grid-dt: {stops} stored states on "
+            f"jmax={jmax} need {need / 1e6:.0f} MB, over the "
+            f"{fixed_point.MAX_STATE_BYTES / 1e6:.0f} MB budget"
+        )
     y0 = _initial_state(args.y0, args.lam, args.delta, jmax)
     store = np.arange(0.0, args.t_end + 1e-12, args.grid_dt)
     if args.kind == "sync":
@@ -173,15 +187,23 @@ def cmd_fluid(args: argparse.Namespace) -> int:
     return 0
 
 
+def _y_star(lam: float, delta: float, flag: str) -> fixed_point.FixedPoint:
+    """y_star(lam, delta), its range errors refused as usage errors of flag."""
+    try:
+        return fixed_point.y_star(lam, delta)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"argument {flag}: {err}") from None
+
+
 def cmd_fixed_point(args: argparse.Namespace) -> int:
     if args.delta_grid:
         lines = ["delta,m_star,nu,q_tilde"]
         for d in args.delta_grid:
-            fp = fixed_point.y_star(args.lam, d)
+            fp = _y_star(args.lam, d, "--delta-grid")
             lines.append(f"{_fmt(d)},{fp.m_star},{_fmt(fp.nu)},{_fmt(fp.q_tilde)}")
         _write(args.out, "\n".join(lines) + "\n")
         return 0
-    fp = fixed_point.y_star(args.lam, args.delta)
+    fp = _y_star(args.lam, args.delta, "--delta")
     y = fp.y_star.y
     entries = [
         [int(i), int(j), float(y[i, j])] for i, j in zip(*np.nonzero(y))

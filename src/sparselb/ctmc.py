@@ -50,7 +50,7 @@ class TruncatedChain:
     cap: int
     pairs: list[tuple[int, int]]
     states: list[State]
-    generator: csr_array  # stationary also takes a dense ndarray
+    generator: csr_array
     truncation_rates: np.ndarray
     params: ModelParams
 
@@ -115,8 +115,8 @@ def build_generator(
 ) -> TruncatedChain:
     """Enumerate reachable occupancy states from the all-idle start and
     assemble the sparse (CSR) rate matrix."""
-    # Imported here, not at module top, so that `import sparselb` does not
-    # pay scipy's import time; most callers never build a chain.
+    # Imported here, not at module top, so that the CLI loads without
+    # scipy's import time; most callers never build a chain.
     from scipy.sparse import coo_array
 
     if policy.kind not in (PolicyKind.AUJSQ_EXP, PolicyKind.SUJSQ_EXP):
@@ -181,14 +181,12 @@ def _singular(gen: csr_array) -> ChainError:
 
 def stationary(chain: TruncatedChain) -> np.ndarray:
     """Solve pi G = 0, sum(pi) = 1: fix pi[0] = 1, solve the other n - 1
-    balance equations by ILU-preconditioned GMRES, then normalise.  The
-    generator may be dense or scipy.sparse."""
+    balance equations by ILU-preconditioned GMRES, then normalise."""
     # Imported here for the same reason as in build_generator;
     # scipy.sparse.linalg alone takes about 0.35 s to import.
-    from scipy.sparse import csr_array
     from scipy.sparse.linalg import LinearOperator, gmres, spilu
 
-    gen = csr_array(chain.generator)
+    gen = chain.generator
     n = gen.shape[0]
     a = gen[1:, 1:].T.tocsc()
     b = -gen[[0], 1:].toarray().ravel()

@@ -159,7 +159,6 @@ class SimConfig:
     seed: int = 0
     trajectory_grid: np.ndarray | None = None  # snapshot times
     snapshot_jmax: int = 40
-    track_assignments: bool = False
     check_invariants: bool = False
 
     def __post_init__(self) -> None:
@@ -217,7 +216,6 @@ class MetricsRecord:
     n_arrivals: int
     n_waits: int
     trajectory: Trajectory | None = None
-    assignments: np.ndarray | None = None
     per_run: list["MetricsRecord"] | None = None
     mean_wait_ci: float | None = None
 
@@ -356,7 +354,6 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
     # to the window, so they stay at warmup until an event passes it.
     t_mark = warmup
     level_since = [warmup]
-    assignments = [0] * n if config.track_assignments else None
 
     grid = config.grid_times()
     grid_left = [] if grid is None else grid.tolist()[::-1]  # next time last
@@ -409,8 +406,6 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
             level_counts[q_new] += 1
             if uses_estimates:
                 on_assign(view, target)
-            if assignments is not None:
-                assignments[target] += 1
             if q_old:
                 waiting[target].append(t)
             else:
@@ -496,5 +491,4 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
         n_arrivals=n_arrivals_pw,
         n_waits=n_waits,
         trajectory=trajectory,
-        assignments=None if assignments is None else np.array(assignments, dtype=np.int64),
     )

@@ -78,12 +78,13 @@ class FluidState:
         return cls(y)
 
     @classmethod
-    def from_entries(
-        cls, entries: dict[tuple[int, int], float], jmax: int | None = None
-    ) -> "FluidState":
-        jm = max(j for _, j in entries) if jmax is None else jmax
-        y = np.zeros((jm + 1, jm + 1))
+    def from_entries(cls, entries: dict[tuple[int, int], float], jmax: int) -> "FluidState":
+        """The state with y[i, j] = value for each (i, j) in entries, on a
+        (jmax + 1)^2 grid; an index outside 0..jmax is refused."""
+        y = np.zeros((jmax + 1, jmax + 1))
         for (i, j), val in entries.items():
+            if not (0 <= i <= jmax and 0 <= j <= jmax):
+                raise StateError(f"entry ({i}, {j}) lies outside the grid 0..{jmax}")
             y[i, j] = val
         return cls(y)
 
@@ -109,12 +110,8 @@ def min_estimate_level(w, tol: float = 0.0) -> int:
     raise StateError("no estimate level carries mass")
 
 
-def derive(state: FluidState | np.ndarray) -> DerivedFunctionals:
-    """Compute v, w, z, m and total queue mass for a state."""
-    if isinstance(state, FluidState):
-        y = state.y
-    else:
-        y = np.asarray(state, dtype=float)
+def derive(y: np.ndarray) -> DerivedFunctionals:
+    """Compute v, w, z, m and total queue mass for an occupancy array."""
     v = y.sum(axis=1)
     w = y.sum(axis=0)
     # z_k = sum_{i >= k} v_i; reversed cumulative sum keeps z_0 = total.

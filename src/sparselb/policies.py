@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-import numpy as np
-
 from .model import ModelParams
 
 
@@ -142,7 +140,6 @@ class DispatcherView:
     lowest level and the ceiling rises to it.  Smaller views list every
     level.  set_estimate and set_estimates are the only writers of est and
     keep the index in step; a report equal to the estimate changes nothing.
-    estimates is a read-only int64 copy of est, built when read.
     """
 
     def __init__(self, spec: PolicySpec, n_servers: int):
@@ -159,15 +156,6 @@ class DispatcherView:
                 self.ceiling = sys.maxsize
         self.idle_tokens: list[int] = []
         self.rr_counter = 0
-
-    @property
-    def estimates(self) -> np.ndarray | None:
-        """A read-only int64 copy of the estimates; None for kinds without."""
-        if self.est is None:
-            return None
-        out = np.array(self.est, dtype=np.int64)
-        out.flags.writeable = False
-        return out
 
     def set_estimate(self, server: int, value: int) -> None:
         """Set one server's estimate and move it between listed levels."""

@@ -344,6 +344,15 @@ def test_sweep_points_keep_the_exact_value():
     assert cli._sweep_specs("sujsq-det", [0.1234567])[0].delta == 0.1234567
 
 
+# --y0 files that cannot be read as a state on the grid of jmax = 40
+Y0_FILES = {
+    "negative.json": '{"entries": [[-2, -2, 0.5], [0, 0, 0.5]]}',
+    "above-jmax.json": '{"entries": [[41, 41, 0.5], [0, 0, 0.5]]}',
+    "below-diagonal.json": '{"entries": [[2, 1, 0.5], [0, 0, 0.5]]}',
+    "not-json.json": '{"entries": [[0, 0, 1.0]',
+}
+
+
 def refused(argv, monkeypatch, capsys):
     """The stderr of an argv that must exit 2 with nothing run or written."""
     ran = []
@@ -389,9 +398,29 @@ def refused(argv, monkeypatch, capsys):
     (["sweep", "--horizon", "0"], "--horizon"),
     (["simulate", "--policy", "sujsq-det:inf", "--n", "5", "--horizon", "10"], "--policy"),
     (["sweep", "--sweep", "inf"], "--sweep"),
+    (["fixed-point", "--delta", "1e-5"], "--delta"),
+    (["fixed-point", "--delta-grid", "0.5", "1e-5"], "--delta-grid"),
+    (["fluid", "sync", "--y0", "fixed-point", "--delta", "1e-5"], "--delta"),
+    (["fluid", "async", "--y0", "fixed-point", "--delta", "0.05", "--jmax", "5"], "--y0"),
+    *((["fluid", "sync", "--y0", name, "--jmax", "40", "--t-end", "0.2"], "--y0")
+      for name in ("negative.json", "above-jmax.json", "below-diagonal.json",
+                   "not-json.json", "missing.json")),
 ])
-def test_bad_inputs_are_refused(argv, flag, monkeypatch, capsys):
+def test_bad_inputs_are_refused(argv, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in Y0_FILES.items():
+        (tmp_path / name).write_text(text)
     assert flag in refused(argv, monkeypatch, capsys)
+
+
+def test_fluid_refuses_states_over_the_memory_budget(monkeypatch, capsys, tmp_path):
+    need = 101 * 8 * 41 ** 2  # the default run stores 101 states on jmax = 40
+    monkeypatch.setattr(sparselb.fixed_point, "MAX_STATE_BYTES", need - 1)
+    monkeypatch.setattr(cli, "_initial_state", lambda *a: pytest.fail("y0 was built"))
+    assert "--jmax/--delta/--t-end/--grid-dt" in refused(["fluid", "sync"], monkeypatch, capsys)
+    monkeypatch.undo()
+    monkeypatch.setattr(sparselb.fixed_point, "MAX_STATE_BYTES", need)
+    assert main(["fluid", "sync", "--out", str(tmp_path / "traj.csv")]) == 0
 
 
 @pytest.mark.parametrize("manifest, named", [

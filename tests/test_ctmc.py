@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from scipy.sparse import coo_array
+from scipy.sparse import coo_array, csr_array
 
 import sparselb
 from sparselb import ctmc
@@ -38,7 +38,7 @@ def test_generator_rows_sum_to_zero():
 
 def test_stationary_two_state_toy():
     # closed-form check on a hand-built two-state chain
-    gen = np.array([[-2.0, 2.0], [3.0, -3.0]])
+    gen = csr_array(np.array([[-2.0, 2.0], [3.0, -3.0]]))
     chain = TruncatedChain(
         cap=0, pairs=[(0, 0)], states=[(1,), (2,)], generator=gen,
         truncation_rates=np.zeros(2), params=ModelParams(1, 0.5),
@@ -48,7 +48,7 @@ def test_stationary_two_state_toy():
 
 
 def test_stationary_reducible_chain_raises():
-    gen = np.zeros((2, 2))  # two absorbing states
+    gen = csr_array((2, 2))  # two absorbing states
     chain = TruncatedChain(
         cap=0, pairs=[(0, 0)], states=[(1,), (2,)], generator=gen,
         truncation_rates=np.zeros(2), params=ModelParams(1, 0.5),

@@ -1,7 +1,8 @@
-"""Rules of the package layout that no other test sees: every import sits at
-module level, but for the scipy imports that ctmc defers so that the CLI
-loads without scipy, and the synchronous limit does not depend on the
-asynchronous one.  The modules are parsed, not imported."""
+"""Rules of the package layout that no other test sees: the package's
+__init__ re-exports nothing, every import sits at module level, but for the
+scipy imports that ctmc defers so that the CLI loads without scipy, and the
+synchronous limit does not depend on the asynchronous one.  The modules are
+parsed, not imported."""
 import ast
 import importlib.util
 from pathlib import Path
@@ -21,6 +22,12 @@ def imports(tree):
             yield node, base
             if not node.module:
                 yield from ((node, base + alias.name) for alias in node.names)
+
+
+def test_package_init_holds_only_its_docstring():
+    # callers import the submodules; a second import surface would drift
+    [node] = MODULES["__init__"].body
+    assert isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
 
 
 def test_no_import_inside_a_function():
