@@ -151,11 +151,15 @@ def _initial_state(y0: str, lam: float, delta: float, jmax: int) -> FluidState:
 def cmd_fluid(args: argparse.Namespace) -> int:
     jmax = args.jmax or default_jmax(args.lam, args.delta)
     stops = math.ceil((args.t_end + 1e-12) / args.grid_dt)  # len(store)
-    need = stops * 8 * (jmax + 1) ** 2
+    # One stack of stops states for the fluid run; with --des-runs R, one per
+    # DES run and one for their mean (for R = 1, the run's list of snapshots
+    # while it is stacked).
+    stacks = args.des_runs + 2 if args.des_runs else 1
+    need = stacks * stops * 8 * (jmax + 1) ** 2
     if need > fixed_point.MAX_STATE_BYTES:
         raise argparse.ArgumentTypeError(
-            f"argument --jmax/--delta/--t-end/--grid-dt: {stops} stored states on "
-            f"jmax={jmax} need {need / 1e6:.0f} MB, over the "
+            f"argument --jmax/--delta/--t-end/--grid-dt/--des-runs: {stacks} stacks "
+            f"of {stops} stored states on jmax={jmax} need {need / 1e6:.0f} MB, over the "
             f"{fixed_point.MAX_STATE_BYTES / 1e6:.0f} MB budget"
         )
     y0 = _initial_state(args.y0, args.lam, args.delta, jmax)

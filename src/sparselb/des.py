@@ -23,6 +23,8 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+import os
+import pickle
 from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -274,10 +276,23 @@ def t_975(df: int) -> float:
 
 def run_replications(config: SimConfig, runs: int) -> MetricsRecord:
     """Independent replications with per-run derived seeds; scalar metrics
-    are averaged and trajectories are pointwise means."""
+    are averaged and trajectories are pointwise means.
+
+    The runs are shared among min(runs, CPUs) workers, where the CPUs are
+    those of this process's affinity mask: the caller runs indices
+    0, w, 2w, ... and forks one worker for each other residue mod w.  Each
+    run reads only its own (seed, run index) streams and the records are
+    put back in run-index order, so every output is the same for any
+    number of CPUs; `taskset -c 0` gives a serial run.  One run, one CPU,
+    or a platform without os.fork or os.sched_getaffinity runs every
+    index in the caller.  Calls that the runs make into patched names
+    (a tracer's tallies, say) stay in the worker that made them.  Python
+    3.12 and later warn on a fork in a process with threads, and numpy's
+    BLAS thread pool makes this process one.
+    """
     if runs < 1:
         raise SimulationError("runs must be >= 1")
-    records = [_run(config, run_index=k) for k in range(runs)]
+    records = _replicate(config, runs)
     if runs == 1:
         return records[0]
     waits = np.array([r.mean_wait for r in records])
@@ -288,9 +303,16 @@ def run_replications(config: SimConfig, runs: int) -> MetricsRecord:
     hist /= runs
     traj = None
     if records[0].trajectory is not None:
+        # A running sum, not np.mean over the list, which would stack a
+        # second copy of every run; the sum and the division are the ones
+        # np.mean(..., axis=0) makes, so the mean is bit for bit the same.
+        y = records[0].trajectory.y.copy()
+        for r in records[1:]:
+            y += r.trajectory.y
+        y /= runs
         traj = Trajectory(
             times=records[0].trajectory.times,
-            y=np.mean([r.trajectory.y for r in records], axis=0),
+            y=y,
             clipped=max(r.trajectory.clipped for r in records),
         )
     ci = t_975(runs - 1) * float(np.std(waits, ddof=1)) / np.sqrt(runs)
@@ -308,6 +330,68 @@ def run_replications(config: SimConfig, runs: int) -> MetricsRecord:
         per_run=records,
         mean_wait_ci=ci,
     )
+
+
+def _share(config: SimConfig, runs: int, workers: int, first: int) -> tuple:
+    """Runs first, first + workers, ... below runs, in order: their records,
+    and the exception that stopped the share, or None."""
+    records = []
+    try:
+        for k in range(first, runs, workers):
+            records.append(_run(config, run_index=k))
+    except Exception as exc:
+        return records, exc
+    return records, None
+
+
+def _replicate(config: SimConfig, runs: int) -> list[MetricsRecord]:
+    """The records of runs 0 .. runs - 1, in order, from the workers that
+    run_replications describes.  A worker pickles its share, or what
+    stopped it, into a pipe and leaves by os._exit; each is reaped on every
+    path, and killed first if its runs are no longer wanted.  A failure
+    raises the exception of the lowest failing run index, as a serial loop
+    would."""
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    workers = min(runs, len(os.sched_getaffinity(0))) if can_fork else 1
+    children = []  # (pid, read end of its pipe)
+    done = False
+    try:
+        for first in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker never returns into the caller's frames
+                try:
+                    os.close(read_fd)
+                    share = _share(config, runs, workers, first)
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pickle.dump(share, pipe, pickle.HIGHEST_PROTOCOL)
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        shares = [_share(config, runs, workers, 0)]
+        for _, pipe in children:
+            try:
+                shares.append(pickle.load(pipe))
+            except (EOFError, pickle.UnpicklingError):
+                raise SimulationError(
+                    "a replication worker ended without sending its runs"
+                ) from None
+        done = True
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if not done:
+                os.kill(pid, 9)  # SIGKILL, without importing signal
+            os.waitpid(pid, 0)
+    failures = [
+        (first + len(records) * workers, exc)
+        for first, (records, exc) in enumerate(shares)
+        if exc is not None
+    ]
+    if failures:
+        raise min(failures)[1]  # run indices differ, so no exceptions are compared
+    return [shares[k % workers][0][k // workers] for k in range(runs)]
 
 
 def _run(config: SimConfig, run_index: int) -> MetricsRecord:

@@ -423,6 +423,19 @@ def test_fluid_refuses_states_over_the_memory_budget(monkeypatch, capsys, tmp_pa
     assert main(["fluid", "sync", "--out", str(tmp_path / "traj.csv")]) == 0
 
 
+def test_fluid_counts_every_des_stack_against_the_budget(monkeypatch, capsys, tmp_path):
+    # the fluid states, the two runs' snapshot stacks and their mean
+    need = 4 * 101 * 8 * 41 ** 2
+    argv = ["fluid", "sync", "--des-runs", "2", "--n", "10"]
+    monkeypatch.setattr(sparselb.fixed_point, "MAX_STATE_BYTES", need - 1)
+    monkeypatch.setattr(cli, "_initial_state", lambda *a: pytest.fail("y0 was built"))
+    assert "--des-runs" in refused(argv, monkeypatch, capsys)
+    monkeypatch.undo()
+    monkeypatch.setattr(sparselb.fixed_point, "MAX_STATE_BYTES", need)
+    assert main(argv + ["--out", str(tmp_path / "traj.csv")]) == 0
+    assert (tmp_path / "traj_des.csv").read_text().startswith("t,i,j,y\n")
+
+
 @pytest.mark.parametrize("manifest, named", [
     ({"name": "demo"}, "'name'"),
     ({"nme": 3}, "'nme'"),

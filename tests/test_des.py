@@ -1,7 +1,10 @@
+import dataclasses
 import hashlib
 import heapq
 import itertools
 import math
+import os
+import time
 from bisect import insort
 from collections import deque
 from types import SimpleNamespace
@@ -336,6 +339,100 @@ def test_replications_deterministic_and_averaged():
 def test_single_replication_equals_run():
     cfg = make_config("aujsq-exp:1.0", n=20, horizon=100.0, warmup=20.0)
     assert records_equal(run_replications(cfg, 1), run(cfg))
+
+
+def every_field(rec: MetricsRecord) -> dict:
+    """Every field of rec but per_run, arrays as (shape, bytes), so that ==
+    compares them exactly."""
+    out = {f.name: getattr(rec, f.name) for f in dataclasses.fields(rec)
+           if f.name not in ("queue_len_hist", "trajectory", "per_run")}
+    out["queue_len_hist"] = rec.queue_len_hist.shape, rec.queue_len_hist.tobytes()
+    if (traj := rec.trajectory) is not None:
+        out["trajectory"] = (traj.times.tobytes(), traj.y.shape, traj.y.tobytes(),
+                             traj.clipped)
+    return out
+
+
+def on_cpus(monkeypatch, cpus: int) -> list[int]:
+    """Give this process cpus CPUs as des sees them; the list returned
+    counts the forks made."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("policy, grid", [
+    ("aujsq-exp:0.85", np.arange(0.5, 30.0, 2.5)),
+    ("jiq", None),
+])
+def test_replications_do_not_depend_on_the_cpu_count(policy, grid, monkeypatch):
+    cfg = make_config(policy, n=40, horizon=30.0, warmup=5.0, seed=11,
+                      trajectory_grid=grid, snapshot_jmax=6)
+    results = {}
+    for cpus in (1, 2, 3):
+        forks = on_cpus(monkeypatch, cpus)
+        rec = run_replications(cfg, 5)
+        assert len(forks) == cpus - 1 and no_child_left()
+        results[cpus] = [every_field(rec)] + [every_field(r) for r in rec.per_run]
+        monkeypatch.undo()
+    assert results[1] == results[2] == results[3]
+
+
+def failing_runs(monkeypatch, failures):
+    """Patch des._run so that run k first does what failures[k] says:
+    "sleep" sleeps a minute, a callable is called, and any other value
+    raises SimulationError("run k failed")."""
+    real = des._run
+
+    def _run(config, run_index):
+        failure = failures.get(run_index)
+        if failure == "sleep":
+            time.sleep(60.0)
+        elif callable(failure):
+            failure()
+        elif failure is not None:
+            raise SimulationError(f"run {run_index} failed")
+        return real(config, run_index)
+
+    monkeypatch.setattr(des, "_run", _run)
+
+
+def interrupt():
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("failures, raised, message", [
+    ({1: True}, SimulationError, "^run 1 failed$"),  # in the worker
+    ({0: True}, SimulationError, "^run 0 failed$"),  # in the caller
+    ({1: True, 2: True}, SimulationError, "^run 1 failed$"),  # the lowest index
+    ({1: lambda: os._exit(3)}, SimulationError, "ended without sending its runs"),
+    ({0: interrupt, 1: "sleep"}, KeyboardInterrupt, None),  # the worker is killed
+])
+def test_a_worker_failure_reaches_the_caller(failures, raised, message, monkeypatch):
+    cfg = make_config("sujsq-det:0.85", n=20, horizon=20.0, warmup=4.0)
+    on_cpus(monkeypatch, 2)
+    failing_runs(monkeypatch, failures)
+    start = time.monotonic()
+    with pytest.raises(raised, match=message):
+        run_replications(cfg, 3)
+    assert time.monotonic() - start < 30.0 and no_child_left()
+    monkeypatch.undo()
+    on_cpus(monkeypatch, 2)
+    assert len(run_replications(cfg, 3).per_run) == 3 and no_child_left()
 
 
 def test_rng_streams_distinct():
