@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, des, fixed_point, fluid_async, fluid_sync
-from .model import FluidState, ModelParams, default_jmax
+from .model import FluidState, ModelParams, TruncationError, default_jmax
 from .policies import PARAM_RULES, PolicyKind, PolicySpec
 
 
@@ -105,6 +105,17 @@ def _sim_configs(args: argparse.Namespace, specs: list[PolicySpec], flag: str
         raise argparse.ArgumentTypeError(f"argument {flag}/--n/--horizon/--warmup: {err}")
 
 
+def _replications(config: des.SimConfig, runs: int, flags: str) -> des.MetricsRecord:
+    """des.run_replications, a run that saw no arrival after its warmup
+    refused as a usage error of flags."""
+    try:
+        return des.run_replications(config, runs)
+    except des.SimulationError as err:
+        if not str(err).startswith("horizon too short"):  # a worker that died, say
+            raise
+        raise argparse.ArgumentTypeError(f"argument {flags}: {err}") from None
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     """One CSV row per (policy, parameter) point, Figure-1 style."""
     specs = [spec for text in args.policies for spec in _sweep_specs(text, args.sweep)]
@@ -112,7 +123,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for config in configs:
         spec = config.policy
-        rec = des.run_replications(config, args.runs)
+        rec = _replications(config, args.runs, "--horizon/--warmup")
         rows.append(
             (
                 spec.kind.value,
@@ -149,6 +160,11 @@ def _initial_state(y0: str, lam: float, delta: float, jmax: int) -> FluidState:
 
 
 def cmd_fluid(args: argparse.Namespace) -> int:
+    if args.kind == "async" and args.dt is not None:
+        try:  # the bound on --dt depends on --delta
+            fluid_async.check_dt(args.dt, args.delta)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(f"argument --dt: {err}") from None
     jmax = args.jmax or default_jmax(args.lam, args.delta)
     stops = math.ceil((args.t_end + 1e-12) / args.grid_dt)  # len(store)
     # One stack of stops states for the fluid run; with --des-runs R, one per
@@ -164,10 +180,13 @@ def cmd_fluid(args: argparse.Namespace) -> int:
         )
     y0 = _initial_state(args.y0, args.lam, args.delta, jmax)
     store = np.arange(0.0, args.t_end + 1e-12, args.grid_dt)
-    if args.kind == "sync":
-        run = fluid_sync.integrate_sync(y0, args.lam, args.delta, args.t_end, store_times=store)
-    else:
-        run = fluid_async.integrate_async(y0, args.lam, args.delta, args.t_end, args.dt, store)
+    try:
+        if args.kind == "sync":
+            run = fluid_sync.integrate_sync(y0, args.lam, args.delta, args.t_end, store_times=store)
+        else:
+            run = fluid_async.integrate_async(y0, args.lam, args.delta, args.t_end, args.dt, store)
+    except TruncationError as err:
+        raise argparse.ArgumentTypeError(f"argument --jmax: {err}") from None
     text = _trajectory_csv(run.times, run.states)
     if args.des_runs:  # simulated before anything is written
         kind = PolicyKind.SUJSQ_DET if args.kind == "sync" else PolicyKind.AUJSQ_EXP
@@ -180,7 +199,7 @@ def cmd_fluid(args: argparse.Namespace) -> int:
             trajectory_grid=store,
             snapshot_jmax=jmax,
         )
-        rec = des.run_replications(sim, args.des_runs)
+        rec = _replications(sim, args.des_runs, "--t-end/--n")
         overlay = _trajectory_csv(rec.trajectory.times, rec.trajectory.y)
         if args.out == "-":
             text += overlay
@@ -226,7 +245,7 @@ def cmd_fixed_point(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     [config] = _sim_configs(args, [args.policy], "--policy")
-    rec = des.run_replications(config, args.runs)
+    rec = _replications(config, args.runs, "--horizon/--warmup")
     _write(args.out, json.dumps(rec.to_dict(), sort_keys=True, indent=2) + "\n")
     return 0
 
@@ -286,11 +305,11 @@ def _validate_checks(budget: str, seed: int) -> fluid_sync.CheckReport:
 def cmd_validate(args: argparse.Namespace) -> int:
     report = _validate_checks(args.budget, args.seed)
     failed = report.violations
-    checks = [
+    rows = [
         dict(name=k, value=v, tolerance=report.tolerances[k], passed=k not in failed)
         for k, v in report.residuals.items()
     ]
-    doc = {"passed": not failed, "seed": args.seed, "checks": checks}
+    doc = {"passed": not failed, "seed": args.seed, "checks": rows}
     _write(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return 1 if failed else 0
 
@@ -374,11 +393,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "sweep" and args.config:
         args = parser.parse_args(["sweep", *_manifest_flags(parser, args), *argv[1:]])
-    if args.command == "fluid" and args.kind == "async" and args.dt is not None:
-        try:  # the bound on --dt depends on --delta
-            fluid_async.check_dt(args.dt, args.delta)
-        except ValueError as err:
-            parser.error(f"argument --dt: {err}")
     commands = {"sweep": cmd_sweep, "fluid": cmd_fluid, "fixed-point": cmd_fixed_point,
                 "simulate": cmd_simulate, "validate": cmd_validate}
     try:

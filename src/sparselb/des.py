@@ -186,17 +186,11 @@ class SimConfig:
         jmax = self.snapshot_jmax
         if not isinstance(jmax, (int, np.integer)) or jmax < 0:
             raise SimulationError(f"need an integer snapshot_jmax >= 0, got {jmax!r}")
-        grid = self.trajectory_grid
-        if grid is not None and not np.isfinite(np.asarray(grid, dtype=float)).all():
-            raise SimulationError("trajectory_grid times must be finite")
-
-    def grid_times(self) -> np.ndarray | None:
-        if self.trajectory_grid is None:
-            return None
-        g = np.asarray(self.trajectory_grid, dtype=float)
-        if g.ndim != 1:
-            raise SimulationError("trajectory_grid must be a 1-d array of times")
-        return g[g <= self.horizon + 1e-12]
+        if self.trajectory_grid is not None:  # kept as the times up to the horizon
+            grid = np.asarray(self.trajectory_grid, dtype=float)
+            if grid.ndim != 1 or not np.isfinite(grid).all():
+                raise SimulationError("trajectory_grid must be a 1-d array of finite times")
+            self.trajectory_grid = grid[grid <= self.horizon + 1e-12]
 
 
 @dataclass
@@ -428,10 +422,9 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
     messages_pw = 0
     total_queue = 0
     area_queue = 0.0
-    # level_counts[j] servers hold j jobs; none hold more than top.
+    # level_counts[j] servers hold j jobs; none hold len(level_counts) or more.
     level_counts = [n]
     hist_area = [0.0]
-    top = 0
     # The time averages are folded in as each stretch of constant state
     # ends: area_queue since t_mark, the last queue change, and hist_area[j]
     # since level_since[j], the last change of level j.  Both are clipped
@@ -439,7 +432,7 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
     t_mark = warmup
     level_since = [warmup]
 
-    grid = config.grid_times()
+    grid = config.trajectory_grid
     grid_left = [] if grid is None else grid.tolist()[::-1]  # next time last
     snaps: list[np.ndarray] = []
     clipped = 0.0
@@ -470,12 +463,10 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
             target, msgs = dispatch(spec, view, queues, rng_pol)
             q_old = queues[target]
             q_new = q_old + 1
-            if q_old == top:
-                top = q_new
-                if top == len(level_counts):
-                    level_counts.append(0)
-                    hist_area.append(0.0)
-                    level_since.append(warmup)
+            if q_new == len(level_counts):
+                level_counts.append(0)
+                hist_area.append(0.0)
+                level_since.append(warmup)
             if t > warmup:
                 n_arrivals_pw += 1
                 messages_pw += msgs
@@ -512,8 +503,6 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
             total_queue -= 1
             level_counts[q_old] -= 1
             level_counts[q_new] += 1
-            if q_old == top and not level_counts[q_old]:
-                top = q_new
             if q_new:
                 arrived = waiting[server].popleft()
                 if arrived > warmup:
@@ -540,8 +529,7 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
 
         if check:
             assert min(queues) >= 0
-            assert top == max(queues) and not any(level_counts[top + 1 :])
-            assert level_counts[: top + 1] == np.bincount(queues).tolist()
+            assert level_counts == np.bincount(queues, minlength=len(level_counts)).tolist()
             if view.est is not None:
                 assert all(e >= q for e, q in zip(view.est, queues))
                 view.check_index()

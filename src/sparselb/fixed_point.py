@@ -45,7 +45,7 @@ def m_star(lam: float, delta: float) -> int:
     return m
 
 
-def h_value(nu: float, lam: float, delta: float, m: int) -> float:
+def h_value(nu: float, delta: float, m: int) -> float:
     """Idle fraction of the candidate stationary state as a function of nu;
     strictly decreasing from (1+delta)^-m down to (1+delta)^-(m+1)."""
     a = 1.0 / (1.0 + delta)
@@ -58,18 +58,18 @@ def h_value(nu: float, lam: float, delta: float, m: int) -> float:
 def solve_nu(lam: float, delta: float, m: int) -> float:
     """Solve h(nu) = 1 - lam by bisection on a geometrically grown bracket."""
     target = 1.0 - lam
-    h0 = h_value(0.0, lam, delta, m)
+    h0 = h_value(0.0, delta, m)
     if h0 <= target + 1e-14:
         return 0.0
     hi = 1.0
-    while h_value(hi, lam, delta, m) > target:
+    while h_value(hi, delta, m) > target:
         hi *= 2.0
         if hi > 1e12:
             raise RuntimeError("failed to bracket nu")
     lo = 0.0
     while hi - lo > NU_TOL:
         mid = 0.5 * (lo + hi)
-        if h_value(mid, lam, delta, m) > target:
+        if h_value(mid, delta, m) > target:
             lo = mid
         else:
             hi = mid

@@ -15,13 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fluid_sync
-from .model import FluidState, min_estimate_level
-from .fluid_sync import SWITCH_TOL, FluidRun, _marks, _settle, _state_array
+from .model import SWITCH_TOL, FluidState, min_estimate_level
+from .fluid_sync import FluidRun, _marks, _settle, _state_array
 
-# The minimum estimate level is located with the integrator's SWITCH_TOL,
-# or drained crumb columns would keep receiving assignment flux.  CAP_TOL
-# is slack on the capacity comparison that prevents chattering when u_n
-# sits exactly on lam.
+# Slack on the capacity comparison that prevents chattering when u_n sits
+# exactly on lam.
 CAP_TOL = 1e-12
 
 # Levels past the occupied ones that an RK4 step works on: its four stages
@@ -43,12 +41,18 @@ class AsyncDriver:
     zeta: float
 
 
-def _driver(v: list[float], w: list[float], lam: float, delta: float) -> AsyncDriver:
-    """driver_of from the queue marginal v and the estimate marginal w, in
-    Python floats: u[k] = delta * sum_{i<k} (k - i) v[i], summed as two
-    running sums in the order of numpy's cumsum of a cumsum, so every value
-    equals numpy's."""
-    m = min_estimate_level(w, SWITCH_TOL)
+def driver_of(v: list[float], w: list[float], lam: float, delta: float) -> AsyncDriver:
+    """Dispatch level and residual rate for a state with queue marginal v
+    and estimate marginal w, both lists of Python floats.
+
+    n equals the minimum occupied estimate level m when the top-up capacity
+    below m stays within lam; otherwise n is the highest level whose
+    capacity still fits under lam (then n <= m - 1 and updates soak up u[n]
+    of the arrival flow before it ever reaches level m).  u[k] = delta *
+    sum_{i<k} (k - i) v[i] is summed as two running sums in the order of
+    numpy's cumsum of a cumsum, so every value equals numpy's.
+    """
+    m = min_estimate_level(w)
     u = [0.0]
     c1 = c2 = 0.0
     for vi in v[: m + 1]:
@@ -62,17 +66,6 @@ def _driver(v: list[float], w: list[float], lam: float, delta: float) -> AsyncDr
     return AsyncDriver(u=u, n=n, zeta=max(lam - u[n], 0.0))
 
 
-def driver_of(y: np.ndarray, lam: float, delta: float) -> AsyncDriver:
-    """Dispatch level and residual rate for a state.
-
-    n equals the minimum occupied estimate level m when the top-up capacity
-    below m stays within lam; otherwise n is the highest level whose
-    capacity still fits under lam (then n <= m - 1 and updates soak up u[n]
-    of the arrival flow before it ever reaches level m).
-    """
-    return _driver(y.sum(axis=1).tolist(), y.sum(axis=0).tolist(), lam, delta)
-
-
 def rhs_async(y: np.ndarray, lam: float, delta: float) -> np.ndarray:
     """Time derivative of the occupancy array under asynchronous updates.
 
@@ -82,7 +75,7 @@ def rhs_async(y: np.ndarray, lam: float, delta: float) -> np.ndarray:
     drain -delta*y.  Each moves mass at most one level.
     """
     v = y.sum(axis=1)
-    drv = _driver(v.tolist(), y.sum(axis=0).tolist(), lam, delta)
+    drv = driver_of(v.tolist(), y.sum(axis=0).tolist(), lam, delta)
     n, zeta = drv.n, drv.zeta
     w_n = y[:, n].sum()
     size = y.shape[0]
@@ -146,7 +139,7 @@ def _advance(rhs, y: np.ndarray, span: float, dt: float) -> None:
     remaining = span
     while remaining > 1e-14:
         block = y[:k, :k]
-        m = min_estimate_level(block.sum(axis=0), SWITCH_TOL)
+        m = min_estimate_level(block.sum(axis=0))
         h = min(dt, remaining)
         y_new = _rk4(rhs, block, h)
         if y_new[:, m].sum() < -1e-13:

@@ -6,9 +6,9 @@ ODE between epochs whose assignment flux targets the minimum estimate
 level; at each epoch every column collapses onto the diagonal (estimates
 snap to true queue lengths).  Between two stops that flow has a closed
 form, so integrate_sync takes no steps.  Both limits share the stops, the
-clamp, FluidRun and SWITCH_TOL; fluid_async's RK4 stepper calls
-split_step_at_switch.  The module also carries the Poisson drain
-quantities A/B, the queue-length bound scan, and trajectory checks.
+clamp and FluidRun; fluid_async's RK4 stepper calls split_step_at_switch.
+The module also carries the Poisson drain quantities A/B, the queue-length
+bound scan, and trajectory checks.
 """
 from __future__ import annotations
 
@@ -17,11 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import FluidState, check_truncation, min_estimate_level
-
-# An estimate level counts as occupied above this mass; the step bisection
-# at level switches drives the depleting column to within it of zero.
-SWITCH_TOL = 1e-10
+from .model import NEG_TOL, SWITCH_TOL, FluidState, check_truncation, min_estimate_level
 
 
 class IntegrationError(RuntimeError):
@@ -36,7 +32,7 @@ def rhs_sync(y: np.ndarray, lam: float) -> np.ndarray:
     occupied estimate level m proportionally to its queue composition.
     """
     w = y.sum(axis=0)
-    m = min_estimate_level(w, SWITCH_TOL)
+    m = min_estimate_level(w)
     dy = np.zeros_like(y)
     dy[:-1, :] += y[1:, :]
     dy[1:, :] -= y[1:, :]
@@ -126,7 +122,7 @@ def _settle(y: np.ndarray, clamped: float) -> float:
     boundary; returns the largest clamp so far."""
     low = y.min()
     if low < 0.0:
-        if low < -1e-12:
+        if low < -NEG_TOL:
             raise IntegrationError(f"state entry fell to {low}")
         clamped = max(clamped, -low)
         np.maximum(y, 0.0, out=y)
@@ -205,7 +201,7 @@ def integrate_sync(
     clamped = 0.0
     t, i = 0.0, 0  # the flow has reached time t and marks[:i]
     while i < len(marks):
-        m = min_estimate_level(y.sum(axis=0), SWITCH_TOL)
+        m = min_estimate_level(y.sum(axis=0))
         span = y[:, m].sum() / lam  # until column m drains
         last = ends[np.searchsorted(ends, i)]
         ahead = times[i + 1 : last + 2] - t
@@ -340,7 +336,7 @@ def check_trajectory_invariants(run: FluidRun) -> CheckReport:
 
     v_all = states.sum(axis=2)
     w_all = states.sum(axis=1)
-    m_all = np.array([min_estimate_level(w, SWITCH_TOL) for w in w_all])
+    m_all = np.array([min_estimate_level(w) for w in w_all])
     idx_lv = np.arange(states.shape[2])
     h = np.diff(times)
     at_epoch = np.isin(np.round(times, 12), np.round(run.update_epochs, 12))

@@ -91,34 +91,30 @@ class FluidState:
 
 @dataclass(frozen=True)
 class DerivedFunctionals:
-    """Marginals of an occupancy state: v (queue-length fractions),
-    w (estimate fractions), z (queue tail fractions), m (minimum estimate
-    present), q_mass (mean queue length)."""
+    """Marginals of an occupancy state: v (queue-length fractions) and
+    w (estimate fractions)."""
 
     v: np.ndarray
     w: np.ndarray
-    z: np.ndarray
-    m: int
-    q_mass: float
 
 
-def min_estimate_level(w, tol: float = 0.0) -> int:
-    """Smallest level j with w[j] > tol; w is an array or a list."""
+# An estimate level counts as occupied above this mass, so drained crumb
+# columns receive no assignment flux; the fluid integrators' step bisection
+# at level switches drives the depleting column to within it of zero.
+SWITCH_TOL = 1e-10
+
+
+def min_estimate_level(w) -> int:
+    """Smallest level j with w[j] > SWITCH_TOL; w is an array or a list."""
     for j, wj in enumerate(w):
-        if wj > tol:
+        if wj > SWITCH_TOL:
             return j
     raise StateError("no estimate level carries mass")
 
 
 def derive(y: np.ndarray) -> DerivedFunctionals:
-    """Compute v, w, z, m and total queue mass for an occupancy array."""
-    v = y.sum(axis=1)
-    w = y.sum(axis=0)
-    # z_k = sum_{i >= k} v_i; reversed cumulative sum keeps z_0 = total.
-    z = np.cumsum(v[::-1])[::-1]
-    m = min_estimate_level(w)
-    q_mass = float(np.dot(np.arange(len(v)), v))
-    return DerivedFunctionals(v=v, w=w, z=z, m=m, q_mass=float(q_mass))
+    """The queue and estimate marginals of an occupancy array."""
+    return DerivedFunctionals(v=y.sum(axis=1), w=y.sum(axis=0))
 
 
 def default_jmax(lam: float, delta: float) -> int:

@@ -413,6 +413,22 @@ def test_bad_inputs_are_refused(argv, flag, tmp_path, monkeypatch, capsys):
     assert flag in refused(argv, monkeypatch, capsys)
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["fluid", "sync", "--jmax", "1"], "--jmax"),
+    (["simulate", "--policy", "random", "--n", "3", "--horizon", "1", "--warmup", "0.9"],
+     "--horizon/--warmup"),
+    (["fluid", "sync", "--des-runs", "1", "--n", "1", "--t-end", "0.01"], "--t-end/--n"),
+])
+def test_flags_that_fail_a_run_are_refused(argv, flag, tmp_path, capsys):
+    # these fail only once a run has started: the fluid state reaches jmax, or
+    # a simulation sees no arrival after its warmup; nothing is written
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--out", str(tmp_path / "out.csv")])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fluid_refuses_states_over_the_memory_budget(monkeypatch, capsys, tmp_path):
     need = 101 * 8 * 41 ** 2  # the default run stores 101 states on jmax = 40
     monkeypatch.setattr(sparselb.fixed_point, "MAX_STATE_BYTES", need - 1)

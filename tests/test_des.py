@@ -264,7 +264,8 @@ def test_non_finite_horizon_refused(horizon):
     {"trajectory_grid": np.array([0.5, math.nan])},
     {"trajectory_grid": np.array([0.5, math.inf])},
     {"trajectory_grid": [-math.inf]},
-], ids=["negative-jmax", "fractional-jmax", "nan-time", "inf-time", "minus-inf-time"])
+    {"trajectory_grid": np.array([[0.5, 1.0]])},
+], ids=["negative-jmax", "fractional-jmax", "nan-time", "inf-time", "minus-inf-time", "2-d-grid"])
 def test_bad_snapshot_settings_refused(setting):
     # Only built, never run: the refusal comes before any event.
     with pytest.raises(SimulationError, match="snapshot_jmax|trajectory_grid"):
@@ -274,7 +275,7 @@ def test_bad_snapshot_settings_refused(setting):
 def test_grid_times_past_the_horizon_dropped():
     cfg = make_config("random", n=4, horizon=5.0, warmup=0.0,
                       trajectory_grid=np.array([1.0, 5.0, 6.0]))
-    assert cfg.grid_times().tolist() == [1.0, 5.0]
+    assert cfg.trajectory_grid.tolist() == [1.0, 5.0]
 
 
 def test_no_post_warmup_arrivals_raises():
@@ -291,9 +292,8 @@ def test_no_post_warmup_arrivals_raises():
 
 def test_trajectory_grid_takes_only_times():
     # a bare spacing is refused, not read as one snapshot time
-    cfg = make_config("random", n=10, horizon=5.0, warmup=0.0, trajectory_grid=1.0)
     with pytest.raises(SimulationError, match="trajectory_grid"):
-        run(cfg)
+        make_config("random", n=10, horizon=5.0, warmup=0.0, trajectory_grid=1.0)
 
 
 def test_trajectory_snapshots():
@@ -318,7 +318,7 @@ def test_snapshot_fractions_matches_count_matrix():
     assert np.allclose(y, counts / 4)
     d = derive(y)
     assert d.v[0] == pytest.approx(0.5)
-    assert d.m == 0
+    assert d.w[0] == pytest.approx(0.25)
 
 
 def test_replications_deterministic_and_averaged():
@@ -895,7 +895,7 @@ def account_replay(cfg, events, targets, messages):
     level_counts, hist_area, top = [n], [0.0], 0
     total_queue, area_queue, t_mark = 0, 0.0, 0.0
     wait_sum, n_waits, n_arrivals = 0.0, 0, 0
-    grid, snaps = cfg.grid_times().tolist(), []
+    grid, snaps = cfg.trajectory_grid.tolist(), []
 
     def account(t):
         nonlocal area_queue, t_mark

@@ -80,10 +80,10 @@ def test_h_is_decreasing_with_stated_limits():
         m = m_star(lam, delta)
         a = 1.0 / (1.0 + delta)
         grid = np.linspace(0.0, 50.0, 200)
-        vals = [h_value(nu, lam, delta, m) for nu in grid]
+        vals = [h_value(nu, delta, m) for nu in grid]
         assert all(x > y for x, y in zip(vals, vals[1:]))
         assert vals[0] == pytest.approx(a**m, abs=1e-12)
-        assert h_value(1e9, lam, delta, m) == pytest.approx(a ** (m + 1), rel=1e-6)
+        assert h_value(1e9, delta, m) == pytest.approx(a ** (m + 1), rel=1e-6)
 
 
 def test_y_star_boundary_case_entries():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparselb import fluid_async, fluid_sync
-from sparselb.model import FluidState, StateError, default_jmax, min_estimate_level
+from sparselb.model import SWITCH_TOL, FluidState, StateError, default_jmax, min_estimate_level
 from sparselb.fluid_async import (
     CAP_TOL,
     driver_of,
@@ -12,13 +12,18 @@ from sparselb.fluid_async import (
     rhs_async,
 )
 from sparselb.fixed_point import y_star
-from sparselb.fluid_sync import SWITCH_TOL, IntegrationError, rhs_sync
+from sparselb.fluid_sync import IntegrationError, rhs_sync
+
+
+def driver(y, lam, delta):
+    """driver_of on the queue and estimate marginals of an occupancy array."""
+    return driver_of(y.sum(axis=1).tolist(), y.sum(axis=0).tolist(), lam, delta)
 
 
 def test_driver_empty_state():
     y = np.zeros((4, 4))
     y[0, 0] = 1.0
-    drv = driver_of(y, 0.7, 0.85)
+    drv = driver(y, 0.7, 0.85)
     assert drv.n == 0
     assert drv.zeta == pytest.approx(0.7)
     assert drv.u[0] == 0.0
@@ -28,7 +33,7 @@ def test_driver_capacity_values():
     # all mass idle with estimate 3: u_k = delta * k for k <= 3
     y = np.zeros((6, 6))
     y[0, 3] = 1.0
-    drv = driver_of(y, 0.7, 0.3)
+    drv = driver(y, 0.7, 0.3)
     assert np.allclose(drv.u[:5], [0.0, 0.3, 0.6, 0.9, 1.2])
     # capacity below the minimum estimate exceeds lam, so the dispatch level
     # drops to the highest level whose capacity still fits under lam
@@ -41,7 +46,7 @@ def test_driver_zeta_zero_at_capacity_boundary():
     y = np.zeros((4, 4))
     y[0, 1] = 0.5
     y[1, 1] = 0.5
-    drv = driver_of(y, 0.5, 1.0)
+    drv = driver(y, 0.5, 1.0)
     assert drv.n == 1
     assert drv.zeta == pytest.approx(0.0, abs=1e-12)
 
@@ -54,7 +59,7 @@ def test_driver_capacity_formula_on_random_states():
         delta = rng.uniform(0.1, 3.0)
         y = np.zeros((6, 6))
         y[:, -1] = v
-        u = driver_of(y, 0.7, delta).u
+        u = driver(y, 0.7, delta).u
         assert len(u) == len(v) + 1
         for k in range(len(v) + 1):
             direct = delta * sum((k - i) * v[i] for i in range(min(k, len(v))))
@@ -82,7 +87,7 @@ def test_driver_equals_numpy_driver_on_random_states():
     # for the last u[k] <= lam disagree
     y = np.zeros((6, 6))
     y[:5, 4] = [0.1, 0.3, -0.8, 0.8, 0.6]
-    assert driver_of(y, 0.2, 1.0).n == numpy_driver(y, 0.2, 1.0)[1] == 1
+    assert driver(y, 0.2, 1.0).n == numpy_driver(y, 0.2, 1.0)[1] == 1
     rng = np.random.default_rng(31)
     branches = set()
     for _ in range(400):
@@ -93,7 +98,7 @@ def test_driver_equals_numpy_driver_on_random_states():
         if rng.random() < 0.5:
             y -= np.triu(rng.random((size, size))) * 1e-3 * y.max()
         lam, delta = rng.uniform(0.05, 0.99), rng.uniform(0.01, 5.0)
-        drv = driver_of(y, lam, delta)
+        drv = driver(y, lam, delta)
         u, n, zeta = numpy_driver(y, lam, delta)
         assert (drv.u, drv.n, drv.zeta) == (u, n, zeta)
         branches.add(n == len(u) - 2)
@@ -136,7 +141,7 @@ def test_zeta_bounded_along_trajectory():
     lam, delta = 0.7, 0.85
     run = integrate_async(FluidState.empty(40), lam, delta, 20.0, dt=1e-3)
     for y in run.states:
-        drv = driver_of(y, lam, delta)
+        drv = driver(y, lam, delta)
         assert -1e-12 <= drv.zeta <= lam + 1e-12
 
 
@@ -146,7 +151,7 @@ def test_min_level_follows_dispatch_level():
     lam, delta = 0.7, 0.3
     y0 = np.zeros((41, 41))
     y0[0, 3] = 1.0
-    drv0 = driver_of(y0, lam, delta)
+    drv0 = driver(y0, lam, delta)
     assert drv0.n == 2
     run = integrate_async(y0, lam, delta, 0.05, dt=1e-3, store_times=[0.01, 0.05])
     w = run.states[1].sum(axis=0)
@@ -191,7 +196,7 @@ def full_advance(rhs, y, span, dt):
     step = lambda z, h: fluid_async._rk4(rhs, z, h)
     remaining = span
     while remaining > 1e-14:
-        m = min_estimate_level(y.sum(axis=0), SWITCH_TOL)
+        m = min_estimate_level(y.sum(axis=0))
         h = min(dt, remaining)
         y_new = step(y, h)
         if y_new[:, m].sum() < -1e-13:

@@ -14,7 +14,6 @@ from sparselb.model import (
 )
 from sparselb.fluid_async import integrate_async
 from sparselb.fluid_sync import (
-    SWITCH_TOL,
     CheckReport,
     apply_sync_update,
     check_trajectory_invariants,
@@ -288,7 +287,7 @@ def loop_checks(run):
     n_levels = states.shape[2]
     v_all = states.sum(axis=2)
     w_all = states.sum(axis=1)
-    m_all = np.array([min_estimate_level(w, SWITCH_TOL) for w in w_all])
+    m_all = np.array([min_estimate_level(w) for w in w_all])
     idx_lv = np.arange(n_levels)
     for k in range(len(times) - 1):
         t0, t1 = times[k], times[k + 1]

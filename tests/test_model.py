@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from sparselb.model import (
+    SWITCH_TOL,
     FluidState,
     ModelParams,
     StateError,
     default_jmax,
     derive,
+    min_estimate_level,
 )
 
 
@@ -29,8 +31,6 @@ def test_derive_two_level_state():
     assert d.v[1] == pytest.approx(0.7)
     assert d.w[0] == pytest.approx(0.3)
     assert d.w[1] == pytest.approx(0.7)
-    assert d.m == 0
-    assert d.q_mass == pytest.approx(0.7)
 
 
 def test_derive_stationary_shape_values():
@@ -38,10 +38,10 @@ def test_derive_stationary_shape_values():
     lam = 0.7
     state = FluidState.from_entries({(0, 0): 1 - lam, (1, 1): lam}, jmax=4)
     d = derive(state.y)
-    assert d.m == 0
-    assert d.q_mass == pytest.approx(lam)
-    assert d.z[1] == pytest.approx(lam)
-    assert d.z[2] == pytest.approx(0.0)
+    assert min_estimate_level(d.w) == 0
+    assert np.dot(np.arange(len(d.v)), d.v) == pytest.approx(lam)
+    assert d.v[1:].sum() == pytest.approx(lam)
+    assert d.v[2:].sum() == pytest.approx(0.0)
 
 
 @pytest.mark.parametrize("cell", [(-2, -2), (0, -1), (-1, 3), (5, 5), (0, 5)])
@@ -77,17 +77,6 @@ def test_fluid_state_rejects_lower_triangle_and_negatives():
         FluidState(y)
 
 
-def test_tail_fraction_recursion_on_random_states():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        y = np.triu(rng.random((5, 5)))
-        d = derive(FluidState(y).y)
-        assert d.z[0] == pytest.approx(1.0, abs=1e-9)
-        for k in range(len(d.z) - 1):
-            assert d.z[k] == pytest.approx(d.z[k + 1] + d.v[k], abs=1e-12)
-        assert np.all(np.diff(d.z) <= 1e-15)
-
-
 def test_min_estimate_matches_definition_on_random_states():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -95,7 +84,14 @@ def test_min_estimate_matches_definition_on_random_states():
         y[:, : rng.integers(0, 3)] = 0.0
         d = derive(FluidState(y).y)
         positive = np.flatnonzero(d.w > 0)
-        assert d.m == positive[0]
+        assert min_estimate_level(d.w) == positive[0]
+
+
+def test_min_estimate_level_needs_more_than_switch_tol():
+    assert min_estimate_level([0.0, SWITCH_TOL, 2 * SWITCH_TOL, 1.0]) == 2
+    assert min_estimate_level(np.array([SWITCH_TOL, 0.5])) == 1
+    with pytest.raises(StateError, match="no estimate level"):
+        min_estimate_level([0.0, SWITCH_TOL, -1.0])
 
 
 def test_default_jmax():
