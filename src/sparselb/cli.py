@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks, des, fixed_point, fluid_async, fluid_sync
+from . import checks, des, fixed_point, fluid_async, fluid_sync, model
 from .model import FluidState, ModelParams, TruncationError, default_jmax
 from .policies import PARAM_RULES, PolicyKind, PolicySpec
 
@@ -172,11 +172,11 @@ def cmd_fluid(args: argparse.Namespace) -> int:
     # while it is stacked).
     stacks = args.des_runs + 2 if args.des_runs else 1
     need = stacks * stops * 8 * (jmax + 1) ** 2
-    if need > fixed_point.MAX_STATE_BYTES:
+    if need > model.MAX_STATE_BYTES:
         raise argparse.ArgumentTypeError(
             f"argument --jmax/--delta/--t-end/--grid-dt/--des-runs: {stacks} stacks "
             f"of {stops} stored states on jmax={jmax} need {need / 1e6:.0f} MB, over the "
-            f"{fixed_point.MAX_STATE_BYTES / 1e6:.0f} MB budget"
+            f"{model.MAX_STATE_BYTES / 1e6:.0f} MB budget"
         )
     y0 = _initial_state(args.y0, args.lam, args.delta, jmax)
     store = np.arange(0.0, args.t_end + 1e-12, args.grid_dt)

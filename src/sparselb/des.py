@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .model import ModelParams
 from .policies import (
     DispatcherView,
@@ -191,6 +192,13 @@ class SimConfig:
             if grid.ndim != 1 or not np.isfinite(grid).all():
                 raise SimulationError("trajectory_grid must be a 1-d array of finite times")
             self.trajectory_grid = grid[grid <= self.horizon + 1e-12]
+            need = len(self.trajectory_grid) * 8 * (int(jmax) + 1) ** 2
+            if need > model.MAX_STATE_BYTES:
+                raise SimulationError(
+                    f"trajectory_grid: {len(self.trajectory_grid)} snapshots on "
+                    f"snapshot_jmax={jmax} need {need / 1e6:.0f} MB, over the "
+                    f"{model.MAX_STATE_BYTES / 1e6:.0f} MB budget"
+                )
 
 
 @dataclass
@@ -240,6 +248,18 @@ def snapshot_fractions(
     ec = qc if estimates is None else np.minimum(np.maximum(estimates, qc), jmax)
     counts = np.bincount(qc * (jmax + 1) + ec, minlength=(jmax + 1) ** 2)
     return counts.reshape(jmax + 1, jmax + 1) / len(queues)
+
+
+def _int_array(values: list[int]) -> np.ndarray:
+    """A list of ints as an int64 array.  When every value lies in 0..255
+    the list goes through bytes, several times faster than np.fromiter for
+    a long list; bytearray refuses any other value, and np.fromiter then
+    takes the list as it is."""
+    try:
+        small = np.frombuffer(bytearray(values), np.uint8)
+    except ValueError:
+        return np.fromiter(values, np.int64, len(values))
+    return small.astype(np.int64)
 
 
 def run(config: SimConfig) -> MetricsRecord:
@@ -440,8 +460,8 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
 
     def snapshot() -> None:
         nonlocal clipped
-        q = np.fromiter(queues, np.int64, n)
-        e = None if view.est is None else np.fromiter(view.est, np.int64, n)
+        q = _int_array(queues)
+        e = None if view.est is None else _int_array(view.est)
         snaps.append(snapshot_fractions(q, e, jmax))
         high = q if e is None else np.maximum(q, e)
         clipped = max(clipped, np.count_nonzero(high > jmax) / n)

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .model import FluidState, default_jmax
 from .fluid_async import rhs_async
 from .fluid_sync import poisson_ab
 
 NU_TOL = 1e-12
 RESIDUAL_TOL = 1e-8
-# y_star builds a dense (jmax+1)^2 float array; larger ones are refused.
-MAX_STATE_BYTES = 256_000_000
 
 
 class ConsistencyError(RuntimeError):
@@ -100,7 +99,7 @@ def y_star(lam: float, delta: float, jmax: int | None = None) -> FixedPoint:
 
     The result carries the residual of the asynchronous fluid derivative at
     the constructed state; residuals at or above 1e-8 raise.  A grid whose
-    dense array would exceed MAX_STATE_BYTES raises ValueError up front.
+    dense array would exceed model.MAX_STATE_BYTES raises ValueError up front.
     """
     m = m_star(lam, delta)
     nu = solve_nu(lam, delta, m)
@@ -109,10 +108,10 @@ def y_star(lam: float, delta: float, jmax: int | None = None) -> FixedPoint:
     jm = default_jmax(lam, delta) if jmax is None else jmax
     if jm < m + 2:
         raise ValueError(f"jmax={jm} too small for support level {m + 1}")
-    if 8 * (jm + 1) ** 2 > MAX_STATE_BYTES:
+    if 8 * (jm + 1) ** 2 > model.MAX_STATE_BYTES:
         raise ValueError(
             f"jmax={jm} needs a {8 * (jm + 1) ** 2 / 1e6:.0f} MB dense state, "
-            f"over the {MAX_STATE_BYTES / 1e6:.0f} MB budget"
+            f"over the {model.MAX_STATE_BYTES / 1e6:.0f} MB budget"
         )
 
     y = np.zeros((jm + 1, jm + 1))

@@ -74,32 +74,52 @@ def rhs_async(y: np.ndarray, lam: float, delta: float) -> np.ndarray:
     reports refreshing the diagonal at i = j >= n, and the uniform update
     drain -delta*y.  Each moves mass at most one level.
     """
-    v = y.sum(axis=1)
-    drv = driver_of(v.tolist(), y.sum(axis=0).tolist(), lam, delta)
+    add = np.add.reduce  # ndarray.sum would go through numpy's Python wrapper
+    v = add(y, axis=1)
+    drv = driver_of(v.tolist(), add(y, axis=0).tolist(), lam, delta)
     n, zeta = drv.n, drv.zeta
-    w_n = y[:, n].sum()
+    w_n = add(y[:, n])
     size = y.shape[0]
 
     dy = np.multiply(-delta, y, order="C")  # C order: the diagonal is a view
     dy[:-1, :] += y[1:, :]
     dy[1:, :] -= y[1:, :]
     if w_n > SWITCH_TOL and zeta > 0.0:
-        arr = y[:, n] / w_n
-        dy[:, n] -= zeta * arr
+        flux = zeta * (y[:, n] / w_n)
+        dy[:, n] -= flux
         if n + 1 < size:
-            dy[1:, n + 1] += zeta * arr[:-1]
+            dy[1:, n + 1] += flux[:-1]
     dy.reshape(-1)[n * (size + 1) :: size + 1] += delta * v[n:]
     if n >= 1:
-        dy[n, n] += delta * v[:n].sum()
+        dy[n, n] += delta * add(v[:n])
     return dy
 
 
 def _rk4(rhs, y: np.ndarray, h: float) -> np.ndarray:
+    """One classic RK4 step of y' = rhs(y), its stages and their sum formed
+    in place.  Every product and sum is one that y + (h/2) k1, ...,
+    y + (h/6) (k1 + 2 k2 + 2 k3 + k4) make, in their order, some with their
+    operands swapped, which IEEE + and * allow bit for bit.  rhs returns a
+    new array at each call, since k2 and k3 are overwritten."""
+    half = 0.5 * h
     k1 = rhs(y)
-    k2 = rhs(y + 0.5 * h * k1)
-    k3 = rhs(y + 0.5 * h * k2)
-    k4 = rhs(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stage = np.multiply(k1, half)
+    stage += y
+    k2 = rhs(stage)
+    np.multiply(k2, half, out=stage)
+    stage += y
+    k3 = rhs(stage)
+    np.multiply(k3, h, out=stage)
+    stage += y
+    k4 = rhs(stage)
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= h / 6.0
+    k2 += y
+    return k2
 
 
 def _block_side(y: np.ndarray, n: int) -> int:
@@ -113,7 +133,8 @@ def _block_side(y: np.ndarray, n: int) -> int:
     such a block sums every line in the order the whole state would.  Where
     no such side fits, the block is the whole state.
     """
-    occupied = np.flatnonzero(y.any(axis=0) | y.any(axis=1))
+    any_ = np.logical_or.reduce  # ndarray.any would go through numpy's Python wrapper
+    occupied = (any_(y, axis=0) | any_(y, axis=1)).nonzero()[0]
     extent = int(occupied[-1]) + 1 if occupied.size else 0
     side = -(-(extent + BLOCK_MARGIN) // 8) * 8
     leaf = n  # numpy's leading pairwise run for a line of n entries
@@ -139,10 +160,10 @@ def _advance(rhs, y: np.ndarray, span: float, dt: float) -> None:
     remaining = span
     while remaining > 1e-14:
         block = y[:k, :k]
-        m = min_estimate_level(block.sum(axis=0))
+        m = min_estimate_level(np.add.reduce(block, axis=0).tolist())
         h = min(dt, remaining)
         y_new = _rk4(rhs, block, h)
-        if y_new[:, m].sum() < -1e-13:
+        if np.add.reduce(y_new[:, m]) < -1e-13:
             # Called via fluid_sync, where perfbench's INNER patches it, until INNER is mended.
             h, y_new = fluid_sync.split_step_at_switch(
                 lambda z, hh: _rk4(rhs, z, hh), block, h, m)

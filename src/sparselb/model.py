@@ -16,6 +16,10 @@ import numpy as np
 # Entries below -NEG_TOL are construction/integration errors; tiny negative
 # round-off above it is clamped to zero.
 NEG_TOL = 1e-12
+# The budget for dense (jmax+1)^2 float states that one call holds at once:
+# a fixed point, a stored fluid run, a DES run's snapshots.  Larger requests
+# are refused before anything is allocated.
+MAX_STATE_BYTES = 256_000_000
 
 
 class StateError(ValueError):

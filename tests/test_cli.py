@@ -431,11 +431,11 @@ def test_flags_that_fail_a_run_are_refused(argv, flag, tmp_path, capsys):
 
 def test_fluid_refuses_states_over_the_memory_budget(monkeypatch, capsys, tmp_path):
     need = 101 * 8 * 41 ** 2  # the default run stores 101 states on jmax = 40
-    monkeypatch.setattr(sparselb.fixed_point, "MAX_STATE_BYTES", need - 1)
+    monkeypatch.setattr(sparselb.model, "MAX_STATE_BYTES", need - 1)
     monkeypatch.setattr(cli, "_initial_state", lambda *a: pytest.fail("y0 was built"))
     assert "--jmax/--delta/--t-end/--grid-dt" in refused(["fluid", "sync"], monkeypatch, capsys)
     monkeypatch.undo()
-    monkeypatch.setattr(sparselb.fixed_point, "MAX_STATE_BYTES", need)
+    monkeypatch.setattr(sparselb.model, "MAX_STATE_BYTES", need)
     assert main(["fluid", "sync", "--out", str(tmp_path / "traj.csv")]) == 0
 
 
@@ -443,11 +443,11 @@ def test_fluid_counts_every_des_stack_against_the_budget(monkeypatch, capsys, tm
     # the fluid states, the two runs' snapshot stacks and their mean
     need = 4 * 101 * 8 * 41 ** 2
     argv = ["fluid", "sync", "--des-runs", "2", "--n", "10"]
-    monkeypatch.setattr(sparselb.fixed_point, "MAX_STATE_BYTES", need - 1)
+    monkeypatch.setattr(sparselb.model, "MAX_STATE_BYTES", need - 1)
     monkeypatch.setattr(cli, "_initial_state", lambda *a: pytest.fail("y0 was built"))
     assert "--des-runs" in refused(argv, monkeypatch, capsys)
     monkeypatch.undo()
-    monkeypatch.setattr(sparselb.fixed_point, "MAX_STATE_BYTES", need)
+    monkeypatch.setattr(sparselb.model, "MAX_STATE_BYTES", need)
     assert main(argv + ["--out", str(tmp_path / "traj.csv")]) == 0
     assert (tmp_path / "traj_des.csv").read_text().startswith("t,i,j,y\n")
 

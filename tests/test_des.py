@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sparselb import des, policies
+from sparselb import des, model, policies
 from sparselb.checks import fluid_des_distance
 from sparselb.fluid_async import integrate_async
 from sparselb.model import FluidState, ModelParams, derive
@@ -265,7 +265,9 @@ def test_non_finite_horizon_refused(horizon):
     {"trajectory_grid": np.array([0.5, math.inf])},
     {"trajectory_grid": [-math.inf]},
     {"trajectory_grid": np.array([[0.5, 1.0]])},
-], ids=["negative-jmax", "fractional-jmax", "nan-time", "inf-time", "minus-inf-time", "2-d-grid"])
+    {"trajectory_grid": [1.0], "snapshot_jmax": 10**5},  # 80 GB for one snapshot
+], ids=["negative-jmax", "fractional-jmax", "nan-time", "inf-time", "minus-inf-time", "2-d-grid",
+        "over-the-memory-budget"])
 def test_bad_snapshot_settings_refused(setting):
     # Only built, never run: the refusal comes before any event.
     with pytest.raises(SimulationError, match="snapshot_jmax|trajectory_grid"):
@@ -610,6 +612,75 @@ def test_snapshot_clipping_is_counted():
     fluid = integrate_async(FluidState.empty(40), 0.95, 1.0, 0.1)
     with pytest.raises(ValueError, match=f"fraction {cut.clipped:g}"):
         fluid_des_distance(cut, fluid)
+
+
+def fromiter_array(values):
+    """The snapshots' conversion before the byte-wise one, kept as the
+    reference."""
+    return np.fromiter(values, np.int64, len(values))
+
+
+@pytest.mark.parametrize("queues, estimates", [
+    ([0, 3, 1, 7, 0, 2, 40, 41], [0, 5, 1, 7, 2, 2, 44, 41]),
+    ([255, 0, 255, 3], [255, 255, 255, 3]),
+    ([256, 0, 255, 3], [256, 300, 255, 3]),
+    ([255, 1, 0, 2], [2**31 + 5, 4, 0, 2]),
+    ([2**31 + 5, 1, 0, 0], None),
+    ([12, 0, 3, 41], None),
+], ids=["small", "255", "256", "past-2**31", "past-2**31-no-estimates", "no-estimates"])
+def test_byte_wise_conversion_equals_fromiter(queues, estimates):
+    q, ref_q = des._int_array(queues), fromiter_array(queues)
+    assert q.dtype == np.int64 and np.array_equal(q, ref_q)
+    e = ref_e = None
+    if estimates is not None:
+        e, ref_e = des._int_array(estimates), fromiter_array(estimates)
+        assert e.dtype == np.int64 and np.array_equal(e, ref_e)
+    for jmax in (2, 40, 400):
+        assert np.array_equal(snapshot_fractions(q, e, jmax), snapshot_fractions(ref_q, ref_e, jmax))
+
+
+@pytest.mark.parametrize("policy, n, horizon, jmax", [
+    ("random", 20, 60.0, 2),
+    ("aujsq-exp:0.85", 20, 60.0, 2),
+    ("sujsq-det:0.001", 2, 600.0, 300),
+])
+def test_byte_wise_snapshots_equal_fromiter_snapshots(policy, n, horizon, jmax, monkeypatch):
+    # clipped snapshots, with and without estimates; the last run's estimates
+    # pass 255 and then its jmax
+    cfg = make_config(policy, n=n, lam=0.95, horizon=horizon, warmup=0.0,
+                      trajectory_grid=np.linspace(0.0, horizon, 7), snapshot_jmax=jmax)
+    fast = run(cfg).trajectory
+    monkeypatch.setattr(des, "_int_array", fromiter_array)
+    ref = run(cfg).trajectory
+    assert np.array_equal(fast.y, ref.y)
+    assert fast.clipped == ref.clipped > 0.0
+
+
+def test_estimates_past_255_pinned():
+    # sujsq-det:0.001's first epoch comes at t = 1000, so the estimates only
+    # grow: they read 72-73 at t = 100, converted byte-wise, and 348-349 at
+    # t = 500, converted by np.fromiter.  Recorded before the byte-wise path.
+    cfg = make_config("sujsq-det:0.001", n=2, horizon=600.0, warmup=0.0,
+                      trajectory_grid=np.array([100.0, 500.0]), snapshot_jmax=400)
+    traj = run(cfg).trajectory
+    assert [np.flatnonzero(y.sum(axis=0)).tolist() for y in traj.y] == [[72, 73], [348, 349]]
+    assert hashlib.sha256(traj.y.tobytes()).hexdigest() == (
+        "09558357d6db218156067b785b17a672dbe20c6d575d93f7ca86cb17d13de3df")
+    assert traj.clipped == 0.0
+
+
+def test_snapshot_stack_measured_against_the_memory_budget(monkeypatch):
+    # The mean-field benchmark's 100 snapshots on jmax 40 fit, here at
+    # exactly the budget; times past the horizon are not counted.
+    grid = np.append(np.arange(0.05, 10.0, 0.1), [11.0, 12.0])
+    need = 100 * 8 * 41**2
+    settings = dict(n=4, horizon=10.0, warmup=0.0, trajectory_grid=grid, snapshot_jmax=40)
+    assert len(make_config("random", **settings).trajectory_grid) == 100
+    monkeypatch.setattr(model, "MAX_STATE_BYTES", need)
+    make_config("random", **settings)
+    monkeypatch.setattr(model, "MAX_STATE_BYTES", need - 1)
+    with pytest.raises(SimulationError, match="budget"):
+        make_config("random", **settings)
 
 
 def test_jsq_d_more_probes_than_servers_refused():

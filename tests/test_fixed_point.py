@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sparselb.model import default_jmax
+from sparselb.model import MAX_STATE_BYTES, default_jmax
 from sparselb.fixed_point import (
-    MAX_STATE_BYTES,
     h_value,
     m_star,
     m_star_det,

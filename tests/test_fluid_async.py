@@ -290,3 +290,35 @@ def test_async_outputs_pinned(inputs, digest, n_splits, monkeypatch):
     run = integrate_async(y0, lam, delta, t_end, dt)
     assert hashlib.sha256(run.states.tobytes()).hexdigest() == digest
     assert len(splits) == n_splits
+
+
+# RK4 steps and switch-bisection trials of the ASYNC_PINNED runs, recorded
+# before the step was formed in place.  perfbench's fluid_async.rhs_evals
+# counts four evaluations for each, through the rhs_async module global.
+ASYNC_EVALS = [(2001, 22), (10003, 61)]
+
+
+@pytest.mark.parametrize("inputs, steps, trials",
+                         [(pin[0], *evals) for pin, evals in zip(ASYNC_PINNED, ASYNC_EVALS)],
+                         ids=["mean-field", "sparse-feedback"])
+def test_rhs_async_looked_up_at_every_evaluation(inputs, steps, trials, monkeypatch):
+    evals = {False: 0, True: 0}  # by whether a switch bisection is running
+    bisecting = [False]
+    rhs, split = fluid_async.rhs_async, fluid_sync.split_step_at_switch
+
+    def counted(*args):
+        evals[bisecting[0]] += 1
+        return rhs(*args)
+
+    def bisect(*args):
+        bisecting[0] = True
+        try:
+            return split(*args)
+        finally:
+            bisecting[0] = False
+
+    monkeypatch.setattr(fluid_async, "rhs_async", counted)
+    monkeypatch.setattr(fluid_sync, "split_step_at_switch", bisect)
+    lam, delta, jmax, dt, t_end = inputs
+    integrate_async(FluidState.empty(jmax or default_jmax(lam, delta)), lam, delta, t_end, dt)
+    assert evals == {False: 4 * steps, True: 4 * trials}
