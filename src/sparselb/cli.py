@@ -11,8 +11,8 @@ output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -41,6 +41,15 @@ def _trajectory_csv(times: np.ndarray, states: np.ndarray) -> str:
         for i, j in zip(*np.nonzero(y)):
             lines.append(f"{_fmt(t)},{i},{j},{_fmt(y[i, j])}")
     return "\n".join(lines) + "\n"
+
+
+@contextlib.contextmanager
+def _refused(flags: str, *errors: type[Exception]):
+    """Turn the errors raised in the block into usage errors of flags."""
+    try:
+        yield
+    except errors as err:
+        raise argparse.ArgumentTypeError(f"argument {flags}: {err}") from None
 
 
 def _checked(kind, test, need: str):
@@ -81,10 +90,8 @@ def _sweep_specs(text: str, sweep: list[float]) -> list[PolicySpec]:
         raise argparse.ArgumentTypeError("jsq-d needs an explicit integer d, e.g. jsq-d:2")
     specs = []
     for val in sweep:
-        try:
+        with _refused(f"--sweep: {name}:{val:g}", ValueError):
             specs.append(PolicySpec(kind, **{PARAM_RULES[kind].field: val}))
-        except ValueError as err:
-            raise argparse.ArgumentTypeError(f"argument --sweep: {name}:{val:g}: {err}") from None
     return specs
 
 
@@ -98,22 +105,9 @@ def _sim_configs(args: argparse.Namespace, specs: list[PolicySpec], flag: str
                  ) -> list[des.SimConfig]:
     """One simulation per spec, all set up before the first one runs."""
     params = ModelParams(n_servers=args.n, lam=args.lam)
-    try:
+    with _refused(f"{flag}/--n/--horizon/--warmup", des.SimulationError):
         return [des.SimConfig(params=params, policy=spec, horizon=args.horizon,
                               warmup=args.warmup, seed=args.seed) for spec in specs]
-    except des.SimulationError as err:
-        raise argparse.ArgumentTypeError(f"argument {flag}/--n/--horizon/--warmup: {err}")
-
-
-def _replications(config: des.SimConfig, runs: int, flags: str) -> des.MetricsRecord:
-    """des.run_replications, a run that saw no arrival after its warmup
-    refused as a usage error of flags."""
-    try:
-        return des.run_replications(config, runs)
-    except des.SimulationError as err:
-        if not str(err).startswith("horizon too short"):  # a worker that died, say
-            raise
-        raise argparse.ArgumentTypeError(f"argument {flags}: {err}") from None
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -123,7 +117,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for config in configs:
         spec = config.policy
-        rec = _replications(config, args.runs, "--horizon/--warmup")
+        with _refused("--horizon/--warmup", des.HorizonError):
+            rec = des.run_replications(config, args.runs)
         rows.append(
             (
                 spec.kind.value,
@@ -147,7 +142,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _initial_state(y0: str, lam: float, delta: float, jmax: int) -> FluidState:
     """The --y0 state; a file that cannot be read as a state, or a fixed
     point that y_star refuses, raises ArgumentTypeError."""
-    try:
+    with _refused(f"--y0: {y0}", OSError, ValueError, KeyError, TypeError):
         if y0 == "empty":
             return FluidState.empty(jmax)
         if y0 == "fixed-point":
@@ -155,38 +150,28 @@ def _initial_state(y0: str, lam: float, delta: float, jmax: int) -> FluidState:
         data = json.loads(Path(y0).read_text())
         entries = {(int(i), int(j)): float(v) for i, j, v in data["entries"]}
         return FluidState.from_entries(entries, jmax=jmax)
-    except (OSError, ValueError, KeyError, TypeError) as err:
-        raise argparse.ArgumentTypeError(f"argument --y0: {y0}: {err}") from None
 
 
 def cmd_fluid(args: argparse.Namespace) -> int:
     if args.kind == "async" and args.dt is not None:
-        try:  # the bound on --dt depends on --delta
+        with _refused("--dt", ValueError):  # the bound on --dt depends on --delta
             fluid_async.check_dt(args.dt, args.delta)
-        except ValueError as err:
-            raise argparse.ArgumentTypeError(f"argument --dt: {err}") from None
     jmax = args.jmax or default_jmax(args.lam, args.delta)
-    stops = math.ceil((args.t_end + 1e-12) / args.grid_dt)  # len(store)
-    # One stack of stops states for the fluid run; with --des-runs R, one per
-    # DES run and one for their mean (for R = 1, the run's list of snapshots
-    # while it is stacked).
-    stacks = args.des_runs + 2 if args.des_runs else 1
-    need = stacks * stops * 8 * (jmax + 1) ** 2
-    if need > model.MAX_STATE_BYTES:
-        raise argparse.ArgumentTypeError(
-            f"argument --jmax/--delta/--t-end/--grid-dt/--des-runs: {stacks} stacks "
-            f"of {stops} stored states on jmax={jmax} need {need / 1e6:.0f} MB, over the "
-            f"{model.MAX_STATE_BYTES / 1e6:.0f} MB budget"
-        )
-    y0 = _initial_state(args.y0, args.lam, args.delta, jmax)
     store = np.arange(0.0, args.t_end + 1e-12, args.grid_dt)
-    try:
+    # The fluid run's states; with --des-runs R, one snapshot stack per DES
+    # run and one for their mean (for R = 1, the run's list of snapshots
+    # while it is stacked).
+    epoch_rate = args.delta if args.kind == "sync" else None  # async runs have no epochs
+    states = len(fluid_sync.stops(args.t_end, epoch_rate, store)) + 1
+    states += (args.des_runs + 1) * len(store) if args.des_runs else 0
+    with _refused("--jmax/--delta/--t-end/--grid-dt/--des-runs", model.StateError):
+        model.check_state_budget(states, jmax, "stored states")
+    y0 = _initial_state(args.y0, args.lam, args.delta, jmax)
+    with _refused("--jmax", TruncationError):
         if args.kind == "sync":
             run = fluid_sync.integrate_sync(y0, args.lam, args.delta, args.t_end, store_times=store)
         else:
             run = fluid_async.integrate_async(y0, args.lam, args.delta, args.t_end, args.dt, store)
-    except TruncationError as err:
-        raise argparse.ArgumentTypeError(f"argument --jmax: {err}") from None
     text = _trajectory_csv(run.times, run.states)
     if args.des_runs:  # simulated before anything is written
         kind = PolicyKind.SUJSQ_DET if args.kind == "sync" else PolicyKind.AUJSQ_EXP
@@ -199,7 +184,8 @@ def cmd_fluid(args: argparse.Namespace) -> int:
             trajectory_grid=store,
             snapshot_jmax=jmax,
         )
-        rec = _replications(sim, args.des_runs, "--t-end/--n")
+        with _refused("--t-end/--n", des.HorizonError):
+            rec = des.run_replications(sim, args.des_runs)
         overlay = _trajectory_csv(rec.trajectory.times, rec.trajectory.y)
         if args.out == "-":
             text += overlay
@@ -210,23 +196,17 @@ def cmd_fluid(args: argparse.Namespace) -> int:
     return 0
 
 
-def _y_star(lam: float, delta: float, flag: str) -> fixed_point.FixedPoint:
-    """y_star(lam, delta), its range errors refused as usage errors of flag."""
-    try:
-        return fixed_point.y_star(lam, delta)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"argument {flag}: {err}") from None
-
-
 def cmd_fixed_point(args: argparse.Namespace) -> int:
     if args.delta_grid:
         lines = ["delta,m_star,nu,q_tilde"]
         for d in args.delta_grid:
-            fp = _y_star(args.lam, d, "--delta-grid")
+            with _refused("--delta-grid", ValueError):
+                fp = fixed_point.y_star(args.lam, d)
             lines.append(f"{_fmt(d)},{fp.m_star},{_fmt(fp.nu)},{_fmt(fp.q_tilde)}")
         _write(args.out, "\n".join(lines) + "\n")
         return 0
-    fp = _y_star(args.lam, args.delta, "--delta")
+    with _refused("--delta", ValueError):
+        fp = fixed_point.y_star(args.lam, args.delta)
     y = fp.y_star.y
     entries = [
         [int(i), int(j), float(y[i, j])] for i, j in zip(*np.nonzero(y))
@@ -245,7 +225,8 @@ def cmd_fixed_point(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     [config] = _sim_configs(args, [args.policy], "--policy")
-    rec = _replications(config, args.runs, "--horizon/--warmup")
+    with _refused("--horizon/--warmup", des.HorizonError):
+        rec = des.run_replications(config, args.runs)
     _write(args.out, json.dumps(rec.to_dict(), sort_keys=True, indent=2) + "\n")
     return 0
 

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
-from .model import ModelParams
+from .model import ModelParams, check_state_budget
 from .policies import (
     DispatcherView,
     PolicySpec,
@@ -54,6 +53,10 @@ BLOCK = 1024
 
 class SimulationError(RuntimeError):
     pass
+
+
+class HorizonError(SimulationError):
+    """A run saw no arrival after its warmup."""
 
 
 def rng_streams(seed: int, run_index: int) -> dict[str, np.random.Generator]:
@@ -192,13 +195,8 @@ class SimConfig:
             if grid.ndim != 1 or not np.isfinite(grid).all():
                 raise SimulationError("trajectory_grid must be a 1-d array of finite times")
             self.trajectory_grid = grid[grid <= self.horizon + 1e-12]
-            need = len(self.trajectory_grid) * 8 * (int(jmax) + 1) ** 2
-            if need > model.MAX_STATE_BYTES:
-                raise SimulationError(
-                    f"trajectory_grid: {len(self.trajectory_grid)} snapshots on "
-                    f"snapshot_jmax={jmax} need {need / 1e6:.0f} MB, over the "
-                    f"{model.MAX_STATE_BYTES / 1e6:.0f} MB budget"
-                )
+            check_state_budget(len(self.trajectory_grid), int(jmax), "trajectory_grid",
+                               SimulationError)
 
 
 @dataclass
@@ -306,6 +304,11 @@ def run_replications(config: SimConfig, runs: int) -> MetricsRecord:
     """
     if runs < 1:
         raise SimulationError("runs must be >= 1")
+    # One snapshot stack per run and one for their mean (for one run, its
+    # list of snapshots while it is stacked).
+    if config.trajectory_grid is not None:
+        check_state_budget((runs + 1) * len(config.trajectory_grid), config.snapshot_jmax,
+                           "run_replications", SimulationError)
     records = _replicate(config, runs)
     if runs == 1:
         return records[0]
@@ -563,9 +566,7 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
         snapshot()
 
     if n_arrivals_pw == 0:
-        raise SimulationError(
-            "horizon too short: no arrivals observed after warmup"
-        )
+        raise HorizonError("horizon too short: no arrivals observed after warmup")
 
     window = (horizon - warmup) * n
     hist = np.array(hist_area) / window

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
-from .model import FluidState, default_jmax
+from .model import FluidState, check_state_budget, default_jmax
 from .fluid_async import rhs_async
 from .fluid_sync import poisson_ab
 
@@ -99,7 +98,8 @@ def y_star(lam: float, delta: float, jmax: int | None = None) -> FixedPoint:
 
     The result carries the residual of the asynchronous fluid derivative at
     the constructed state; residuals at or above 1e-8 raise.  A grid whose
-    dense array would exceed model.MAX_STATE_BYTES raises ValueError up front.
+    dense array is over the state budget raises StateError (a ValueError)
+    up front.
     """
     m = m_star(lam, delta)
     nu = solve_nu(lam, delta, m)
@@ -108,11 +108,7 @@ def y_star(lam: float, delta: float, jmax: int | None = None) -> FixedPoint:
     jm = default_jmax(lam, delta) if jmax is None else jmax
     if jm < m + 2:
         raise ValueError(f"jmax={jm} too small for support level {m + 1}")
-    if 8 * (jm + 1) ** 2 > model.MAX_STATE_BYTES:
-        raise ValueError(
-            f"jmax={jm} needs a {8 * (jm + 1) ** 2 / 1e6:.0f} MB dense state, "
-            f"over the {model.MAX_STATE_BYTES / 1e6:.0f} MB budget"
-        )
+    check_state_budget(1, jm, "y_star")
 
     y = np.zeros((jm + 1, jm + 1))
     y[0, m] = a * b ** (m - 1) * delta / ((1.0 + nu) * (delta + nu))

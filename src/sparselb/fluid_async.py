@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fluid_sync
-from .model import SWITCH_TOL, FluidState, min_estimate_level
-from .fluid_sync import FluidRun, _marks, _settle, _state_array
+from .model import SWITCH_TOL, FluidState, check_state_budget, min_estimate_level
+from .fluid_sync import FluidRun, _settle, _state_array, stops
 
 # Slack on the capacity comparison that prevents chattering when u_n sits
 # exactly on lam.
@@ -199,7 +199,8 @@ def integrate_async(
         dt = min(1.0 / delta, 1.0) / 1000.0
     check_dt(dt, delta)
     y = _state_array(y0)
-    marks = _marks(t_end, (), store_times)
+    marks = stops(t_end, None, store_times)
+    check_state_budget(len(marks) + 1, len(y) - 1, "integrate_async")
     states = np.empty((len(marks) + 1, *y.shape))
     states[0] = y
     clamped = 0.0

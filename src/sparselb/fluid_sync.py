@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import NEG_TOL, SWITCH_TOL, FluidState, check_truncation, min_estimate_level
+from .model import (NEG_TOL, SWITCH_TOL, FluidState, check_state_budget, check_truncation,
+                    min_estimate_level)
 
 
 class IntegrationError(RuntimeError):
@@ -87,25 +88,32 @@ def split_step_at_switch(step, y: np.ndarray, h: float, m: int):
     raise IntegrationError("switch-point bisection did not converge")
 
 
-def _marks(t_end: float, epochs, store_times) -> list[tuple[float, bool]]:
-    """Sorted (time, is_epoch) stops in (0, t_end] at the epochs and the
-    store times (default 1001 points from 0 to t_end), merging times within
-    1e-12 * max(1, t_end) of each other.  A merged group keeps its epoch's
-    time if it has one, else t_end if it holds t_end, else its first time."""
+def stops(t_end: float, delta: float | None, store_times) -> list[tuple[float, bool]]:
+    """Sorted (time, is_epoch) stops in (0, t_end] of a fluid run: the
+    update epochs k/delta of a synchronous run (none for delta None, the
+    asynchronous run) and the store times (default 1001 points from 0 to
+    t_end), merging times within 1e-12 * max(1, t_end) of each other.  A
+    merged group keeps its epoch's time if it has one, else t_end if it
+    holds t_end, else its first time.  The run stores one state at time 0
+    and one at each stop."""
     if not t_end > 0.0:
         raise ValueError(f"need t_end > 0, got {t_end}")
+    epochs = ()
+    if delta is not None:
+        period = 1.0 / delta
+        epochs = np.arange(1, math.floor(t_end / period + 1e-12) + 1) * period
     if store_times is None:
         store_times = np.linspace(0.0, t_end, 1001)
     eps = 1e-12 * max(1.0, t_end)
     # rank 0: store time, 1: t_end, 2: epoch
-    stops = sorted(
+    ranked = sorted(
         (float(t), rank)
         for times, rank in ((epochs, 2), (store_times, 0), ([t_end], 1))
         for t in times
         if 0.0 < t <= t_end + eps
     )
     marks: list[tuple[float, int]] = []
-    for t, rank in stops:
+    for t, rank in ranked:
         if marks and t - marks[-1][0] <= eps:
             marks[-1] = max(marks[-1], (t, rank), key=lambda mark: mark[1])
         else:
@@ -189,9 +197,8 @@ def integrate_sync(
     stored times between two stops come from one call.
     """
     y = _state_array(y0)
-    period = 1.0 / delta
-    epochs = np.arange(1, math.floor(t_end / period + 1e-12) + 1) * period
-    marks = _marks(t_end, epochs, store_times)
+    marks = stops(t_end, delta, store_times)
+    check_state_budget(len(marks) + 1, len(y) - 1, "integrate_sync")
     times = np.array([0.0, *(t for t, _ in marks)])
     # index of each epoch mark, then of the last mark
     ends = np.append(np.flatnonzero([is_epoch for _, is_epoch in marks]), len(marks) - 1)

@@ -18,7 +18,7 @@ import numpy as np
 NEG_TOL = 1e-12
 # The budget for dense (jmax+1)^2 float states that one call holds at once:
 # a fixed point, a stored fluid run, a DES run's snapshots.  Larger requests
-# are refused before anything is allocated.
+# are refused, by check_state_budget, before anything is allocated.
 MAX_STATE_BYTES = 256_000_000
 
 
@@ -28,6 +28,18 @@ class StateError(ValueError):
 
 class TruncationError(RuntimeError):
     """Raised when probability mass reaches the truncation boundary."""
+
+
+def check_state_budget(states: int, jmax: int, what: str,
+                       error: type[Exception] = StateError) -> None:
+    """Raise error when what, holding states dense (jmax + 1)^2 float
+    states at once, would need more than MAX_STATE_BYTES."""
+    need = states * 8 * (jmax + 1) ** 2
+    if need > MAX_STATE_BYTES:
+        raise error(
+            f"{what}: {states} x (jmax+1)^2 floats at jmax={jmax} need "
+            f"{need / 1e6:.0f} MB, over the {MAX_STATE_BYTES / 1e6:.0f} MB budget"
+        )
 
 
 @dataclass(frozen=True)
@@ -77,6 +89,7 @@ class FluidState:
     @classmethod
     def empty(cls, jmax: int) -> "FluidState":
         """All servers idle with accurate (zero) estimates."""
+        check_state_budget(1, jmax, "FluidState.empty")
         y = np.zeros((jmax + 1, jmax + 1))
         y[0, 0] = 1.0
         return cls(y)
@@ -85,6 +98,7 @@ class FluidState:
     def from_entries(cls, entries: dict[tuple[int, int], float], jmax: int) -> "FluidState":
         """The state with y[i, j] = value for each (i, j) in entries, on a
         (jmax + 1)^2 grid; an index outside 0..jmax is refused."""
+        check_state_budget(1, jmax, "FluidState.from_entries")
         y = np.zeros((jmax + 1, jmax + 1))
         for (i, j), val in entries.items():
             if not (0 <= i <= jmax and 0 <= j <= jmax):

@@ -143,7 +143,6 @@ class DispatcherView:
     """
 
     def __init__(self, spec: PolicySpec, n_servers: int):
-        self.spec = spec
         self.n_servers = n_servers
         self.est: list[int] | None = None
         self.levels: list[list[int]] = []

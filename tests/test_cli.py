@@ -430,7 +430,9 @@ def test_flags_that_fail_a_run_are_refused(argv, flag, tmp_path, capsys):
 
 
 def test_fluid_refuses_states_over_the_memory_budget(monkeypatch, capsys, tmp_path):
-    need = 101 * 8 * 41 ** 2  # the default run stores 101 states on jmax = 40
+    # the default run stores 109 states on jmax = 40: time 0, 100 store times
+    # and 8 epochs
+    need = 109 * 8 * 41 ** 2
     monkeypatch.setattr(sparselb.model, "MAX_STATE_BYTES", need - 1)
     monkeypatch.setattr(cli, "_initial_state", lambda *a: pytest.fail("y0 was built"))
     assert "--jmax/--delta/--t-end/--grid-dt" in refused(["fluid", "sync"], monkeypatch, capsys)
@@ -441,7 +443,7 @@ def test_fluid_refuses_states_over_the_memory_budget(monkeypatch, capsys, tmp_pa
 
 def test_fluid_counts_every_des_stack_against_the_budget(monkeypatch, capsys, tmp_path):
     # the fluid states, the two runs' snapshot stacks and their mean
-    need = 4 * 101 * 8 * 41 ** 2
+    need = (109 + 3 * 101) * 8 * 41 ** 2
     argv = ["fluid", "sync", "--des-runs", "2", "--n", "10"]
     monkeypatch.setattr(sparselb.model, "MAX_STATE_BYTES", need - 1)
     monkeypatch.setattr(cli, "_initial_state", lambda *a: pytest.fail("y0 was built"))
@@ -450,6 +452,40 @@ def test_fluid_counts_every_des_stack_against_the_budget(monkeypatch, capsys, tm
     monkeypatch.setattr(sparselb.model, "MAX_STATE_BYTES", need)
     assert main(argv + ["--out", str(tmp_path / "traj.csv")]) == 0
     assert (tmp_path / "traj_des.csv").read_text().startswith("t,i,j,y\n")
+
+
+@pytest.mark.parametrize("argv, states", [
+    # time 0, 100 store times and 250 epochs, of which 50 fall on a store time
+    (["fluid", "sync", "--delta", "2.5", "--t-end", "100", "--grid-dt", "1"], 301),
+    # time 0, 36 store times in (0, 7.3) and t_end, which is off the grid
+    (["fluid", "async", "--t-end", "7.3", "--grid-dt", "0.2"], 38),
+])
+def test_fluid_counts_the_states_its_run_stores(argv, states, monkeypatch, capsys, tmp_path):
+    need = states * 8 * 41 ** 2
+    monkeypatch.setattr(sparselb.model, "MAX_STATE_BYTES", need - 1)
+    assert "--jmax/--delta/--t-end/--grid-dt" in refused(argv, monkeypatch, capsys)
+    monkeypatch.undo()
+    monkeypatch.setattr(sparselb.model, "MAX_STATE_BYTES", need)
+    out = tmp_path / "traj.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert len({row.split(",")[0] for row in out.read_text().splitlines()[1:]}) == states
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--policy", "random", "--runs", "2", "--n", "10", "--horizon", "10"],
+    ["sweep", "--policies", "random", "--runs", "2", "--n", "10", "--horizon", "10",
+     "--warmup", "2"],
+    ["fluid", "sync", "--des-runs", "2", "--n", "10", "--t-end", "1"],
+])
+def test_a_failed_replication_is_not_a_usage_error(argv, monkeypatch, capsys):
+    # only a run that saw no arrival after its warmup is the flags' fault
+    def dead(*args):
+        raise sparselb.des.SimulationError("a replication worker ended without sending its runs")
+
+    monkeypatch.setattr(sparselb.des, "_replicate", dead)
+    with pytest.raises(sparselb.des.SimulationError, match="worker ended"):
+        main(argv)
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("manifest, named", [

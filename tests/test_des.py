@@ -20,6 +20,7 @@ from sparselb.fluid_async import integrate_async
 from sparselb.model import FluidState, ModelParams, derive
 from sparselb.policies import ESTIMATE_KINDS, PolicySpec, dispatch
 from sparselb.des import (
+    HorizonError,
     MetricsRecord,
     SimConfig,
     SimulationError,
@@ -681,6 +682,29 @@ def test_snapshot_stack_measured_against_the_memory_budget(monkeypatch):
     monkeypatch.setattr(model, "MAX_STATE_BYTES", need - 1)
     with pytest.raises(SimulationError, match="budget"):
         make_config("random", **settings)
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+def test_replications_count_every_snapshot_stack_against_the_budget(runs, monkeypatch):
+    # one stack per run and one for their mean; SimConfig counts only one
+    cfg = make_config("random", n=4, horizon=10.0, warmup=0.0,
+                      trajectory_grid=np.arange(0.5, 10.0, 1.0), snapshot_jmax=40)
+    need = (runs + 1) * 10 * 8 * 41**2
+    monkeypatch.setattr(model, "MAX_STATE_BYTES", need - 1)
+    monkeypatch.setattr(des, "_replicate", lambda *a: pytest.fail("a run started"))
+    with pytest.raises(SimulationError, match="run_replications: .* budget"):
+        run_replications(cfg, runs)
+    monkeypatch.undo()
+    monkeypatch.setattr(model, "MAX_STATE_BYTES", need)
+    assert run_replications(cfg, runs).trajectory.y.shape == (10, 41, 41)
+
+
+@pytest.mark.parametrize("runs", [1, 2])
+def test_no_arrival_after_warmup_is_a_horizon_error(runs):
+    cfg = make_config("random", n=2, horizon=0.01, warmup=0.005)
+    with pytest.raises(HorizonError, match="horizon too short"):
+        run_replications(cfg, runs)
+    assert issubclass(HorizonError, SimulationError)
 
 
 def test_jsq_d_more_probes_than_servers_refused():

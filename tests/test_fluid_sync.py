@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from sparselb import fluid_async, fluid_sync
+from sparselb import fluid_async, fluid_sync, model
 from sparselb.cli import main
 from sparselb.fixed_point import y_star
 from sparselb.model import (
     FluidState,
+    StateError,
     TruncationError,
     default_jmax,
     min_estimate_level,
@@ -173,6 +174,19 @@ def test_run_ends_exactly_at_t_end(integrate):
     run = integrate(FluidState.empty(40), 0.7, 0.85, 7.3, store_times=grid, **kwargs)
     assert run.times[-1] == 7.3
     assert np.all(np.diff(run.times) > 0.0)
+
+
+@pytest.mark.parametrize("integrate, states", [
+    (integrate_sync, 1004),  # time 0, the 1000 default store times and 3 epochs
+    (integrate_async, 1001),
+])
+def test_stored_states_over_the_budget_are_refused(integrate, states, monkeypatch):
+    kwargs = {"dt": 0.01} if integrate is integrate_async else {}
+    monkeypatch.setattr(model, "MAX_STATE_BYTES", states * 8 * 41 ** 2 - 1)
+    with pytest.raises(StateError, match=f"{integrate.__name__}: {states} x .* budget"):
+        integrate(FluidState.empty(40), 0.7, 0.85, 4.0, **kwargs)
+    monkeypatch.setattr(model, "MAX_STATE_BYTES", states * 8 * 41 ** 2)
+    assert len(integrate(FluidState.empty(40), 0.7, 0.85, 4.0, **kwargs).states) == states
 
 
 def test_truncation_guard_trips():

@@ -1,8 +1,8 @@
 """Rules of the package layout that no other test sees: the package's
 __init__ re-exports nothing, every import sits at module level, but for the
-scipy imports that ctmc defers so that the CLI loads without scipy, and the
-synchronous limit does not depend on the asynchronous one.  The modules are
-parsed, not imported."""
+scipy imports that ctmc defers so that the CLI loads without scipy, the
+synchronous limit does not depend on the asynchronous one, and only model
+reads the state budget.  The modules are parsed, not imported."""
 import ast
 import importlib.util
 from pathlib import Path
@@ -42,3 +42,11 @@ def test_no_import_inside_a_function():
 def test_fluid_sync_imports_nothing_from_fluid_async():
     modules = [module for _, module in imports(MODULES["fluid_sync"])]
     assert modules and not any(module.endswith("fluid_async") for module in modules)
+
+
+def test_only_model_names_the_state_budget():
+    # every other layer asks model.check_state_budget, so the byte rule has one copy
+    naming = {name for name, tree in MODULES.items() for node in ast.walk(tree)
+              if "MAX_STATE_BYTES" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                       getattr(node, "name", None))}
+    assert naming == {"model"}

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from sparselb import model
 from sparselb.model import (
     SWITCH_TOL,
     FluidState,
     ModelParams,
     StateError,
+    check_state_budget,
     default_jmax,
     derive,
     min_estimate_level,
@@ -49,6 +51,27 @@ def test_from_entries_refuses_cells_off_the_grid(cell):
     # a negative index would otherwise write from the far end of the grid
     with pytest.raises(StateError, match="outside the grid 0..4"):
         FluidState.from_entries({(0, 0): 0.5, cell: 0.5}, jmax=4)
+
+
+def test_check_state_budget_counts_dense_float_states(monkeypatch):
+    monkeypatch.setattr(model, "MAX_STATE_BYTES", 3 * 8 * 41 ** 2)
+    check_state_budget(3, 40, "three")
+    with pytest.raises(StateError, match=r"^four: 4 x \(jmax\+1\)\^2 floats at jmax=40 .* budget$"):
+        check_state_budget(4, 40, "four")
+    with pytest.raises(OverflowError, match="wider"):
+        check_state_budget(3, 41, "wider", OverflowError)
+
+
+@pytest.mark.parametrize("build", [
+    FluidState.empty,
+    lambda jmax: FluidState.from_entries({(0, 0): 1.0}, jmax),
+], ids=["empty", "from_entries"])
+def test_states_over_the_budget_are_refused(build, monkeypatch):
+    monkeypatch.setattr(model, "MAX_STATE_BYTES", 8 * 41 ** 2)
+    assert build(40).y.shape == (41, 41)
+    monkeypatch.setattr(model, "MAX_STATE_BYTES", 8 * 41 ** 2 - 1)
+    with pytest.raises(StateError, match="budget"):
+        build(40)
 
 
 def test_fluid_state_rejects_zero_total():
