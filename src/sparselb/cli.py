@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -157,23 +158,15 @@ def cmd_fluid(args: argparse.Namespace) -> int:
         with _refused("--dt", ValueError):  # the bound on --dt depends on --delta
             fluid_async.check_dt(args.dt, args.delta)
     jmax = args.jmax or default_jmax(args.lam, args.delta)
-    store = np.arange(0.0, args.t_end + 1e-12, args.grid_dt)
-    # The fluid run's states; with --des-runs R, one snapshot stack per DES
-    # run and one for their mean (for R = 1, the run's list of snapshots
-    # while it is stacked).
     epoch_rate = args.delta if args.kind == "sync" else None  # async runs have no epochs
+    flags = "--jmax/--delta/--t-end/--grid-dt/--des-runs"
+    with _refused(flags, model.StateError, OverflowError):  # before store is built
+        n_store = math.ceil((args.t_end + 1e-12) / args.grid_dt)  # np.arange's length
+        model.check_state_budget(fluid_sync.least_states(args.t_end, epoch_rate, n_store),
+                                 jmax, "stored states")
+    store = np.arange(0.0, args.t_end + 1e-12, args.grid_dt)
     states = len(fluid_sync.stops(args.t_end, epoch_rate, store)) + 1
-    states += (args.des_runs + 1) * len(store) if args.des_runs else 0
-    with _refused("--jmax/--delta/--t-end/--grid-dt/--des-runs", model.StateError):
-        model.check_state_budget(states, jmax, "stored states")
-    y0 = _initial_state(args.y0, args.lam, args.delta, jmax)
-    with _refused("--jmax", TruncationError):
-        if args.kind == "sync":
-            run = fluid_sync.integrate_sync(y0, args.lam, args.delta, args.t_end, store_times=store)
-        else:
-            run = fluid_async.integrate_async(y0, args.lam, args.delta, args.t_end, args.dt, store)
-    text = _trajectory_csv(run.times, run.states)
-    if args.des_runs:  # simulated before anything is written
+    if args.des_runs:  # its one snapshot stack, on store, passed the check above
         kind = PolicyKind.SUJSQ_DET if args.kind == "sync" else PolicyKind.AUJSQ_EXP
         sim = des.SimConfig(
             params=ModelParams(n_servers=args.n, lam=args.lam),
@@ -184,6 +177,17 @@ def cmd_fluid(args: argparse.Namespace) -> int:
             trajectory_grid=store,
             snapshot_jmax=jmax,
         )
+        states += des.snapshot_states(sim, args.des_runs)
+    with _refused(flags, model.StateError):
+        model.check_state_budget(states, jmax, "stored states")
+    y0 = _initial_state(args.y0, args.lam, args.delta, jmax)
+    with _refused("--jmax", TruncationError):
+        if args.kind == "sync":
+            run = fluid_sync.integrate_sync(y0, args.lam, args.delta, args.t_end, store_times=store)
+        else:
+            run = fluid_async.integrate_async(y0, args.lam, args.delta, args.t_end, args.dt, store)
+    text = _trajectory_csv(run.times, run.states)
+    if args.des_runs:  # simulated before anything is written
         with _refused("--t-end/--n", des.HorizonError):
             rec = des.run_replications(sim, args.des_runs)
         overlay = _trajectory_csv(rec.trajectory.times, rec.trajectory.y)

@@ -286,6 +286,14 @@ def t_975(df: int) -> float:
     return math.sqrt(df) * math.tan(lo)
 
 
+def snapshot_states(config: SimConfig, runs: int) -> int:
+    """The dense snapshot states that run_replications(config, runs) holds
+    at once: one stack per run and one for their mean (for one run, its
+    list of snapshots while it is stacked); none without a grid."""
+    grid = config.trajectory_grid
+    return 0 if grid is None else (runs + 1) * len(grid)
+
+
 def run_replications(config: SimConfig, runs: int) -> MetricsRecord:
     """Independent replications with per-run derived seeds; scalar metrics
     are averaged and trajectories are pointwise means.
@@ -304,11 +312,8 @@ def run_replications(config: SimConfig, runs: int) -> MetricsRecord:
     """
     if runs < 1:
         raise SimulationError("runs must be >= 1")
-    # One snapshot stack per run and one for their mean (for one run, its
-    # list of snapshots while it is stacked).
-    if config.trajectory_grid is not None:
-        check_state_budget((runs + 1) * len(config.trajectory_grid), config.snapshot_jmax,
-                           "run_replications", SimulationError)
+    check_state_budget(snapshot_states(config, runs), config.snapshot_jmax,
+                       "run_replications", SimulationError)
     records = _replicate(config, runs)
     if runs == 1:
         return records[0]

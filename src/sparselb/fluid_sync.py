@@ -88,6 +88,18 @@ def split_step_at_switch(step, y: np.ndarray, h: float, m: int):
     raise IntegrationError("switch-point bisection did not converge")
 
 
+def _epoch_count(t_end: float, delta: float | None) -> int:
+    """The update epochs k/delta in (0, t_end]; none for delta None."""
+    return 0 if delta is None else math.floor(t_end / (1.0 / delta) + 1e-12)
+
+
+def least_states(t_end: float, delta: float | None, n_store: int) -> int:
+    """A floor, built from nothing, on len(stops(t_end, delta, store_times))
+    + 1 for n_store store times in [0, t_end], unless stops merges two
+    store times or two epochs (on an even grid, 1e12 * min(1, t_end) of them)."""
+    return max(n_store, _epoch_count(t_end, delta) + 1)
+
+
 def stops(t_end: float, delta: float | None, store_times) -> list[tuple[float, bool]]:
     """Sorted (time, is_epoch) stops in (0, t_end] of a fluid run: the
     update epochs k/delta of a synchronous run (none for delta None, the
@@ -98,10 +110,7 @@ def stops(t_end: float, delta: float | None, store_times) -> list[tuple[float, b
     and one at each stop."""
     if not t_end > 0.0:
         raise ValueError(f"need t_end > 0, got {t_end}")
-    epochs = ()
-    if delta is not None:
-        period = 1.0 / delta
-        epochs = np.arange(1, math.floor(t_end / period + 1e-12) + 1) * period
+    epochs = () if delta is None else np.arange(1, _epoch_count(t_end, delta) + 1) * (1.0 / delta)
     if store_times is None:
         store_times = np.linspace(0.0, t_end, 1001)
     eps = 1e-12 * max(1.0, t_end)

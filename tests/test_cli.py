@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -469,6 +470,24 @@ def test_fluid_counts_the_states_its_run_stores(argv, states, monkeypatch, capsy
     out = tmp_path / "traj.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert len({row.split(",")[0] for row in out.read_text().splitlines()[1:]}) == states
+
+
+@pytest.mark.parametrize("argv", [
+    ["fluid", "sync", "--grid-dt", "1e-12"],  # 10^13 store times, about 73 TiB
+    ["fluid", "async", "--grid-dt", "1e-5", "--des-runs", "2"],  # 8 MB of store times
+    ["fluid", "sync", "--delta", "1e12"],  # 10^13 epochs
+    ["fluid", "async", "--t-end", "1e300", "--grid-dt", "1e-10"],  # too many to count
+])
+def test_fluid_refuses_before_building_its_store_times(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sparselb.fluid_sync, "stops", lambda *a: pytest.fail("stops built"))
+    tracemalloc.start()
+    try:
+        err = refused(argv, monkeypatch, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "--jmax/--delta/--t-end/--grid-dt/--des-runs" in err
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("argv", [

@@ -699,6 +699,13 @@ def test_replications_count_every_snapshot_stack_against_the_budget(runs, monkey
     assert run_replications(cfg, runs).trajectory.y.shape == (10, 41, 41)
 
 
+def test_snapshot_states_counts_a_stack_per_run_and_their_mean():
+    cfg = make_config("random", n=4, horizon=10.0, warmup=0.0,
+                      trajectory_grid=np.arange(0.5, 20.0, 1.0))  # 10 times to the horizon
+    assert [des.snapshot_states(cfg, runs) for runs in (1, 2, 5)] == [20, 30, 60]
+    assert des.snapshot_states(make_config("random", n=4, horizon=10.0, warmup=0.0), 5) == 0
+
+
 @pytest.mark.parametrize("runs", [1, 2])
 def test_no_arrival_after_warmup_is_a_horizon_error(runs):
     cfg = make_config("random", n=2, horizon=0.01, warmup=0.005)

@@ -189,6 +189,18 @@ def test_stored_states_over_the_budget_are_refused(integrate, states, monkeypatc
     assert len(integrate(FluidState.empty(40), 0.7, 0.85, 4.0, **kwargs).states) == states
 
 
+@pytest.mark.parametrize("t_end, delta, grid_dt, floor, states", [
+    (10.0, 0.85, 0.1, 101, 109),  # the CLI's grids, counted in test_cli
+    (100.0, 2.5, 1.0, 251, 301),  # 250 epochs
+    (7.3, None, 0.2, 37, 38),
+    (4.0, 250.0, 1.0, 1001, 1001),  # 1000 epochs, every store time on one
+])
+def test_least_states_is_a_floor_on_the_stored_states(t_end, delta, grid_dt, floor, states):
+    store = np.arange(0.0, t_end + 1e-12, grid_dt)
+    assert fluid_sync.least_states(t_end, delta, len(store)) == floor
+    assert len(fluid_sync.stops(t_end, delta, store)) + 1 == states
+
+
 def test_truncation_guard_trips():
     y0 = np.zeros((3, 3))
     y0[0, 0] = 1.0
