@@ -10,7 +10,7 @@ every derivative evaluation.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ CAP_TOL = 1e-12
 BLOCK_MARGIN = 4
 
 
-@dataclass(frozen=True)
-class AsyncDriver:
+class AsyncDriver(NamedTuple):
     """Assignment driver derived from a state: u[k] is the rate at which
     update-triggered top-ups can absorb jobs below estimate level k, listed
     for k = 0..m + 1 with m the minimum occupied estimate level; n is the
@@ -41,9 +40,12 @@ class AsyncDriver:
     zeta: float
 
 
-def driver_of(v: list[float], w: list[float], lam: float, delta: float) -> AsyncDriver:
+def driver_of(
+    v: np.ndarray | list[float], w: list[float], lam: float, delta: float
+) -> AsyncDriver:
     """Dispatch level and residual rate for a state with queue marginal v
-    and estimate marginal w, both lists of Python floats.
+    (an array or a list; only v[:m + 1] is read) and estimate marginal w, a
+    list of Python floats.
 
     n equals the minimum occupied estimate level m when the top-up capacity
     below m stays within lam; otherwise n is the highest level whose
@@ -53,9 +55,10 @@ def driver_of(v: list[float], w: list[float], lam: float, delta: float) -> Async
     numpy's cumsum of a cumsum, so every value equals numpy's.
     """
     m = min_estimate_level(w)
+    head = v[: m + 1]
     u = [0.0]
     c1 = c2 = 0.0
-    for vi in v[: m + 1]:
+    for vi in head.tolist() if isinstance(head, np.ndarray) else head:
         c1 += vi
         c2 += c1
         u.append(delta * c2)
@@ -63,7 +66,8 @@ def driver_of(v: list[float], w: list[float], lam: float, delta: float) -> Async
         n = m
     else:  # bisect_right is numpy's searchsorted(side="right") step for step
         n = bisect.bisect_right(u, lam + CAP_TOL, 0, m + 1) - 1
-    return AsyncDriver(u=u, n=n, zeta=max(lam - u[n], 0.0))
+    zeta = lam - u[n]
+    return AsyncDriver(u, n, 0.0 if zeta < 0.0 else zeta)  # max(zeta, 0.0), without the call
 
 
 def rhs_async(y: np.ndarray, lam: float, delta: float) -> np.ndarray:
@@ -72,26 +76,38 @@ def rhs_async(y: np.ndarray, lam: float, delta: float) -> np.ndarray:
     Six flux groups: service shifts, residual assignments into and out of
     the dispatch level n, top-ups from below landing at (n, n), on-level
     reports refreshing the diagonal at i = j >= n, and the uniform update
-    drain -delta*y.  Each moves mass at most one level.
+    drain -delta*y.  Each moves mass at most one level.  Every slice update
+    is made in place on a view held by name: dy[a:b] += x would also copy
+    the view back onto itself through __setitem__.
     """
     add = np.add.reduce  # ndarray.sum would go through numpy's Python wrapper
     v = add(y, axis=1)
-    drv = driver_of(v.tolist(), add(y, axis=0).tolist(), lam, delta)
-    n, zeta = drv.n, drv.zeta
-    w_n = add(y[:, n])
-    size = y.shape[0]
+    _, n, zeta = driver_of(v, add(y, axis=0).tolist(), lam, delta)
+    size = len(y)
+    below = y[1:]
 
     dy = np.multiply(-delta, y, order="C")  # C order: the diagonal is a view
-    dy[:-1, :] += y[1:, :]
-    dy[1:, :] -= y[1:, :]
-    if w_n > SWITCH_TOL and zeta > 0.0:
-        flux = zeta * (y[:, n] / w_n)
-        dy[:, n] -= flux
-        if n + 1 < size:
-            dy[1:, n + 1] += flux[:-1]
-    dy.reshape(-1)[n * (size + 1) :: size + 1] += delta * v[n:]
+    part = dy[:-1]
+    part += below
+    part = dy[1:]
+    part -= below
+    if zeta > 0.0:
+        col = y[:, n]
+        w_n = add(col)
+        if w_n > SWITCH_TOL:
+            flux = col / w_n
+            flux *= zeta
+            part = dy[:, n]
+            part -= flux
+            if n + 1 < size:
+                part = dy[1:, n + 1]
+                part += flux[:-1]
+    part = dy.ravel()[n * (size + 1) :: size + 1]
+    top = v[n:]
+    top *= delta  # in place; v[:n], summed below, keeps its values
+    part += top
     if n >= 1:
-        dy[n, n] += delta * add(v[:n])
+        part[0] += delta * add(v[:n])
     return dy
 
 
@@ -112,9 +128,9 @@ def _rk4(rhs, y: np.ndarray, h: float) -> np.ndarray:
     np.multiply(k3, h, out=stage)
     stage += y
     k4 = rhs(stage)
-    k2 *= 2.0
+    k2 += k2  # 2 k2, exactly, with no scalar operand
     k2 += k1
-    k3 *= 2.0
+    k3 += k3
     k2 += k3
     k2 += k4
     k2 *= h / 6.0
@@ -130,8 +146,9 @@ def _block_side(y: np.ndarray, n: int) -> int:
     The block holds every non-zero cell and BLOCK_MARGIN more levels,
     rounded up to a multiple of eight.  numpy sums a row or column pairwise,
     with eight partial sums over a leading run of at most 128 entries, so
-    such a block sums every line in the order the whole state would.  Where
-    no such side fits, the block is the whole state.
+    such a block, or any larger one whose side is a multiple of eight and
+    within that run, sums every line in the order the whole state would.
+    Where no such side fits, the block is the whole state.
     """
     any_ = np.logical_or.reduce  # ndarray.any would go through numpy's Python wrapper
     occupied = (any_(y, axis=0) | any_(y, axis=1)).nonzero()[0]
@@ -148,19 +165,25 @@ def _advance(rhs, y: np.ndarray, span: float, dt: float) -> None:
     at minimum-estimate switch points (where the lowest occupied column hits
     zero mass).
 
-    Each step and each bisection works on the leading block of y that holds
-    the occupied levels (see _block_side), and writes its result back.
-    Precondition: rhs moves mass at most one level per evaluation, as
-    rhs_async and fluid_sync.rhs_sync do.  Then every cell past the block
-    has a derivative of exactly zero in all four RK4 stages, so the block
-    step equals a step of all of y bit for bit.
+    The steps and bisections work on a C-ordered copy of the leading block
+    of y that holds the occupied levels (see _block_side), written back at
+    the end of the span.  Precondition: rhs moves mass at most one level per
+    evaluation, as rhs_async and fluid_sync.rhs_sync do.  Then every cell
+    past the block has a derivative of exactly zero in all four RK4 stages,
+    so the block step equals a step of all of y bit for bit.  So the block
+    needs re-deriving only when a step leaves a cell within BLOCK_MARGIN of
+    its edge occupied; until then it is kept, even where the occupied levels
+    recede.  The block's column sums are formed once per step, after it,
+    and give the next step's minimum level m.
     """
     n = len(y)
     k = _block_side(y, n)
+    block = y[:k, :k].copy()
+    edge = k - BLOCK_MARGIN
+    w = np.add.reduce(block, axis=0).tolist()
     remaining = span
     while remaining > 1e-14:
-        block = y[:k, :k]
-        m = min_estimate_level(np.add.reduce(block, axis=0).tolist())
+        m = min_estimate_level(w)
         h = min(dt, remaining)
         y_new = _rk4(rhs, block, h)
         if np.add.reduce(y_new[:, m]) < -1e-13:
@@ -172,9 +195,15 @@ def _advance(rhs, y: np.ndarray, span: float, dt: float) -> None:
             if m + 1 < k:
                 y_new[:, m + 1] += y_new[:, m]
                 y_new[:, m] = 0.0
-        block[...] = y_new
-        k = _block_side(y_new, n)
+        block = y_new
+        if k < n and (np.count_nonzero(block[edge:]) or np.count_nonzero(block[:, edge:])):
+            y[:k, :k] = block
+            k = _block_side(block, n)
+            block = y[:k, :k].copy()
+            edge = k - BLOCK_MARGIN
+        w = np.add.reduce(block, axis=0).tolist()
         remaining -= h
+    y[:k, :k] = block
 
 
 def check_dt(dt: float, delta: float) -> None:

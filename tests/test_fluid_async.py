@@ -261,9 +261,25 @@ def test_block_step_equals_full_array_step(kind, monkeypatch):
             continue
         fluid_async._advance(block_rhs, y, span, dt)
         assert np.array_equal(y, ref), (jmax, extent)
+        # array_equal takes -0.0 for +0.0; the pinned digests do not
+        assert y.tobytes() == ref.tobytes(), (jmax, extent)
     assert splits  # the bisection ran on blocks
     assert failed < len(cases) / 10
     assert any(sides) and not all(sides)  # blocks smaller than the state, and whole states
+
+
+def test_block_scanned_once_per_span_and_side_change(monkeypatch):
+    # The pinned sparse-feedback run, whose block grows from 8 to 16: the
+    # whole block is scanned where each span between stored states starts
+    # and where a step leaves its edge occupied, not after every step.
+    sides = []
+    scan = fluid_async._block_side
+    monkeypatch.setattr(fluid_async, "_block_side",
+                        lambda y, n: sides.append(scan(y, n)) or sides[-1])
+    run = integrate_async(FluidState.empty(default_jmax(0.7, 0.3)), 0.7, 0.3, 10.0)
+    changes = sum(a != b for a, b in zip(sides, sides[1:]))
+    assert {8, 16} <= set(sides)
+    assert len(sides) <= len(run.states) + changes
 
 
 

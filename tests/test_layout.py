@@ -1,8 +1,10 @@
 """Rules of the package layout that no other test sees: the package's
 __init__ re-exports nothing, every import sits at module level, but for the
 scipy imports that ctmc defers so that the CLI loads without scipy, the
-synchronous limit does not depend on the asynchronous one, and only model
-reads the state budget.  The modules are parsed, not imported."""
+synchronous limit does not depend on the asynchronous one, only model
+reads the state budget, and the async step path has one owner of its
+driver and calls no numpy method through a Python wrapper.  The modules
+are parsed, not imported."""
 import ast
 import importlib.util
 from pathlib import Path
@@ -50,3 +52,42 @@ def test_only_model_names_the_state_budget():
               if "MAX_STATE_BYTES" in (getattr(node, "id", None), getattr(node, "attr", None),
                                        getattr(node, "name", None))}
     assert naming == {"model"}
+
+
+def functions(tree):
+    """Top-level function definitions of a module, by name."""
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def names(node):
+    """Every name and attribute that node reads."""
+    return {getattr(sub, "id", None) or getattr(sub, "attr", None) for sub in ast.walk(node)}
+
+
+def test_only_driver_of_builds_the_async_driver():
+    # u, n and zeta come from one rule: the capacity tolerance, the bisection
+    # for n and the AsyncDriver result appear in driver_of alone, and
+    # rhs_async asks driver_of rather than holding a copy
+    funcs = functions(MODULES["fluid_async"])
+    rule = {"CAP_TOL", "bisect_right", "AsyncDriver"}
+    holders = {name for name, func in funcs.items() if names(func) & rule}
+    assert holders == {"driver_of"}
+    called = {sub.func.id for sub in ast.walk(funcs["rhs_async"])
+              if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)}
+    assert "driver_of" in called
+
+
+# ndarray methods that numpy routes through Python functions in numpy._core._methods
+WRAPPED = {"sum", "prod", "any", "all", "min", "max", "mean", "var", "std", "clip", "ptp"}
+
+
+def test_async_step_path_skips_numpy_python_wrappers():
+    # a step on a small block costs numpy's per-call overhead, which a
+    # wrapper adds to; np.add.reduce and np.logical_or.reduce go straight to C
+    funcs = functions(MODULES["fluid_async"])
+    wrapped = {(name, sub.func.attr)
+               for name in ("rhs_async", "_rk4", "_advance")
+               for sub in ast.walk(funcs[name])
+               if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+               and sub.func.attr in WRAPPED}
+    assert wrapped == set()
