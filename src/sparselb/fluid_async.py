@@ -40,12 +40,10 @@ class AsyncDriver(NamedTuple):
     zeta: float
 
 
-def driver_of(
-    v: np.ndarray | list[float], w: list[float], lam: float, delta: float
-) -> AsyncDriver:
+def driver_of(v: np.ndarray, w: list[float], lam: float, delta: float) -> AsyncDriver:
     """Dispatch level and residual rate for a state with queue marginal v
-    (an array or a list; only v[:m + 1] is read) and estimate marginal w, a
-    list of Python floats.
+    (only v[:m + 1] is read) and estimate marginal w, a list of Python
+    floats.
 
     n equals the minimum occupied estimate level m when the top-up capacity
     below m stays within lam; otherwise n is the highest level whose
@@ -55,10 +53,9 @@ def driver_of(
     numpy's cumsum of a cumsum, so every value equals numpy's.
     """
     m = min_estimate_level(w)
-    head = v[: m + 1]
     u = [0.0]
     c1 = c2 = 0.0
-    for vi in head.tolist() if isinstance(head, np.ndarray) else head:
+    for vi in np.asarray(v[: m + 1]).tolist():
         c1 += vi
         c2 += c1
         u.append(delta * c2)
@@ -173,17 +170,15 @@ def _advance(rhs, y: np.ndarray, span: float, dt: float) -> None:
     so the block step equals a step of all of y bit for bit.  So the block
     needs re-deriving only when a step leaves a cell within BLOCK_MARGIN of
     its edge occupied; until then it is kept, even where the occupied levels
-    recede.  The block's column sums are formed once per step, after it,
-    and give the next step's minimum level m.
+    recede.
     """
     n = len(y)
     k = _block_side(y, n)
     block = y[:k, :k].copy()
     edge = k - BLOCK_MARGIN
-    w = np.add.reduce(block, axis=0).tolist()
     remaining = span
     while remaining > 1e-14:
-        m = min_estimate_level(w)
+        m = min_estimate_level(np.add.reduce(block, axis=0).tolist())
         h = min(dt, remaining)
         y_new = _rk4(rhs, block, h)
         if np.add.reduce(y_new[:, m]) < -1e-13:
@@ -201,7 +196,6 @@ def _advance(rhs, y: np.ndarray, span: float, dt: float) -> None:
             k = _block_side(block, n)
             block = y[:k, :k].copy()
             edge = k - BLOCK_MARGIN
-        w = np.add.reduce(block, axis=0).tolist()
         remaining -= h
     y[:k, :k] = block
 
