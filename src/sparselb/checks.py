@@ -60,9 +60,9 @@ def chain_vs_des(
     pi = ctmc.stationary(chain)
     marginal = ctmc.queue_marginal(chain, pi)
     _, wait_exact = ctmc.oracle_metrics(chain, pi)
-    rec = des.run(des.SimConfig(
+    rec = des.run_replications(des.SimConfig(
         params=params, policy=spec, horizon=horizon, warmup=0.1 * horizon, seed=seed
-    ))
+    ), 1)
     hist = np.zeros(max(len(marginal), len(rec.queue_len_hist)))
     hist[: len(rec.queue_len_hist)] = rec.queue_len_hist
     exact = np.zeros_like(hist)

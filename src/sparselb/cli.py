@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default="-")
     seeded = argparse.ArgumentParser(add_help=False, parents=[out])
-    seeded.add_argument("--seed", type=int, default=1)
+    seeded.add_argument("--seed", type=_count, default=1)
     loaded = argparse.ArgumentParser(add_help=False)
     loaded.add_argument("--lambda", dest="lam", type=_load, default=0.7)
 

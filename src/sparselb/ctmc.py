@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, check_delta
 from .policies import PolicyKind, PolicySpec
 
 if TYPE_CHECKING:
@@ -123,11 +123,7 @@ def build_generator(
         raise ChainError(
             "only exponential-update kinds are Markovian on this state space"
         )
-    if params.delta not in (None, policy.delta):
-        raise ChainError(
-            f"ModelParams.delta = {params.delta} disagrees with the policy's "
-            f"delta = {policy.delta}"
-        )
+    check_delta(params, policy.delta, ChainError)
     pairs = [(i, j) for j in range(cap + 1) for i in range(j + 1)]
     pair_index = {p: k for k, p in enumerate(pairs)}
     init = (0,) * params.n_servers  # all at pairs[0] = (0, 0)

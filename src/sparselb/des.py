@@ -1,12 +1,16 @@
 """Event-driven simulation of the finite-N dispatching system.
 
-One replication is a single-threaded event loop over a calendar of three
-clocks: the next arrival, the next update, and a binary heap of departures
-holding one per busy server.  Each turn takes the earliest clock, with a
-fixed tie-break (departures before updates before arrivals, and tied
-departures in the order they were scheduled), so a seed pins down the whole
-trace.  Waiting time is measured from arrival to service start; statistics
-only count the window after warmup.
+run_replications is the one entry: a single run is run_replications(config,
+1), so it holds to the same snapshot budget as many.  One replication is a
+single-threaded event loop over a calendar of three clocks: the next
+arrival, the next update, and a binary heap of departures holding one per
+busy server.  Each turn takes the earliest clock, with a fixed tie-break
+(departures before updates before arrivals, and tied departures in the
+order they were scheduled), so a seed pins down the whole trace.  An
+arrival or a departure does its own work, then one step that both kinds
+share moves its queue by one job and folds the time averages and level
+counts.  Waiting time is measured from arrival to service start;
+statistics only count the window after warmup.
 
 Each replication draws from four numpy streams, one per purpose, and each
 stream has one reader.  Arrival gaps and service times are drawn BLOCK at a
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, check_state_budget
+from .model import ModelParams, check_delta, check_state_budget
 from .policies import (
     DispatcherView,
     PolicySpec,
@@ -43,7 +47,9 @@ from .policies import (
     schedule_updates,
 )
 
-DEPARTURE, UPDATE, ARRIVAL = 0, 1, 2
+# Event kinds in tie-break order; an arrival's or a departure's is the change
+# it makes to its queue.  The loop tests kinds by sign, sparing a global lookup.
+DEPARTURE, UPDATE, ARRIVAL = -1, 0, 1
 
 STREAM_NAMES = ("arrivals", "services", "policy", "updates")
 
@@ -176,12 +182,7 @@ class SimConfig:
             raise SimulationError(
                 f"need 0 <= warmup < horizon, got {self.warmup}, {self.horizon}"
             )
-        delta = self.policy.delta
-        if delta is not None and self.params.delta not in (None, delta):
-            raise SimulationError(
-                f"ModelParams.delta = {self.params.delta} disagrees with "
-                f"the policy's delta = {delta}"
-            )
+        check_delta(self.params, self.policy.delta, SimulationError)
         d, n = self.policy.d, self.params.n_servers
         if d is not None and d > n:
             raise SimulationError(
@@ -258,11 +259,6 @@ def _int_array(values: list[int]) -> np.ndarray:
     except ValueError:
         return np.fromiter(values, np.int64, len(values))
     return small.astype(np.int64)
-
-
-def run(config: SimConfig) -> MetricsRecord:
-    """Simulate one replication."""
-    return _run(config, run_index=0)
 
 
 def t_975(df: int) -> float:
@@ -487,66 +483,7 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
             snapshot()
             grid_left.pop()
 
-        if kind == ARRIVAL:
-            target, msgs = dispatch(spec, view, queues, rng_pol)
-            q_old = queues[target]
-            q_new = q_old + 1
-            if q_new == len(level_counts):
-                level_counts.append(0)
-                hist_area.append(0.0)
-                level_since.append(warmup)
-            if t > warmup:
-                n_arrivals_pw += 1
-                messages_pw += msgs
-                area_queue += total_queue * (t - t_mark)
-                t_mark = t
-                hist_area[q_old] += level_counts[q_old] * (t - level_since[q_old])
-                hist_area[q_new] += level_counts[q_new] * (t - level_since[q_new])
-                level_since[q_old] = level_since[q_new] = t
-            queues[target] = q_new
-            total_queue += 1
-            level_counts[q_old] -= 1
-            level_counts[q_new] += 1
-            if uses_estimates:
-                on_assign(view, target)
-            if q_old:
-                waiting[target].append(t)
-            else:
-                # Service starts on arrival: a zero wait.
-                if t > warmup:
-                    n_waits += 1
-                heappush(departures, (t + next_service(), seq, target))
-                seq += 1
-            t_arr = t + next_arrival_gap()
-        elif kind == DEPARTURE:
-            q_old = queues[server]
-            q_new = q_old - 1
-            if t > warmup:
-                area_queue += total_queue * (t - t_mark)
-                t_mark = t
-                hist_area[q_new] += level_counts[q_new] * (t - level_since[q_new])
-                hist_area[q_old] += level_counts[q_old] * (t - level_since[q_old])
-                level_since[q_new] = level_since[q_old] = t
-            queues[server] = q_new
-            total_queue -= 1
-            level_counts[q_old] -= 1
-            level_counts[q_new] += 1
-            if q_new:
-                arrived = waiting[server].popleft()
-                if arrived > warmup:
-                    w = t - arrived
-                    wait_sum += w
-                    n_waits += 1
-                    if w > 0.0:
-                        n_positive += 1
-                heapreplace(departures, (t + next_service(), seq, server))
-                seq += 1
-            else:
-                heappop(departures)
-                msgs = on_idle(spec, view, server, rng_pol)
-                if t > warmup:
-                    messages_pw += msgs
-        else:  # UPDATE
+        if not kind:  # UPDATE
             if s_up is None:
                 msgs = apply_global_update(spec, view, queues)
             else:
@@ -554,6 +491,58 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
             if t > warmup:
                 messages_pw += msgs
             t_up, s_up = next(updates)
+        else:
+            # An arrival or a departure: each kind's own work first, then the
+            # change of server's queue by kind, which the two kinds share.
+            if kind > 0:  # ARRIVAL
+                server, msgs = dispatch(spec, view, queues, rng_pol)
+                q_old = queues[server]
+                if q_old + 1 == len(level_counts):  # a level no server held yet
+                    level_counts.append(0)
+                    hist_area.append(0.0)
+                    level_since.append(warmup)
+                if t > warmup:
+                    n_arrivals_pw += 1
+                    messages_pw += msgs
+                if uses_estimates:
+                    on_assign(view, server)
+                if q_old:
+                    waiting[server].append(t)
+                else:
+                    # Service starts on arrival: a zero wait.
+                    if t > warmup:
+                        n_waits += 1
+                    heappush(departures, (t + next_service(), seq, server))
+                    seq += 1
+                t_arr = t + next_arrival_gap()
+            else:
+                q_old = queues[server]
+                if q_old > 1:  # the next job in line starts service
+                    arrived = waiting[server].popleft()
+                    if arrived > warmup:
+                        w = t - arrived
+                        wait_sum += w
+                        n_waits += 1
+                        if w > 0.0:
+                            n_positive += 1
+                    heapreplace(departures, (t + next_service(), seq, server))
+                    seq += 1
+                else:
+                    heappop(departures)
+                    msgs = on_idle(spec, view, server, rng_pol)
+                    if t > warmup:
+                        messages_pw += msgs
+            q_new = q_old + kind
+            if t > warmup:
+                area_queue += total_queue * (t - t_mark)
+                t_mark = t
+                hist_area[q_old] += level_counts[q_old] * (t - level_since[q_old])
+                hist_area[q_new] += level_counts[q_new] * (t - level_since[q_new])
+                level_since[q_old] = level_since[q_new] = t
+            queues[server] = q_new
+            total_queue += kind
+            level_counts[q_old] -= 1
+            level_counts[q_new] += 1
 
         if check:
             assert min(queues) >= 0

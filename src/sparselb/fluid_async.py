@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fluid_sync
 from .model import SWITCH_TOL, FluidState, check_state_budget, min_estimate_level
-from .fluid_sync import FluidRun, _settle, _state_array, stops
+from .fluid_sync import FluidRun, _settle, _state_array, move_leftover, stops
 
 # Slack on the capacity comparison that prevents chattering when u_n sits
 # exactly on lam.
@@ -185,11 +185,7 @@ def _advance(rhs, y: np.ndarray, span: float, dt: float) -> None:
             # Called via fluid_sync, where perfbench's INNER patches it, until INNER is mended.
             h, y_new = fluid_sync.split_step_at_switch(
                 lambda z, hh: _rk4(rhs, z, hh), block, h, m)
-            # The drained column's leftover (at most SWITCH_TOL in total, in
-            # cells of either sign) moves up one estimate level.
-            if m + 1 < k:
-                y_new[:, m + 1] += y_new[:, m]
-                y_new[:, m] = 0.0
+            move_leftover(y_new, m)
         block = y_new
         if k < n and (np.count_nonzero(block[edge:]) or np.count_nonzero(block[:, edge:])):
             y[:k, :k] = block

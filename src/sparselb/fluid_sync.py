@@ -6,9 +6,9 @@ ODE between epochs whose assignment flux targets the minimum estimate
 level; at each epoch every column collapses onto the diagonal (estimates
 snap to true queue lengths).  Between two stops that flow has a closed
 form, so integrate_sync takes no steps.  Both limits share the stops, the
-clamp and FluidRun; fluid_async's RK4 stepper calls split_step_at_switch.
-The module also carries the Poisson drain quantities A/B, the queue-length
-bound scan, and trajectory checks.
+clamp, the leftover move at a switch and FluidRun; fluid_async's RK4
+stepper calls split_step_at_switch.  The module also carries the Poisson
+drain quantities A/B, the queue-length bound scan, and trajectory checks.
 """
 from __future__ import annotations
 
@@ -86,6 +86,15 @@ def split_step_at_switch(step, y: np.ndarray, h: float, m: int):
         else:
             hi = mid
     raise IntegrationError("switch-point bisection did not converge")
+
+
+def move_leftover(y: np.ndarray, m: int) -> None:
+    """At a switch, zero the drained column m of y in place and move its
+    leftover (at most SWITCH_TOL in total, in cells of either sign) up one
+    estimate level.  When m is the last level, y is left as it is."""
+    if m + 1 < y.shape[1]:
+        y[:, m + 1] += y[:, m]
+        y[:, m] = 0.0
 
 
 def _epoch_count(t_end: float, delta: float | None) -> int:
@@ -229,9 +238,8 @@ def integrate_sync(
             r = np.append(r, span)  # the switch itself, in the next mark's row
         block = states[i + 1 : i + 1 + len(r)]
         _flow(y, m, lam, r, block)
-        if switched and m + 1 < len(y):
-            block[-1, :, m + 1] += block[-1, :, m]
-            block[-1, :, m] = 0.0
+        if switched:
+            move_leftover(block[-1], m)
         for state in block[:j]:
             clamped = _settle(state, clamped)
         if j == len(r) and marks[i + j - 1][1]:

@@ -60,6 +60,15 @@ class ModelParams:
             raise StateError(f"delta must be > 0, got {self.delta}")
 
 
+def check_delta(params: ModelParams, delta: float | None, error: type[Exception]) -> None:
+    """Raise error when params.delta is set and disagrees with a policy's
+    delta; a policy without a delta (None) agrees with any."""
+    if delta is not None and params.delta not in (None, delta):
+        raise error(
+            f"ModelParams.delta = {params.delta} disagrees with the policy's delta = {delta}"
+        )
+
+
 @dataclass(frozen=True)
 class FluidState:
     """Fraction-valued occupancy array y[i, j], upper-triangular, total 1.

@@ -11,7 +11,7 @@ import pytest
 from sparselb.checks import chain_vs_des, fluid_des_distance, poisson_identity_residuals
 from sparselb.model import FluidState, ModelParams
 from sparselb.policies import PolicySpec
-from sparselb.des import SimConfig, run, run_replications
+from sparselb.des import SimConfig, run_replications
 from sparselb.fluid_sync import integrate_sync, queue_bound, sigma
 from sparselb.fluid_async import integrate_async
 from sparselb.fixed_point import m_star, y_star
@@ -129,13 +129,13 @@ def test_criterion_04_fluid_vs_des():
 
 
 def test_criterion_05_message_accounting():
-    rec = run(sim("sujsq-det:0.7", n=200, horizon=1100.0, warmup=200.0, seed=3))
+    rec = run_replications(sim("sujsq-det:0.7", n=200, horizon=1100.0, warmup=200.0, seed=3), 1)
     ratio_ok = 0.98 <= rec.msgs_per_job <= 1.02 and rec.n_arrivals >= 10**5
-    jsq = run(sim("jsq-d:2", n=200, horizon=300.0, warmup=60.0, seed=3))
-    jiq = run(sim("jiq", n=200, horizon=600.0, warmup=120.0, seed=3))
+    jsq = run_replications(sim("jsq-d:2", n=200, horizon=300.0, warmup=60.0, seed=3), 1)
+    jiq = run_replications(sim("jiq", n=200, horizon=600.0, warmup=120.0, seed=3), 1)
     jiq_caps = []
     for p in (0.3, 0.8):
-        r = run(sim(f"jiq-p:{p}", n=200, horizon=600.0, warmup=120.0, seed=3))
+        r = run_replications(sim(f"jiq-p:{p}", n=200, horizon=600.0, warmup=120.0, seed=3), 1)
         jiq_caps.append(r.msgs_per_job <= p + 1e-9)
     ok = ratio_ok and jsq.msgs_per_job == 4.0 and jiq.msgs_per_job <= 1.0 and all(jiq_caps)
     report(5, "message budgets per job", ok,
@@ -144,7 +144,7 @@ def test_criterion_05_message_accounting():
 
 
 def test_criterion_06_no_queueing_threshold():
-    rec = run(sim("aujsq-exp:2.5", n=1000, horizon=60.0, warmup=20.0, seed=5))
+    rec = run_replications(sim("aujsq-exp:2.5", n=1000, horizon=60.0, warmup=20.0, seed=5), 1)
     fl = integrate_async(FluidState.empty(40), LAM, 2.5, 200.0, dt=0.004,
                          store_times=[200.0])
     v2 = float(fl.final().sum(axis=1)[2])
@@ -156,7 +156,8 @@ def test_criterion_06_no_queueing_threshold():
 def test_criterion_07_bounded_support():
     delta = 0.3
     level = m_star(LAM, delta)
-    rec = run(sim(f"aujsq-exp:{delta}", n=1000, horizon=300.0, warmup=150.0, seed=5))
+    rec = run_replications(
+        sim(f"aujsq-exp:{delta}", n=1000, horizon=300.0, warmup=150.0, seed=5), 1)
     above = float(rec.queue_len_hist[level + 2 :].sum())
     ok = above <= 0.01
     report(7, "stationary queue support is bounded", ok,
@@ -168,7 +169,8 @@ def test_criterion_08_mean_queue_agreement():
     ok = True
     for delta in (0.85, 2.5):
         fp = y_star(LAM, delta)
-        rec = run(sim(f"aujsq-exp:{delta}", n=1000, horizon=150.0, warmup=50.0, seed=5))
+        rec = run_replications(
+            sim(f"aujsq-exp:{delta}", n=1000, horizon=150.0, warmup=50.0, seed=5), 1)
         rel = abs(rec.mean_queue_per_server - fp.q_tilde) / fp.q_tilde
         details.append(f"delta={delta}: sim {rec.mean_queue_per_server:.4f} "
                        f"vs {fp.q_tilde:.4f} ({rel:.2%})")
@@ -179,13 +181,15 @@ def test_criterion_08_mean_queue_agreement():
 def test_criterion_09_low_frequency_dichotomy():
     waits = {}
     for delta in (0.05, 0.1):
-        rec = run(sim(f"sujsq-det:{delta}", n=500, horizon=1500.0, warmup=500.0, seed=9))
+        rec = run_replications(
+            sim(f"sujsq-det:{delta}", n=500, horizon=1500.0, warmup=500.0, seed=9), 1)
         waits[delta] = rec.mean_wait
     sync_rel = abs(waits[0.05] - waits[0.1]) / waits[0.1]
     queues = {}
     tracks = True
     for delta in (0.05, 0.1):
-        rec = run(sim(f"aujsq-exp:{delta}", n=500, horizon=1500.0, warmup=700.0, seed=9))
+        rec = run_replications(
+            sim(f"aujsq-exp:{delta}", n=500, horizon=1500.0, warmup=700.0, seed=9), 1)
         queues[delta] = rec.mean_queue_per_server
         ref = m_star(LAM, delta) - LAM / delta
         tracks = tracks and abs(queues[delta] - ref) <= 1.0

@@ -406,6 +406,10 @@ def refused(argv, monkeypatch, capsys):
     *((["fluid", "sync", "--y0", name, "--jmax", "40", "--t-end", "0.2"], "--y0")
       for name in ("negative.json", "above-jmax.json", "below-diagonal.json",
                    "not-json.json", "missing.json")),
+    (["simulate", "--policy", "random", "--seed", "-1", "--horizon", "10"], "--seed"),
+    (["sweep", "--seed", "-1"], "--seed"),
+    (["validate", "--seed", "-1"], "--seed"),
+    (["fluid", "async", "--des-runs", "1", "--seed", "-1"], "--seed"),
 ])
 def test_bad_inputs_are_refused(argv, flag, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -517,6 +521,7 @@ def test_a_failed_replication_is_not_a_usage_error(argv, monkeypatch, capsys):
     ({"policies": []}, "--policies"),
     ({"config": "other.json"}, "'config'"),
     ([["--n", "20"]], "JSON object"),
+    ({"seed": -1}, "--seed"),
 ])
 def test_bad_manifests_are_refused(manifest, named, tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "cfg.json"

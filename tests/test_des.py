@@ -25,7 +25,6 @@ from sparselb.des import (
     SimConfig,
     SimulationError,
     rng_streams,
-    run,
     run_replications,
     snapshot_fractions,
 )
@@ -51,26 +50,26 @@ def records_equal(a: MetricsRecord, b: MetricsRecord) -> bool:
 
 def test_same_seed_is_bit_identical():
     cfg = make_config("sujsq-det:0.85")
-    assert records_equal(run(cfg), run(cfg))
+    assert records_equal(run_replications(cfg, 1), run_replications(cfg, 1))
 
 
 def test_different_seed_differs():
-    a = run(make_config("random", seed=1))
-    b = run(make_config("random", seed=2))
+    a = run_replications(make_config("random", seed=1), 1)
+    b = run_replications(make_config("random", seed=2), 1)
     assert a.mean_wait != b.mean_wait
 
 
 def test_mm1_waiting_time():
     # single random server is an M/M/1 queue: Wq = lam / (1 - lam)
     cfg = make_config("random", n=1, lam=0.7, horizon=300000.0, warmup=20000.0, seed=7)
-    rec = run(cfg)
+    rec = run_replications(cfg, 1)
     assert rec.mean_wait == pytest.approx(0.7 / 0.3, rel=0.05)
     assert rec.mean_queue_per_server == pytest.approx(0.7 / 0.3, rel=0.05)
 
 
 def test_queue_hist_normalized_and_geometricish():
     cfg = make_config("random", n=1, lam=0.5, horizon=100000.0, warmup=5000.0, seed=11)
-    rec = run(cfg)
+    rec = run_replications(cfg, 1)
     assert rec.queue_len_hist.sum() == pytest.approx(1.0, abs=1e-9)
     assert rec.queue_len_hist[0] == pytest.approx(0.5, abs=0.02)
 
@@ -79,28 +78,28 @@ def test_update_message_rate_matches_frequency_ratio():
     # messages per job settle on delta/lam for plain update kinds
     for policy in ("sujsq-det:0.7", "sujsq-exp:0.7", "aujsq-exp:0.7", "aujsq-det:0.7"):
         cfg = make_config(policy, n=100, horizon=600.0, warmup=100.0)
-        rec = run(cfg)
+        rec = run_replications(cfg, 1)
         assert rec.msgs_per_job == pytest.approx(1.0, rel=0.05), policy
 
 
 def test_jsq_d_messages_exact():
-    rec = run(make_config("jsq-d:2", n=100))
+    rec = run_replications(make_config("jsq-d:2", n=100), 1)
     assert rec.msgs_per_job == 4.0
-    rec = run(make_config("jsq-d:3", n=100))
+    rec = run_replications(make_config("jsq-d:3", n=100), 1)
     assert rec.msgs_per_job == 6.0
 
 
 def test_jiq_message_budgets():
-    rec = run(make_config("jiq", n=100, horizon=500.0, warmup=100.0))
+    rec = run_replications(make_config("jiq", n=100, horizon=500.0, warmup=100.0), 1)
     assert rec.msgs_per_job <= 1.0
     for p in (0.3, 0.8):
-        rec = run(make_config(f"jiq-p:{p}", n=100, horizon=500.0, warmup=100.0))
+        rec = run_replications(make_config(f"jiq-p:{p}", n=100, horizon=500.0, warmup=100.0), 1)
         assert rec.msgs_per_job <= p + 1e-9
 
 
 def test_jsq_1_matches_random_in_law():
-    a = run(make_config("jsq-d:1", n=20, horizon=4000.0, warmup=500.0, seed=5))
-    b = run(make_config("random", n=20, horizon=4000.0, warmup=500.0, seed=6))
+    a = run_replications(make_config("jsq-d:1", n=20, horizon=4000.0, warmup=500.0, seed=5), 1)
+    b = run_replications(make_config("random", n=20, horizon=4000.0, warmup=500.0, seed=6), 1)
     assert a.mean_wait == pytest.approx(b.mean_wait, rel=0.08)
 
 
@@ -120,7 +119,7 @@ def count_targets(monkeypatch, n, real=dispatch):
 
 def test_round_robin_assignment_balance(monkeypatch):
     counts = count_targets(monkeypatch, 7)
-    run(make_config("round-robin", n=7, horizon=300.0, warmup=0.0))
+    run_replications(make_config("round-robin", n=7, horizon=300.0, warmup=0.0), 1)
     assert max(counts) - min(counts) <= 1
 
 
@@ -128,7 +127,7 @@ def test_estimate_dominance_invariant_checked():
     # invariant-checking mode asserts estimate >= queue after every event
     for policy in ("sujsq-det:0.6", "aujsq-exp:1.3", "sujsq-det-idle:0.9"):
         cfg = make_config(policy, n=20, horizon=120.0, warmup=20.0, check_invariants=True)
-        run(cfg)
+        run_replications(cfg, 1)
 
 
 def misplace(view, server):
@@ -168,7 +167,7 @@ def test_level_index_invariant_checked(corruption, monkeypatch):
         cfg = make_config("aujsq-exp:0.85", n=n, horizon=20.0, warmup=5.0,
                           check_invariants=True)
         with pytest.raises(AssertionError, match=message):
-            run(cfg)
+            run_replications(cfg, 1)
 
 
 CALENDAR_CORRUPTIONS = {
@@ -196,7 +195,7 @@ def test_departure_calendar_invariant_checked(corruption, monkeypatch):
     cfg = make_config("aujsq-exp:0.85", n=4, horizon=20.0, warmup=5.0,
                       check_invariants=True)
     with pytest.raises(AssertionError):
-        run(cfg)
+        run_replications(cfg, 1)
     assert len(pushed) == 1
 
 
@@ -218,9 +217,9 @@ def test_level_index_replays_the_scan(kind, n, horizon, monkeypatch):
     cfg = make_config(f"{kind}:0.85", n=n, lam=0.9, horizon=horizon,
                       warmup=horizon / 5, trajectory_grid=grid)
     indexed_targets = count_targets(monkeypatch, n)
-    indexed = run(cfg)
+    indexed = run_replications(cfg, 1)
     scanned_targets = count_targets(monkeypatch, n, scan_dispatch)
-    scanned = run(cfg)
+    scanned = run_replications(cfg, 1)
     assert indexed.mean_wait == scanned.mean_wait
     assert indexed.msgs_per_job == scanned.msgs_per_job
     assert np.array_equal(indexed.queue_len_hist, scanned.queue_len_hist)
@@ -231,7 +230,7 @@ def test_level_index_replays_the_scan(kind, n, horizon, monkeypatch):
 def test_sync_epoch_equalizes_estimates():
     cfg = make_config("sujsq-det:0.5", n=30, horizon=50.0, warmup=0.0,
                       trajectory_grid=np.array([2.0 + 1e-9]))
-    rec = run(cfg)
+    rec = run_replications(cfg, 1)
     # right after the epoch at t=2 every server sits on the diagonal
     y = rec.trajectory.y[0]
     assert np.abs(y - np.diag(np.diag(y))).max() == 0.0
@@ -290,7 +289,7 @@ def test_no_post_warmup_arrivals_raises():
         seed=1,
     )
     with pytest.raises(SimulationError):
-        run(cfg)
+        run_replications(cfg, 1)
 
 
 def test_trajectory_grid_takes_only_times():
@@ -303,7 +302,7 @@ def test_trajectory_snapshots():
     grid = np.array([0.0, 1.0, 2.0])
     cfg = make_config("sujsq-det:0.85", n=10, horizon=5.0, warmup=0.0,
                       trajectory_grid=grid)
-    rec = run(cfg)
+    rec = run_replications(cfg, 1)
     assert rec.trajectory.y.shape[0] == 3
     # empty start: everything at (0, 0)
     assert rec.trajectory.y[0][0, 0] == 1.0
@@ -337,11 +336,6 @@ def test_replications_deterministic_and_averaged():
     # per-run records differ from each other (independent streams)
     waits = {r.mean_wait for r in agg1.per_run}
     assert len(waits) == 4
-
-
-def test_single_replication_equals_run():
-    cfg = make_config("aujsq-exp:1.0", n=20, horizon=100.0, warmup=20.0)
-    assert records_equal(run_replications(cfg, 1), run(cfg))
 
 
 def every_field(rec: MetricsRecord) -> dict:
@@ -555,11 +549,11 @@ def test_aujsq_exp_schedule_replays_plain_draws(n, monkeypatch):
     cfg = make_config("aujsq-exp:0.85", n=n, lam=0.9, horizon=3000.0 / n,
                       warmup=100.0 / n, trajectory_grid=grid, seed=12)
     fast_targets = count_targets(monkeypatch, n)
-    fast = run(cfg)
+    fast = run_replications(cfg, 1)
     monkeypatch.setattr(des, "schedule_updates", lambda spec, params, rng: reference_aujsq_exp(
         spec.delta, params.n_servers, rng_streams(cfg.seed, 0)["updates"]))
     plain_targets = count_targets(monkeypatch, n)
-    plain = run(cfg)
+    plain = run_replications(cfg, 1)
     assert fast.mean_wait == plain.mean_wait
     assert fast.msgs_per_job == plain.msgs_per_job
     assert np.array_equal(fast.queue_len_hist, plain.queue_len_hist)
@@ -573,7 +567,7 @@ def test_policy_hooks_reached_through_des(policy, monkeypatch):
     # every call must still go through them.
     calls = {}
     # the same run with no warmup counts every arrival
-    arrivals = run(make_config(policy, n=20, horizon=50.0, warmup=0.0)).n_arrivals
+    arrivals = run_replications(make_config(policy, n=20, horizon=50.0, warmup=0.0), 1).n_arrivals
 
     def counted(name):
         real = getattr(des, name)
@@ -586,7 +580,7 @@ def test_policy_hooks_reached_through_des(policy, monkeypatch):
     hooks = ("dispatch", "on_assign", "on_update", "apply_global_update", "on_idle")
     for name in hooks:
         monkeypatch.setattr(des, name, counted(name))
-    rec = run(make_config(policy, n=20, horizon=50.0, warmup=10.0))
+    rec = run_replications(make_config(policy, n=20, horizon=50.0, warmup=10.0), 1)
     assert arrivals > rec.n_arrivals
     assert calls["dispatch"] == arrivals
     assert calls["on_idle"] > 0
@@ -602,11 +596,11 @@ def test_snapshot_clipping_is_counted():
                        trajectory_grid=grid, snapshot_jmax=60)
     narrow = make_config("random", n=20, lam=0.95, horizon=60.0, warmup=0.0,
                          trajectory_grid=grid, snapshot_jmax=2)
-    full = run(wide).trajectory
+    full = run_replications(wide, 1).trajectory
     assert full.clipped == 0.0 and full.y[:, 60, :].sum() == 0.0
     expect = max(y[3:, :].sum() for y in full.y)
     assert expect > 0.0
-    cut = run(narrow).trajectory
+    cut = run_replications(narrow, 1).trajectory
     assert cut.clipped == pytest.approx(expect, abs=1e-12)
     agg = run_replications(narrow, 3)
     assert agg.trajectory.clipped == max(r.trajectory.clipped for r in agg.per_run)
@@ -650,9 +644,9 @@ def test_byte_wise_snapshots_equal_fromiter_snapshots(policy, n, horizon, jmax, 
     # pass 255 and then its jmax
     cfg = make_config(policy, n=n, lam=0.95, horizon=horizon, warmup=0.0,
                       trajectory_grid=np.linspace(0.0, horizon, 7), snapshot_jmax=jmax)
-    fast = run(cfg).trajectory
+    fast = run_replications(cfg, 1).trajectory
     monkeypatch.setattr(des, "_int_array", fromiter_array)
-    ref = run(cfg).trajectory
+    ref = run_replications(cfg, 1).trajectory
     assert np.array_equal(fast.y, ref.y)
     assert fast.clipped == ref.clipped > 0.0
 
@@ -663,7 +657,7 @@ def test_estimates_past_255_pinned():
     # t = 500, converted by np.fromiter.  Recorded before the byte-wise path.
     cfg = make_config("sujsq-det:0.001", n=2, horizon=600.0, warmup=0.0,
                       trajectory_grid=np.array([100.0, 500.0]), snapshot_jmax=400)
-    traj = run(cfg).trajectory
+    traj = run_replications(cfg, 1).trajectory
     assert [np.flatnonzero(y.sum(axis=0)).tolist() for y in traj.y] == [[72, 73], [348, 349]]
     assert hashlib.sha256(traj.y.tobytes()).hexdigest() == (
         "09558357d6db218156067b785b17a672dbe20c6d575d93f7ca86cb17d13de3df")
@@ -894,7 +888,8 @@ PINNED = {
 @pytest.mark.parametrize("policy, n", sorted(PINNED))
 def test_outputs_pinned(policy, n):
     horizon = {2: 5000.0, 200: 50.0}[n]
-    rec = run(make_config(policy, n=n, horizon=horizon, warmup=horizon / 5, seed=17))
+    rec = run_replications(
+        make_config(policy, n=n, horizon=horizon, warmup=horizon / 5, seed=17), 1)
     mean_wait, msgs_per_job, mean_queue, hist = PINNED[policy, n]
     assert rec.mean_wait == mean_wait
     assert rec.msgs_per_job == msgs_per_job
@@ -931,8 +926,8 @@ PINNED_TRAJECTORIES = {
 
 @pytest.mark.parametrize("policy", sorted(PINNED_TRAJECTORIES))
 def test_trajectories_pinned(policy):
-    rec = run(make_config(policy, n=2000, horizon=5.0, warmup=1.0, seed=17,
-                          trajectory_grid=np.arange(0.1, 5.05, 0.1)))
+    rec = run_replications(make_config(policy, n=2000, horizon=5.0, warmup=1.0, seed=17,
+                                       trajectory_grid=np.arange(0.1, 5.05, 0.1)), 1)
     digest, clipped, mean_wait, msgs_per_job, mean_queue, hist = PINNED_TRAJECTORIES[policy]
     assert rec.trajectory.y.shape == (50, 41, 41)
     assert hashlib.sha256(rec.trajectory.y.tobytes()).hexdigest() == digest
@@ -975,8 +970,8 @@ def test_exact_ties_follow_the_tie_rule(policy, monkeypatch):
 
     monkeypatch.setattr(des, "exponentials", dyadic)
     targets = count_targets(monkeypatch, 3)
-    rec = run(make_config(policy, n=3, horizon=60.0, warmup=12.0, seed=4,
-                          check_invariants=True))
+    rec = run_replications(make_config(policy, n=3, horizon=60.0, warmup=12.0, seed=4,
+                                       check_invariants=True), 1)
     assert (
         rec.mean_wait, rec.msgs_per_job, rec.mean_queue_per_server,
         rec.frac_wait_positive, rec.n_arrivals, rec.n_waits,
@@ -1138,7 +1133,7 @@ def test_level_fold_replays_the_account_loop(policy, n, horizon, warmup, monkeyp
     grid = np.arange(0.0, horizon, horizon / 37)
     cfg = make_config(policy, n=n, horizon=horizon, warmup=warmup, seed=5,
                       trajectory_grid=grid)
-    rec = run(cfg)
+    rec = run_replications(cfg, 1)
     events = sorted(arrivals + updates + departures)
     events = events[: next(i for i, e in enumerate(events) if e[0] > horizon) + 1]
     ref = account_replay(cfg, events, targets, messages)

@@ -2,7 +2,8 @@
 __init__ re-exports nothing, every import sits at module level, but for the
 scipy imports that ctmc defers so that the CLI loads without scipy, the
 synchronous limit does not depend on the asynchronous one, only model
-reads the state budget, and the async step path has one owner of its
+reads the state budget and words the delta rule, the simulator has one
+entry, and the async step path has one owner of its
 driver and calls no numpy method through a Python wrapper.  The modules
 are parsed, not imported."""
 import ast
@@ -91,3 +92,22 @@ def test_async_step_path_skips_numpy_python_wrappers():
                if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
                and sub.func.attr in WRAPPED}
     assert wrapped == set()
+
+
+def test_only_model_words_the_delta_rule():
+    # des and ctmc ask model.check_delta, so the agreement rule has one copy
+    holders = {path.stem for path in PACKAGE.glob("*.py") if "disagrees with" in path.read_text()}
+    assert holders == {"model"}
+
+
+def test_one_way_to_run_the_simulator():
+    # a single run is run_replications(config, 1), so the snapshot budget it
+    # checks covers every run; only _share, under it, calls _run
+    assert "run" not in functions(MODULES["des"])
+    callers = {(module, name)
+               for module, tree in MODULES.items()
+               for name, func in functions(tree).items()
+               for sub in ast.walk(func)
+               if isinstance(sub, ast.Call) and "_run" in (getattr(sub.func, "id", None),
+                                                           getattr(sub.func, "attr", None))}
+    assert callers == {("des", "_share")}

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from sparselb import des
-from sparselb.des import SimConfig, run
+from sparselb.des import SimConfig, run_replications
 from sparselb.fluid_async import rhs_async
 from sparselb.fluid_sync import rhs_sync
 from sparselb.model import ModelParams
@@ -53,7 +53,7 @@ def test_every_policy_keeps_invariants(cfg):
 
     # the monkeypatch fixture is not reset between hypothesis examples
     with patch.object(des, "dispatch", counted):
-        rec = run(cfg)
+        rec = run_replications(cfg, 1)
     assert sum(counts) == rec.n_arrivals
     assert rec.queue_len_hist.sum() == pytest.approx(1.0, abs=1e-9)
     assert rec.msgs_per_job >= 0.0
