@@ -16,11 +16,14 @@ Each replication draws from four numpy streams, one per purpose, and each
 stream has one reader.  Arrival gaps and service times are drawn BLOCK at a
 time (exponentials).  The policy stream is read as raw PCG64 words BLOCK at
 a time, and WordDraws turns them into the values the Generator itself would
-return; the update stream, whose draws may interleave with exponential
-ones, takes its words one at a time.  So every draw, and every output for a
-seed, is what scalar Generator calls give.  The loop keeps the queues and
-the dispatcher's estimates in Python lists, which are faster than numpy
-arrays for one element at a time.
+return.  The update stream's reader is a WordDraws that also carries the
+Generator's exponential: sujsq-exp draws only exponential gaps and reads
+them BLOCK at a time, and the aujsq kinds, whose word draws may interleave
+with exponential ones, take their words one at a time.  So every draw, and
+every output for a seed, is what scalar Generator calls give.  The block
+readers are C-level chains over the blocks, so a draw resumes no Python
+frame.  The loop keeps the queues and the dispatcher's estimates in Python
+lists, which are faster than numpy arrays for one element at a time.
 """
 from __future__ import annotations
 
@@ -32,15 +35,18 @@ import pickle
 from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .model import ModelParams, check_delta, check_state_budget
 from .policies import (
+    BLOCK,
     DispatcherView,
     PolicySpec,
     apply_global_update,
     dispatch,
+    exponentials,
     on_assign,
     on_idle,
     on_update,
@@ -52,9 +58,6 @@ from .policies import (
 DEPARTURE, UPDATE, ARRIVAL = -1, 0, 1
 
 STREAM_NAMES = ("arrivals", "services", "policy", "updates")
-
-# Draws (or raw words) per numpy call for the streams read in blocks.
-BLOCK = 1024
 
 
 class SimulationError(RuntimeError):
@@ -73,21 +76,12 @@ def rng_streams(seed: int, run_index: int) -> dict[str, np.random.Generator]:
     return {name: np.random.default_rng(c) for name, c in zip(STREAM_NAMES, children)}
 
 
-def exponentials(rng: np.random.Generator, scale: float) -> Iterator[float]:
-    """Exponential(scale) draws taken from rng BLOCK at a time.  They are the
-    values successive scalar rng.exponential(scale) calls would return, so
-    only a stream that draws nothing else may be read this way."""
-    while True:
-        yield from rng.exponential(scale, BLOCK).tolist()
-
-
 def raw_words(rng: np.random.Generator) -> Iterator[int]:
-    """The raw 64-bit words of rng's bit generator, read BLOCK at a time.
-    Reading ahead is exact only for a stream whose every draw goes through
-    a WordDraws over these words."""
-    bit_generator = rng.bit_generator
-    while True:
-        yield from bit_generator.random_raw(BLOCK).tolist()
+    """The raw 64-bit words of rng's bit generator, read BLOCK at a time as
+    policies.exponentials reads its draws.  Reading ahead is exact only for
+    a stream whose every draw goes through a WordDraws over these words."""
+    random_raw = rng.bit_generator.random_raw
+    return chain.from_iterable(iter(lambda: random_raw(BLOCK).tolist(), None))
 
 
 class WordDraws:
@@ -474,9 +468,15 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
     # looked up as module globals at each call, so that a tracer or a test
     # that patches them in this module sees every call.
     while True:  # ties go to departures, then the update, then the arrival
-        t, kind = (t_up, UPDATE) if t_up <= t_arr else (t_arr, ARRIVAL)
-        if departures and departures[0][0] <= t:
-            (t, _, server), kind = departures[0], DEPARTURE
+        if t_up <= t_arr:  # a pair assignment builds no tuple
+            t, kind = t_up, UPDATE
+        else:
+            t, kind = t_arr, ARRIVAL
+        if departures:
+            head = departures[0]
+            if head[0] <= t:
+                t, _, server = head
+                kind = DEPARTURE
         if t > horizon:
             break
         while grid_left and grid_left[-1] < t:

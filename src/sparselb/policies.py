@@ -7,13 +7,15 @@ messages per job at dispatch time.
 """
 from __future__ import annotations
 
-import heapq
 import math
 import sys
 from bisect import bisect_left, insort
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heapify, heapreplace
+from itertools import chain
+from operator import countOf
 from typing import NamedTuple
 
 from .model import ModelParams
@@ -32,17 +34,14 @@ class PolicyKind(str, Enum):
     ROUND_ROBIN = "round-robin"
 
 
+# The kinds as module globals: the hooks below test a kind once or twice per
+# event, and a global is read several times faster than an enum member.
+(SUJSQ_DET, SUJSQ_EXP, AUJSQ_DET, AUJSQ_EXP, SUJSQ_DET_IDLE,
+ JIQ, JIQ_P, JSQ_D, RANDOM, ROUND_ROBIN) = PolicyKind
+
 # Kinds that keep a per-server queue estimate at the dispatcher.
-ESTIMATE_KINDS = frozenset(
-    {
-        PolicyKind.SUJSQ_DET,
-        PolicyKind.SUJSQ_EXP,
-        PolicyKind.AUJSQ_DET,
-        PolicyKind.AUJSQ_EXP,
-        PolicyKind.SUJSQ_DET_IDLE,
-    }
-)
-TOKEN_KINDS = frozenset({PolicyKind.JIQ, PolicyKind.JIQ_P})
+ESTIMATE_KINDS = frozenset({SUJSQ_DET, SUJSQ_EXP, AUJSQ_DET, AUJSQ_EXP, SUJSQ_DET_IDLE})
+TOKEN_KINDS = frozenset({JIQ, JIQ_P})
 
 
 class ParamRule(NamedTuple):
@@ -59,8 +58,8 @@ PARAM_RULES: dict[PolicyKind, ParamRule] = {
         ESTIMATE_KINDS,
         ParamRule("delta", float, lambda x: 0.0 < x < math.inf, "a finite delta > 0"),
     ),
-    PolicyKind.JSQ_D: ParamRule("d", int, lambda x: x >= 1, "an integer d >= 1"),
-    PolicyKind.JIQ_P: ParamRule("p", float, lambda x: 0.0 <= x <= 1.0, "p in [0, 1]"),
+    JSQ_D: ParamRule("d", int, lambda x: x >= 1, "an integer d >= 1"),
+    JIQ_P: ParamRule("p", float, lambda x: 0.0 <= x <= 1.0, "p in [0, 1]"),
 }
 
 
@@ -110,9 +109,17 @@ class PolicySpec:
         return cls(kind, **{rule.field: rule.type(arg)})
 
     def __str__(self) -> str:
-        if self.param is None:
+        """The selector that parse reads back as this spec.  The parameter
+        is printed with :g where that reads back exactly, and otherwise (an
+        int of seven digits or more, a float :g rounds) as str gives it."""
+        rule = PARAM_RULES.get(self.kind)
+        if rule is None:
             return self.kind.value
-        return f"{self.kind.value}:{self.param:g}"
+        param = getattr(self, rule.field)
+        text = f"{param:g}"
+        if rule.type is int or float(text) != param:
+            text = str(param)
+        return f"{self.kind.value}:{text}"
 
 
 # Views of fewer servers list every level (their ceiling is sys.maxsize).
@@ -184,9 +191,10 @@ class DispatcherView:
             levels.append([s for s, e in enumerate(est) if e == lowest])
 
     def set_estimates(self, values) -> None:
-        """Overwrite every estimate and rebuild the index: every level by
-        one counting pass, or under a ceiling only the lowest, by one scan."""
-        est = list(map(int, values))
+        """Overwrite every estimate with a copy of values, a sequence of
+        ints, and rebuild the index: every level by one counting pass, or
+        under a ceiling only the lowest, by one scan."""
+        est = list(values)
         lowest = min(est)
         if self.ceiling == sys.maxsize:
             levels: list[list[int]] = [[] for _ in range(max(est) + 1)]
@@ -231,7 +239,7 @@ def dispatch(spec: PolicySpec, view: DispatcherView, queues: list[int], rng) -> 
             tokens[i], tokens[-1] = tokens[-1], tokens[i]
             return tokens.pop(), 0
         return rng.integers(view.n_servers), 0
-    if kind is PolicyKind.JSQ_D:
+    if kind is JSQ_D:
         cand = rng.sample(view.n_servers, spec.d)
         lens = [queues[c] for c in cand]
         least = min(lens)
@@ -239,7 +247,7 @@ def dispatch(spec: PolicySpec, view: DispatcherView, queues: list[int], rng) -> 
         if len(ties) == 1:
             return ties[0], 2 * spec.d
         return ties[rng.integers(len(ties))], 2 * spec.d
-    if kind is PolicyKind.RANDOM:
+    if kind is RANDOM:
         return rng.integers(view.n_servers), 0
     # round-robin: cyclic sweep over server indices
     server = view.rr_counter % view.n_servers
@@ -262,10 +270,9 @@ def on_update(view: DispatcherView, server: int, true_len: int) -> int:
 def apply_global_update(spec: PolicySpec, view: DispatcherView, queues: list[int]) -> int:
     """Synchronous epoch: every server reports at once (idle variant: only
     the idle ones).  Returns messages sent."""
-    if spec.kind is PolicyKind.SUJSQ_DET_IDLE:
-        idle = [q == 0 for q in queues]
-        view.set_estimates([0 if i else e for i, e in zip(idle, view.est)])
-        return sum(idle)
+    if spec.kind is SUJSQ_DET_IDLE:
+        view.set_estimates([e if q else 0 for q, e in zip(queues, view.est)])
+        return countOf(queues, 0)
     view.set_estimates(queues)
     return view.n_servers
 
@@ -273,10 +280,11 @@ def apply_global_update(spec: PolicySpec, view: DispatcherView, queues: list[int
 def on_idle(spec: PolicySpec, view: DispatcherView, server: int, rng) -> int:
     """A server just drained its queue; JIQ kinds may emit a token.  rng is
     the policy stream's des.WordDraws."""
-    if spec.kind is PolicyKind.JIQ:
+    kind = spec.kind
+    if kind is JIQ:
         view.idle_tokens.append(server)
         return 1
-    if spec.kind is PolicyKind.JIQ_P:
+    if kind is JIQ_P:
         # Degenerate p values skip the draw so that p=1 replays JIQ and p=0
         # replays Random under the same stream.
         if spec.p >= 1.0:
@@ -291,10 +299,26 @@ def on_idle(spec: PolicySpec, view: DispatcherView, server: int, rng) -> int:
     return 0
 
 
+# Draws (or raw words) per numpy call for the streams read in blocks.
+BLOCK = 1024
+
+
+def exponentials(rng, scale: float) -> Iterator[float]:
+    """Exponential(scale) draws taken BLOCK at a time from rng, a Generator
+    or anything with its exponential(scale, size), through a chain over the
+    blocks, so a draw resumes no Python frame.  They are the values scalar
+    rng.exponential(scale) calls would return, so only a stream that draws
+    nothing else may be read this way."""
+    return chain.from_iterable(iter(lambda: rng.exponential(scale, BLOCK).tolist(), None))
+
+
 def schedule_updates(spec: PolicySpec, params: ModelParams, rng):
     """Infinite stream of update events as (time, server) pairs; server is
     None for synchronous (all-at-once) epochs.  rng is the update stream's
-    des.WordDraws, which carries the Generator's exponential.
+    des.WordDraws, which carries the Generator's exponential: sujsq-exp,
+    whose gaps are the stream's only draws, reads them BLOCK at a time
+    through it, and aujsq-exp, whose gaps interleave with integers draws,
+    one at a time.
 
     sujsq-det / sujsq-det-idle: fixed epochs k/delta.
     sujsq-exp: global epochs with i.i.d. Exponential(delta) gaps.
@@ -305,28 +329,31 @@ def schedule_updates(spec: PolicySpec, params: ModelParams, rng):
     """
     if not spec.uses_estimates:
         raise ValueError(f"{spec.kind.value} has no update schedule")
-    delta = spec.delta
-    n = params.n_servers
-    if spec.kind in (PolicyKind.SUJSQ_DET, PolicyKind.SUJSQ_DET_IDLE):
+    kind, delta, n = spec.kind, spec.delta, params.n_servers
+    if kind is SUJSQ_DET or kind is SUJSQ_DET_IDLE:
         k = 1
         while True:
             yield k / delta, None
             k += 1
-    elif spec.kind is PolicyKind.SUJSQ_EXP:
+    elif kind is SUJSQ_EXP:
         t = 0.0
-        while True:
-            t += rng.exponential(1.0 / delta)
+        for gap in exponentials(rng, 1.0 / delta):
+            t += gap
             yield t, None
-    elif spec.kind is PolicyKind.AUJSQ_DET:
+    elif kind is AUJSQ_DET:
+        period = 1.0 / delta
         # uniform(0, 1/delta) as numpy computes it: 0.0 + (1/delta) * random().
-        clocks = [((1.0 / delta) * rng.random(), s) for s in range(n)]
-        heapq.heapify(clocks)
+        clocks = [(period * rng.random(), s) for s in range(n)]
+        heapify(clocks)
+        # The (time, server) keys are unique, so replacing the head yields
+        # the order that a pop and a push would.
         while True:
-            t, s = heapq.heappop(clocks)
+            t, s = clocks[0]
             yield t, s
-            heapq.heappush(clocks, (t + 1.0 / delta, s))
+            heapreplace(clocks, (t + period, s))
     else:  # AUJSQ_EXP
+        scale = 1.0 / (delta * n)
         t = 0.0
         while True:
-            t += rng.exponential(1.0 / (delta * n))
+            t += rng.exponential(scale)
             yield t, rng.integers(n)

@@ -491,6 +491,18 @@ def test_word_draws_n_one_reads_no_word():
     assert len(read) == 1  # one word serves two draws
 
 
+@pytest.mark.parametrize("bound", [True, np.uint32(5), np.int8(3), np.int64(7)])
+def test_word_draws_take_any_integer_bound(bound):
+    # a bool or a numpy integer draws what the int of equal value draws
+    typed = des.WordDraws(des.raw_words(np.random.default_rng(8)).__next__)
+    plain = des.WordDraws(des.raw_words(np.random.default_rng(8)).__next__)
+    for step in [bound, 200, bound, None, bound, bound]:
+        if step is None:
+            assert typed.random() == plain.random()
+        else:
+            assert typed.integers(step) == plain.integers(int(step))
+
+
 @pytest.mark.parametrize("n", [0, -1, 2**32, 2**40, np.int64(2**40), 2.5, 3.0, "3"])
 def test_word_draws_refuse_bad_bounds(n):
     words = des.WordDraws(des.raw_words(np.random.default_rng(0)).__next__)

@@ -3,9 +3,9 @@ __init__ re-exports nothing, every import sits at module level, but for the
 scipy imports that ctmc defers so that the CLI loads without scipy, the
 synchronous limit does not depend on the asynchronous one, only model
 reads the state budget and words the delta rule, the simulator has one
-entry, and the async step path has one owner of its
-driver and calls no numpy method through a Python wrapper.  The modules
-are parsed, not imported."""
+entry, the async step path has one owner of its driver and calls no numpy
+method through a Python wrapper, and the simulator's per-event hooks read
+no enum member.  The modules are parsed, not imported."""
 import ast
 import importlib.util
 from pathlib import Path
@@ -111,3 +111,19 @@ def test_one_way_to_run_the_simulator():
                if isinstance(sub, ast.Call) and "_run" in (getattr(sub.func, "id", None),
                                                            getattr(sub.func, "attr", None))}
     assert callers == {("des", "_share")}
+
+
+def test_policy_hooks_read_no_enum_member():
+    # the hooks run once or more per event, and PolicyKind.X costs a class
+    # attribute lookup where the module global policies.X is a dict read
+    hooks = functions(MODULES["policies"])
+    [view] = [node for node in MODULES["policies"].body
+              if isinstance(node, ast.ClassDef) and node.name == "DispatcherView"]
+    methods = functions(view)
+    bodies = {name: hooks[name] for name in
+              ("dispatch", "on_assign", "on_update", "apply_global_update", "on_idle")}
+    bodies |= {f"DispatcherView.{name}": methods[name] for name in ("set_estimate", "set_estimates")}
+    bodies["des._run"] = functions(MODULES["des"])["_run"]
+    reads = {(name, sub.attr) for name, body in bodies.items() for sub in ast.walk(body)
+             if isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) == "PolicyKind"}
+    assert reads == set()

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparselb.des import WordDraws, raw_words
+from sparselb import policies
+from sparselb.des import BLOCK, WordDraws, raw_words
 from sparselb.model import ModelParams
 from sparselb.policies import (
     DispatcherView,
@@ -44,6 +45,32 @@ def test_parse_grammar():
     assert PolicySpec.parse("jiq").kind is PolicyKind.JIQ
     assert PolicySpec.parse("round-robin").kind is PolicyKind.ROUND_ROBIN
     assert str(PolicySpec.parse("sujsq-det-idle:0.85")) == "sujsq-det-idle:0.85"
+
+
+def test_kind_globals_name_their_members():
+    # the hooks test kinds against these globals, unpacked in member order
+    for kind in PolicyKind:
+        assert getattr(policies, kind.name) is kind
+
+
+@pytest.mark.parametrize("label", ["jiq-p:1", "jiq-p:0.3", "sujsq-det:0.85", "jsq-d:2",
+                                   "aujsq-exp:2.5", "sujsq-det-idle:1e-07", "random"])
+def test_labels_that_read_back_keep_their_text(label):
+    assert str(PolicySpec.parse(label)) == label
+
+
+@pytest.mark.parametrize("spec, label", [
+    (PolicySpec(PolicyKind.AUJSQ_EXP, delta=0.7 / 0.3), "aujsq-exp:2.3333333333333335"),
+    (PolicySpec(PolicyKind.SUJSQ_DET, delta=1 / 3), "sujsq-det:0.3333333333333333"),
+    (PolicySpec(PolicyKind.SUJSQ_EXP, delta=123456789.0), "sujsq-exp:123456789.0"),
+    (PolicySpec(PolicyKind.JIQ_P, p=0.1234567), "jiq-p:0.1234567"),
+    (PolicySpec(PolicyKind.JSQ_D, d=1234567), "jsq-d:1234567"),
+    (PolicySpec(PolicyKind.JSQ_D, d=100000000), "jsq-d:100000000"),
+])
+def test_label_parses_back_to_the_same_spec(spec, label):
+    # printed with :g, none of these would parse back to the same spec
+    assert str(spec) == label
+    assert PolicySpec.parse(label) == spec
 
 
 def test_parse_rejects_bad_specs():
@@ -228,6 +255,19 @@ def test_schedule_sujsq_exp_gap_mean():
     gaps = np.diff(np.concatenate([[0.0], times]))
     assert np.mean(gaps) == pytest.approx(0.5, rel=0.05)
     assert all(s is None for _, s in events)  # global epochs carry no server
+
+
+@pytest.mark.parametrize("delta", [0.21, 2.0])
+def test_schedule_sujsq_exp_replays_scalar_draws(delta):
+    # the gaps are read in blocks, across two block boundaries here, and
+    # each epoch is the running sum of scalar exponential(1/delta) draws
+    spec = PolicySpec(PolicyKind.SUJSQ_EXP, delta=delta)
+    gen = schedule_updates(spec, ModelParams(5, 0.7, delta), update_draws(11))
+    scalar = np.random.default_rng(11)
+    t = 0.0
+    for _ in range(2 * BLOCK + 5):
+        t += scalar.exponential(1.0 / delta)
+        assert next(gen) == (t, None)
 
 
 def test_schedule_aujsq_det_per_server_period():
