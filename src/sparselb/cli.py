@@ -154,6 +154,9 @@ def _initial_state(y0: str, lam: float, delta: float, jmax: int) -> FluidState:
 
 
 def cmd_fluid(args: argparse.Namespace) -> int:
+    with _refused("--y0/--des-runs", ValueError):
+        if args.des_runs and args.y0 != "empty":
+            raise ValueError(f"the simulation starts empty, not from {args.y0}")
     if args.kind == "async" and args.dt is not None:
         with _refused("--dt", ValueError):  # the bound on --dt depends on --delta
             fluid_async.check_dt(args.dt, args.delta)

@@ -25,12 +25,13 @@ if TYPE_CHECKING:
     from scipy.sparse import csr_array
 
 MAX_STATES = 50000
-# stationary's solver.  On 36 chains (both kinds at N 1-3, caps 3-14,
-# lam 0.3-0.95, delta 0.05-50) GMRES took at most 63 iterations and every
-# pi came within 2.5e-13 of a sparse LU solve's.  A relative residual of
-# 1e-13 is out of reach where pi[0] is small (the solve fixes pi[0] = 1):
-# at N = 3, cap 6, lam 0.95, delta 0.05 (aujsq-exp, pi[0] = 1.4e-5) the
-# residual of b - A x stalls at 5e-13.
+# stationary's solver.  On 180 chains (both kinds at N 1-3, caps 3-14,
+# lam 0.3-0.95, delta 0.05-50) GMRES took at most 51 iterations, and on
+# the 171 of them small enough for a complete sparse LU every pi came
+# within 2.1e-12 of its solve's.  A relative residual of 1e-13 is out of
+# reach where pi[0] is small (the solve fixes pi[0] = 1): at N = 3, cap 6,
+# lam 0.95, delta 0.05 (aujsq-exp, pi[0] = 1.4e-5) the residual of
+# b - A x stalls at 8e-13.
 ILU_DROP_TOL = 0.1
 ILU_FILL_FACTOR = 10
 GMRES_RTOL = 1e-12
@@ -184,15 +185,19 @@ def stationary(chain: TruncatedChain) -> np.ndarray:
 
     gen = chain.generator
     n = gen.shape[0]
-    a = gen[1:, 1:].T.tocsc()
-    b = -gen[[0], 1:].toarray().ravel()
+    # Every state but 0, last found first: build_generator found the states
+    # breadth-first from state 0, so this is a reverse Cuthill-McKee-type
+    # order and the factorisation needs no ordering step of its own.
+    rev = np.arange(n - 1, 0, -1)
+    a = gen[rev[:, None], rev].T.tocsc()
+    b = -gen[[0]].toarray().ravel()[rev]
     try:
-        # The columns of A are rows of the generator, so A is column
-        # diagonally dominant and is factored without pivoting, on a
-        # symmetric minimum-degree ordering.
+        # The columns of A are rows of the generator, symmetrically
+        # permuted, so A is column diagonally dominant and is factored
+        # without pivoting, in that order.
         ilu = spilu(
             a, drop_tol=ILU_DROP_TOL, fill_factor=ILU_FILL_FACTOR,
-            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            permc_spec="NATURAL", diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
     except RuntimeError:  # SuperLU: "matrix is singular"
@@ -210,7 +215,7 @@ def stationary(chain: TruncatedChain) -> np.ndarray:
             f"relative residual {rel:.3g} > {GMRES_RTOL}"
         )
     pi = np.ones(n)
-    pi[1:] = x
+    pi[rev] = x
     if not np.isfinite(pi).all():
         raise _singular(gen)
     if pi.min() < -1e-10:

@@ -67,6 +67,8 @@ def solve_nu(lam: float, delta: float, m: int) -> float:
     lo = 0.0
     while hi - lo > NU_TOL:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # past nu ~ 8192 one ulp of nu exceeds NU_TOL
+            break
         if h_value(mid, delta, m) > target:
             lo = mid
         else:

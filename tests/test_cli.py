@@ -158,6 +158,16 @@ def test_sweep_refuses_bad_policy_before_simulating(monkeypatch):
     assert "Traceback" not in proc.stderr
 
 
+def test_fixed_point_ends_where_nu_outgrows_its_tolerance():
+    # nu is about 1e6 here, where one ulp of nu exceeds NU_TOL
+    env = {**os.environ, "PYTHONPATH": str(Path(sparselb.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "sparselb.cli", "fixed-point",
+                           "--lambda", "0.5", "--delta", "1.000001"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["nu"] > 8192.0
+
+
 def test_sweep_config_file_with_overrides(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -410,6 +420,9 @@ def refused(argv, monkeypatch, capsys):
     (["sweep", "--seed", "-1"], "--seed"),
     (["validate", "--seed", "-1"], "--seed"),
     (["fluid", "async", "--des-runs", "1", "--seed", "-1"], "--seed"),
+    # the simulation starts empty, so its overlay needs a fluid run from empty
+    (["fluid", "async", "--y0", "fixed-point", "--des-runs", "1"], "--y0/--des-runs"),
+    (["fluid", "sync", "--y0", "missing.json", "--des-runs", "2"], "--y0/--des-runs"),
 ])
 def test_bad_inputs_are_refused(argv, flag, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

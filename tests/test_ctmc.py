@@ -69,9 +69,47 @@ def test_stationary_matches_dense_solve():
         assert np.abs(stationary(chain) - np.linalg.solve(a, b)).max() < 1e-12
 
 
+@pytest.mark.parametrize("kind, cap", [("aujsq-exp", 7), ("sujsq-exp", 8)])
+def test_stationary_matches_sparse_lu(kind, cap):
+    # reference: a complete sparse LU of the same balance system at N = 3.
+    # aujsq-exp stops at cap 7 (8,436 states): at cap 8 its complete LU
+    # holds 3e7 non-zeros
+    chain = build(n=3, kind=kind, cap=cap)
+    gen = chain.generator
+    lu = scipy.sparse.linalg.splu(gen[1:, 1:].T.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    ref = np.ones(chain.n_states)
+    ref[1:] = lu.solve(-gen[[0], 1:].toarray().ravel())
+    ref /= ref.sum()
+    assert np.abs(stationary(chain) - ref).max() < 1e-12
+
+
+def test_singular_chain_names_its_absorbing_state():
+    gen = csr_array(np.array([
+        [-1.0, 1.0, 0.0, 0.0],
+        [1.0, -2.0, 0.0, 1.0],
+        [0.0, 0.0, 0.0, 0.0],  # state 2 has no way out
+        [0.0, 1.0, 0.0, -1.0],
+    ]))
+    chain = TruncatedChain(
+        cap=0, pairs=[(0, 0)], states=[(k,) for k in range(4)], generator=gen,
+        truncation_rates=np.zeros(4), params=ModelParams(1, 0.5),
+    )
+    with pytest.raises(ChainError, match=r"absorbing states: \[2\]$"):
+        stationary(chain)
+
+
 def test_build_rejects_state_space_over_budget(monkeypatch):
     monkeypatch.setattr(ctmc, "MAX_STATES", 50)
     with pytest.raises(ChainError, match="budget of 50"):
+        build()
+
+
+def test_state_budget_boundary_is_exact(monkeypatch):
+    n_states = build().n_states
+    monkeypatch.setattr(ctmc, "MAX_STATES", n_states)
+    assert build().n_states == n_states
+    monkeypatch.setattr(ctmc, "MAX_STATES", n_states - 1)
+    with pytest.raises(ChainError, match=f"budget of {n_states - 1}"):
         build()
 
 

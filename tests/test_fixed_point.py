@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparselb
 from sparselb.model import MAX_STATE_BYTES, default_jmax
 from sparselb.fixed_point import (
     h_value,
@@ -160,3 +165,20 @@ def test_m_star_det_level1_feasibility():
     for lam, delta in [(0.7, 0.85), (0.2, 0.5), (0.9, 3.0)]:
         feasible = 1.0 - math.exp(-1.0 / delta) <= lam / delta
         assert (m_star_det(lam, delta) >= 1) == feasible
+
+
+def test_solve_nu_returns_past_the_float_resolution_of_nu_tol():
+    # at lam 0.5 the root nu grows as 1/(delta - 1); past about 8192 one ulp
+    # of nu exceeds NU_TOL, and the bisection must still stop.  A subprocess,
+    # so that a hang fails the test instead of stalling the suite
+    code = (
+        "from sparselb.fixed_point import h_value, y_star; "
+        "fp = y_star(0.5, 1.0001); "
+        "print(fp.nu, h_value(fp.nu, 1.0001, fp.m_star))"
+    )
+    src = str(Path(sparselb.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60, check=True)
+    nu, h = map(float, proc.stdout.split())
+    assert nu > 8192.0
+    assert h == pytest.approx(0.5, rel=1e-9)
