@@ -112,30 +112,23 @@ def _sim_configs(args: argparse.Namespace, specs: list[PolicySpec], flag: str
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """One CSV row per (policy, parameter) point, Figure-1 style."""
+    """One CSV row per (policy, parameter) point, Figure-1 style, in the
+    order of kind and then parameter.  Each run reads only its own (seed,
+    run index) streams, so the points run in that order."""
     specs = [spec for text in args.policies for spec in _sweep_specs(text, args.sweep)]
-    configs = _sim_configs(args, specs, "--policies")
-    rows = []
-    for config in configs:
-        spec = config.policy
+    # A kind's points all carry a parameter or none does, so None is never
+    # compared with a number.
+    specs.sort(key=lambda spec: (spec.kind.value, spec.param))
+    lines = ["policy,param,msgs_per_job,mean_wait,mean_queue,ci_halfwidth"]
+    for config in _sim_configs(args, specs, "--policies"):
         with _refused("--horizon/--warmup", des.HorizonError):
             rec = des.run_replications(config, args.runs)
-        rows.append(
-            (
-                spec.kind.value,
-                float(spec.param) if spec.param is not None else -1.0,
-                rec.msgs_per_job,
-                rec.mean_wait,
-                rec.mean_queue_per_server,
-                rec.mean_wait_ci,  # None from one run: no interval
-            )
-        )
-    rows.sort(key=lambda r: (r[0], r[1]))
-    lines = ["policy,param,msgs_per_job,mean_wait,mean_queue,ci_halfwidth"]
-    for kind, param, msgs, wait, queue, ci in rows:
-        param_txt = "" if param < 0 else _fmt(param)
-        ci_txt = "" if ci is None else _fmt(ci)
-        lines.append(f"{kind},{param_txt},{_fmt(msgs)},{_fmt(wait)},{_fmt(queue)},{ci_txt}")
+        param, ci = config.policy.param, rec.mean_wait_ci  # ci is None from one run
+        lines.append(",".join([
+            config.policy.kind.value, "" if param is None else _fmt(param),
+            _fmt(rec.msgs_per_job), _fmt(rec.mean_wait), _fmt(rec.mean_queue_per_server),
+            "" if ci is None else _fmt(ci),
+        ]))
     _write(args.out, "\n".join(lines) + "\n")
     return 0
 

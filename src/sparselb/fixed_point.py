@@ -8,12 +8,12 @@ fraction to 1 - lam.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FluidState, check_state_budget, default_jmax
+from .model import (SWITCH_TOL, FluidState, StateError, check_rates, check_state_budget,
+                    default_jmax)
 from .fluid_async import rhs_async
 from .fluid_sync import poisson_ab
 
@@ -28,18 +28,12 @@ class ConsistencyError(RuntimeError):
 def m_star(lam: float, delta: float) -> int:
     """Stationary minimum estimate level.
 
-    Scan form: the smallest m with lam < 1 - (1+delta)^-(m+1).  The
-    closed-form floor(-log(1-lam)/log(1+delta)) is cross-checked; on the
-    rare float disagreement near a boundary the scan form wins.
+    Scan form: the smallest m with lam < 1 - (1+delta)^-(m+1).
     """
-    if not 0.0 < lam < 1.0 or not delta > 0.0:
-        raise ValueError("need 0 < lam < 1 and delta > 0")
+    check_rates(lam, delta)
     m = 0
     while not lam < 1.0 - (1.0 + delta) ** (-(m + 1)):
         m += 1
-    m_closed = math.floor(-math.log1p(-lam) / math.log1p(delta))
-    if m_closed != m and abs(m_closed - m) > 1:
-        raise RuntimeError(f"level formulas disagree badly: {m} vs {m_closed}")
     return m
 
 
@@ -63,7 +57,8 @@ def solve_nu(lam: float, delta: float, m: int) -> float:
     while h_value(hi, delta, m) > target:
         hi *= 2.0
         if hi > 1e12:
-            raise RuntimeError("failed to bracket nu")
+            raise StateError(f"nu passes 1e12 at delta = {delta}, too near the no-queueing "
+                             "threshold")
     lo = 0.0
     while hi - lo > NU_TOL:
         mid = 0.5 * (lo + hi)
@@ -99,9 +94,10 @@ def y_star(lam: float, delta: float, jmax: int | None = None) -> FixedPoint:
     """Construct the stationary occupancy state and validate it.
 
     The result carries the residual of the asynchronous fluid derivative at
-    the constructed state; residuals at or above 1e-8 raise.  A grid whose
-    dense array is over the state budget raises StateError (a ValueError)
-    up front.
+    the constructed state; residuals at or above 1e-8 raise.  StateError (a
+    ValueError) refuses rates that check_rates refuses and a grid over the
+    state budget, up front, and a delta so near above the no-queueing
+    threshold that column m_star would hold at most SWITCH_TOL.
     """
     m = m_star(lam, delta)
     nu = solve_nu(lam, delta, m)
@@ -123,6 +119,9 @@ def y_star(lam: float, delta: float, jmax: int | None = None) -> FixedPoint:
         y[i, m + 1] = delta * (a ** (m + 2 - i) - a * b ** (m + 1 - i) / (1.0 + nu))
 
     state = FluidState(y)
+    if not (held := state.y[:, m].sum()) > SWITCH_TOL:  # else rhs_async takes level m + 1
+        raise StateError(f"column m_star holds {held:.1e} at delta = {delta}, too near the "
+                         "no-queueing threshold")
     residual = float(np.abs(rhs_async(state.y, lam, delta)).max())
     if residual >= RESIDUAL_TOL:
         raise ConsistencyError(
@@ -137,8 +136,7 @@ def m_star_det(lam: float, delta: float) -> int:
     largest m whose expected per-interval completions, starting from m jobs,
     stay within the per-interval arrivals lam/delta.  Never exceeds the
     exponential-gap level m_star."""
-    if not 0.0 < lam < 1.0 or not delta > 0.0:
-        raise ValueError("need 0 < lam < 1 and delta > 0")
+    m_exp = m_star(lam, delta)
     period = 1.0 / delta
     budget = lam / delta
     m = 0
@@ -146,7 +144,6 @@ def m_star_det(lam: float, delta: float) -> int:
         m += 1
         if m > 100000:
             raise RuntimeError("level scan failed to terminate")
-    m_exp = m_star(lam, delta)
     if m > m_exp:
         raise ConsistencyError(
             f"deterministic-gap level {m} exceeds exponential-gap level {m_exp}"

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fluid_sync
-from .model import SWITCH_TOL, FluidState, check_state_budget, min_estimate_level
+from .model import SWITCH_TOL, FluidState, check_rates, check_state_budget, min_estimate_level
 from .fluid_sync import FluidRun, _settle, _state_array, move_leftover, stops
 
 # Slack on the capacity comparison that prevents chattering when u_n sits
@@ -214,6 +214,7 @@ def integrate_async(
     steps of dt (default min(1/delta, 1)/1000), split exactly at stored
     grid points and estimate-level switches.  The dispatch level is
     re-derived from the state at every evaluation, and there are no jumps."""
+    check_rates(lam, delta)
     if dt is None:
         dt = min(1.0 / delta, 1.0) / 1000.0
     check_dt(dt, delta)

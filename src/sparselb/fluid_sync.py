@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (NEG_TOL, SWITCH_TOL, FluidState, check_state_budget, check_truncation,
-                    min_estimate_level)
+from .model import (NEG_TOL, SWITCH_TOL, FluidState, StateError, check_rates,
+                    check_state_budget, check_truncation, min_estimate_level)
 
 
 class IntegrationError(RuntimeError):
@@ -214,6 +214,7 @@ def integrate_sync(
     is zeroed and its round-off residue moves up to column m + 1.  All
     stored times between two stops come from one call.
     """
+    check_rates(lam, delta)
     y = _state_array(y0)
     marks = stops(t_end, delta, store_times)
     check_state_budget(len(marks) + 1, len(y) - 1, "integrate_sync")
@@ -299,8 +300,9 @@ class SyncAnalysis:
 
 def queue_bound(lam: float, t_period: float) -> SyncAnalysis:
     """Scan L = 1, 2, ... for the first level with lam*T < sigma(L)."""
-    if not 0.0 < lam < 1.0 or not t_period > 0.0:
-        raise ValueError("need 0 < lam < 1 and T > 0")
+    if not t_period > 0.0:
+        raise StateError(f"need T > 0, got {t_period}")
+    check_rates(lam, 1.0 / t_period)
     target = lam * t_period
     level = 0
     while True:

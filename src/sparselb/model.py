@@ -42,10 +42,19 @@ def check_state_budget(states: int, jmax: int, what: str,
         )
 
 
+def check_rates(lam: float, delta: float | None = None) -> None:
+    """The model's one rate rule: raise StateError unless 0 < lam < 1 and
+    delta, when given, is finite and > 0."""
+    if not 0.0 < lam < 1.0:
+        raise StateError(f"lam must lie in (0, 1), got {lam}")
+    if delta is not None and not 0.0 < delta < math.inf:
+        raise StateError(f"delta must be finite and > 0, got {delta}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """System-level parameters: n_servers servers, per-server arrival rate
-    lam in (0,1), unit-mean service; delta, if set, must match the policy's."""
+    lam, unit-mean service; delta, if set, must match the policy's."""
 
     n_servers: int
     lam: float
@@ -54,10 +63,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         if self.n_servers < 1:
             raise StateError(f"n_servers must be >= 1, got {self.n_servers}")
-        if not 0.0 < self.lam < 1.0:
-            raise StateError(f"lam must lie in (0, 1), got {self.lam}")
-        if self.delta is not None and not self.delta > 0.0:
-            raise StateError(f"delta must be > 0, got {self.delta}")
+        check_rates(self.lam, self.delta)
 
 
 def check_delta(params: ModelParams, delta: float | None, error: type[Exception]) -> None:
@@ -98,10 +104,7 @@ class FluidState:
     @classmethod
     def empty(cls, jmax: int) -> "FluidState":
         """All servers idle with accurate (zero) estimates."""
-        check_state_budget(1, jmax, "FluidState.empty")
-        y = np.zeros((jmax + 1, jmax + 1))
-        y[0, 0] = 1.0
-        return cls(y)
+        return cls.from_entries({(0, 0): 1.0}, jmax)
 
     @classmethod
     def from_entries(cls, entries: dict[tuple[int, int], float], jmax: int) -> "FluidState":
@@ -146,6 +149,7 @@ def derive(y: np.ndarray) -> DerivedFunctionals:
 
 def default_jmax(lam: float, delta: float) -> int:
     """Truncation level with headroom above the stationary support."""
+    check_rates(lam, delta)
     m = math.floor(-math.log1p(-lam) / math.log1p(delta))
     return max(2 * math.ceil(m) + 10, 40)
 

@@ -423,6 +423,13 @@ def refused(argv, monkeypatch, capsys):
     # the simulation starts empty, so its overlay needs a fluid run from empty
     (["fluid", "async", "--y0", "fixed-point", "--des-runs", "1"], "--y0/--des-runs"),
     (["fluid", "sync", "--y0", "missing.json", "--des-runs", "2"], "--y0/--des-runs"),
+    # just above the no-queueing threshold delta = lam/(1 - lam) = 1
+    (["fixed-point", "--lambda", "0.5", "--delta", "1.00000000001"], "--delta"),
+    (["fixed-point", "--lambda", "0.5", "--delta", "1.0000000000001"], "--delta"),
+    (["fixed-point", "--lambda", "0.5", "--delta-grid", "0.5", "1.00000000001"], "--delta-grid"),
+    (["fixed-point", "--lambda", "0.5", "--delta-grid", "1.0000000000001"], "--delta-grid"),
+    (["fluid", "async", "--y0", "fixed-point", "--lambda", "0.5", "--delta", "1.00000000001"],
+     "--y0"),
 ])
 def test_bad_inputs_are_refused(argv, flag, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

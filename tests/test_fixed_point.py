@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sparselb
-from sparselb.model import MAX_STATE_BYTES, default_jmax
+from sparselb.model import MAX_STATE_BYTES, StateError, default_jmax
 from sparselb.fixed_point import (
     h_value,
     m_star,
@@ -182,3 +182,38 @@ def test_solve_nu_returns_past_the_float_resolution_of_nu_tol():
     nu, h = map(float, proc.stdout.split())
     assert nu > 8192.0
     assert h == pytest.approx(0.5, rel=1e-9)
+
+
+def test_endless_level_scans_are_refused():
+    # m_star_det at delta = inf and queue_bound at T = inf (delta = 0) scan
+    # levels without end unless refused, and y_star at delta = inf divides by
+    # zero.  A subprocess, so that a hang fails the test instead of stalling
+    # the suite
+    code = (
+        "from math import inf\n"
+        "from sparselb.fixed_point import m_star_det, y_star\n"
+        "from sparselb.fluid_sync import queue_bound\n"
+        "from sparselb.model import StateError\n"
+        "for call in (lambda: m_star_det(0.7, inf), lambda: y_star(0.7, inf),\n"
+        "             lambda: queue_bound(0.7, inf)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except StateError:\n"
+        "        print('refused')\n"
+    )
+    src = str(Path(sparselb.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.split() == ["refused"] * 3
+
+
+def test_y_star_refuses_just_above_the_no_queueing_threshold():
+    # at lam 0.5 the threshold is delta = 1, and nu grows as 1/(delta - 1):
+    # the state's column m_star holds about 1/(2 nu)
+    fp = y_star(0.5, 1.000001)
+    assert fp.nu == pytest.approx(1000001.4997, abs=1e-4)
+    assert fp.y_star.y[:, fp.m_star].sum() == pytest.approx(5.0e-7, rel=1e-5)
+    with pytest.raises(StateError, match="column m_star"):  # 5e-12, below SWITCH_TOL
+        y_star(0.5, 1.00000000001)
+    with pytest.raises(StateError, match="nu passes 1e12"):
+        y_star(0.5, 1.0000000000001)

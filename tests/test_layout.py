@@ -2,10 +2,11 @@
 __init__ re-exports nothing, every import sits at module level, but for the
 scipy imports that ctmc defers so that the CLI loads without scipy, the
 synchronous limit does not depend on the asynchronous one, only model
-reads the state budget and words the delta rule, the simulator has one
-entry, the async step path has one owner of its driver and calls no numpy
-method through a Python wrapper, and the simulator's per-event hooks read
-no enum member.  The modules are parsed, not imported."""
+reads the state budget, words the delta rule and tests the rates against
+their bounds, the simulator has one entry, the async step path has one
+owner of its driver and calls no numpy method through a Python wrapper,
+and the simulator's per-event hooks read no enum member.  The modules are
+parsed, not imported."""
 import ast
 import importlib.util
 from pathlib import Path
@@ -97,6 +98,22 @@ def test_async_step_path_skips_numpy_python_wrappers():
 def test_only_model_words_the_delta_rule():
     # des and ctmc ask model.check_delta, so the agreement rule has one copy
     holders = {path.stem for path in PACKAGE.glob("*.py") if "disagrees with" in path.read_text()}
+    assert holders == {"model"}
+
+
+def test_only_model_compares_the_rates_with_their_bounds():
+    # every layer asks model.check_rates; cli's --lambda type and
+    # policies.PARAM_RULES, which test_model ties to it, name their value x
+    def rate_tests(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):  # on its bare operands, not m_star's scan
+                sides = [node.left, *node.comparators]
+                named = {getattr(side, "id", None) or getattr(side, "attr", None) for side in sides}
+                bounds = {side.value for side in sides if isinstance(side, ast.Constant)}
+                if named & {"lam", "delta"} and (bounds & {0, 1} or "inf" in named):
+                    yield node
+
+    holders = {name for name, tree in MODULES.items() if any(rate_tests(tree))}
     assert holders == {"model"}
 
 

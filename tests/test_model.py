@@ -1,17 +1,25 @@
+import math
+
 import numpy as np
 import pytest
 
 from sparselb import model
+from sparselb.cli import build_parser
+from sparselb.fixed_point import m_star, m_star_det, y_star
+from sparselb.fluid_async import integrate_async
+from sparselb.fluid_sync import integrate_sync, queue_bound
 from sparselb.model import (
     SWITCH_TOL,
     FluidState,
     ModelParams,
     StateError,
+    check_rates,
     check_state_budget,
     default_jmax,
     derive,
     min_estimate_level,
 )
+from sparselb.policies import PARAM_RULES, PolicySpec
 
 
 def test_model_params_validation():
@@ -121,3 +129,52 @@ def test_default_jmax():
     assert default_jmax(0.7, 2.5) == 40
     assert default_jmax(0.7, 0.85) == 40
     assert default_jmax(0.7, 0.05) == 58
+
+
+# Every library entry point that takes the model's rates, called as (lam, delta);
+# queue_bound takes the epoch period T = 1/delta, with delta = 0 read as T = inf.
+RATE_TAKERS = {
+    "ModelParams": lambda lam, delta: ModelParams(1, lam, delta),
+    "m_star": m_star,
+    "m_star_det": m_star_det,
+    "y_star": y_star,
+    "default_jmax": default_jmax,
+    "queue_bound": lambda lam, delta: queue_bound(lam, math.inf if delta == 0 else 1 / delta),
+    "integrate_sync": lambda lam, delta: integrate_sync(FluidState.empty(40), lam, delta, 1.0),
+    "integrate_async": lambda lam, delta: integrate_async(FluidState.empty(40), lam, delta, 1.0),
+}
+BAD_RATES = [(lam, 0.85) for lam in (0.0, 1.0, -0.5, 1.5, math.nan)] + [
+    (0.7, delta) for delta in (0.0, -1.0, math.inf, math.nan)]
+# Unchecked, these two scan levels without end, so
+# test_fixed_point.test_endless_level_scans_are_refused runs them in a subprocess.
+ENDLESS = {("m_star_det", math.inf), ("queue_bound", 0.0)}
+
+
+@pytest.mark.parametrize("name, lam, delta", [
+    (name, lam, delta) for name in RATE_TAKERS for lam, delta in BAD_RATES
+    if (name, delta) not in ENDLESS
+])
+def test_every_layer_refuses_rates_the_model_cannot_have(name, lam, delta):
+    with pytest.raises(StateError):
+        RATE_TAKERS[name](lam, delta)
+
+
+def admits(call, value) -> bool:
+    try:
+        call(value)
+    except (ValueError, SystemExit):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("value", [
+    -1.0, 0.0, 5e-324, 0.5, 1.0 - 2.0 ** -53, 1.0, 1.5, 1e300, math.inf, math.nan])
+def test_parse_time_rate_rules_agree_with_check_rates(value, capsys):
+    lam_ok = admits(check_rates, value)
+    parser = build_parser()
+    assert admits(lambda x: parser.parse_args(["fixed-point", "--lambda", repr(x)]), value) == lam_ok
+    delta_ok = admits(lambda x: check_rates(0.5, x), value)
+    for kind, rule in PARAM_RULES.items():
+        if rule.field == "delta":
+            assert admits(lambda x: PolicySpec(kind, delta=x), value) == delta_ok
+    capsys.readouterr()  # argparse's usage messages
