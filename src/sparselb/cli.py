@@ -153,10 +153,10 @@ def cmd_fluid(args: argparse.Namespace) -> int:
     if args.kind == "async" and args.dt is not None:
         with _refused("--dt", ValueError):  # the bound on --dt depends on --delta
             fluid_async.check_dt(args.dt, args.delta)
-    jmax = args.jmax or default_jmax(args.lam, args.delta)
     epoch_rate = args.delta if args.kind == "sync" else None  # async runs have no epochs
     flags = "--jmax/--delta/--t-end/--grid-dt/--des-runs"
     with _refused(flags, model.StateError, OverflowError):  # before store is built
+        jmax = args.jmax or default_jmax(args.lam, args.delta)
         n_store = math.ceil((args.t_end + 1e-12) / args.grid_dt)  # np.arange's length
         model.check_state_budget(fluid_sync.least_states(args.t_end, epoch_rate, n_store),
                                  jmax, "stored states")
@@ -207,6 +207,7 @@ def cmd_fixed_point(args: argparse.Namespace) -> int:
         return 0
     with _refused("--delta", ValueError):
         fp = fixed_point.y_star(args.lam, args.delta)
+        level_det = fixed_point.m_star_det(args.lam, args.delta)
     y = fp.y_star.y
     entries = [
         [int(i), int(j), float(y[i, j])] for i, j in zip(*np.nonzero(y))
@@ -217,7 +218,7 @@ def cmd_fixed_point(args: argparse.Namespace) -> int:
         "q_tilde": fp.q_tilde,
         "y_star": entries,
         "residual": fp.residual,
-        "m_star_det": fixed_point.m_star_det(args.lam, args.delta),
+        "m_star_det": level_det,
     }
     _write(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return 0

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (SWITCH_TOL, FluidState, StateError, check_rates, check_state_budget,
-                    default_jmax)
+from .model import (SWITCH_TOL, FluidState, StateError, check_state_budget, default_jmax,
+                    m_star)
 from .fluid_async import rhs_async
 from .fluid_sync import poisson_ab
 
@@ -25,26 +25,12 @@ class ConsistencyError(RuntimeError):
     """The constructed stationary state fails its own residual check."""
 
 
-def m_star(lam: float, delta: float) -> int:
-    """Stationary minimum estimate level.
-
-    Scan form: the smallest m with lam < 1 - (1+delta)^-(m+1).
-    """
-    check_rates(lam, delta)
-    m = 0
-    while not lam < 1.0 - (1.0 + delta) ** (-(m + 1)):
-        m += 1
-    return m
-
-
 def h_value(nu: float, delta: float, m: int) -> float:
     """Idle fraction of the candidate stationary state as a function of nu;
     strictly decreasing from (1+delta)^-m down to (1+delta)^-(m+1)."""
     a = 1.0 / (1.0 + delta)
     b = 1.0 / (1.0 + delta + nu)
-    return a ** (m + 1) + a * a * b ** (m - 1) * delta * delta / (
-        (1.0 + nu) * (delta + nu)
-    )
+    return a ** (m + 1) + (a * delta) ** 2 * b ** (m - 1) / (1.0 + nu) / (delta + nu)
 
 
 def solve_nu(lam: float, delta: float, m: int) -> float:
@@ -82,12 +68,8 @@ class FixedPoint:
 
 def q_tilde(lam: float, delta: float, nu: float, m: int) -> float:
     """Stationary mean queue length per server."""
-    return (
-        m
-        + 1.0
-        - lam / delta
-        - (1.0 + delta + nu) * delta / ((1.0 + delta) * (1.0 + nu) * (delta + nu))
-    )
+    return m + 1.0 - lam / delta - (
+        delta / (1.0 + delta) * (1.0 + delta + nu) / (delta + nu) / (1.0 + nu))
 
 
 def y_star(lam: float, delta: float, jmax: int | None = None) -> FixedPoint:
@@ -100,19 +82,19 @@ def y_star(lam: float, delta: float, jmax: int | None = None) -> FixedPoint:
     threshold that column m_star would hold at most SWITCH_TOL.
     """
     m = m_star(lam, delta)
-    nu = solve_nu(lam, delta, m)
-    a = 1.0 / (1.0 + delta)
-    b = 1.0 / (1.0 + delta + nu)
     jm = default_jmax(lam, delta) if jmax is None else jmax
     if jm < m + 2:
         raise ValueError(f"jmax={jm} too small for support level {m + 1}")
     check_state_budget(1, jm, "y_star")
+    nu = solve_nu(lam, delta, m)
+    a = 1.0 / (1.0 + delta)
+    b = 1.0 / (1.0 + delta + nu)
 
     y = np.zeros((jm + 1, jm + 1))
-    y[0, m] = a * b ** (m - 1) * delta / ((1.0 + nu) * (delta + nu))
+    y[0, m] = a * b ** (m - 1) * delta / (1.0 + nu) / (delta + nu)
     for i in range(1, m + 1):
         y[i, m] = a * b ** (m - i) * delta / (1.0 + nu)
-    top = a ** (m + 1) - a * a * b ** (m - 1) * delta / ((1.0 + nu) * (delta + nu))
+    top = a ** (m + 1) - a * (a * delta) * b ** (m - 1) / (1.0 + nu) / (delta + nu)
     y[0, m + 1] = top
     y[1, m + 1] = delta * top
     for i in range(2, m + 2):
@@ -134,18 +116,16 @@ def y_star(lam: float, delta: float, jmax: int | None = None) -> FixedPoint:
 def m_star_det(lam: float, delta: float) -> int:
     """Stationary level bound for deterministic per-server update gaps: the
     largest m whose expected per-interval completions, starting from m jobs,
-    stay within the per-interval arrivals lam/delta.  Never exceeds the
-    exponential-gap level m_star."""
+    stay within the per-interval arrivals lam/delta.  The exponential-gap
+    level m_star bounds the scan: a level past it raises ConsistencyError.
+    A default_jmax grid over the state budget is refused first, as in y_star."""
     m_exp = m_star(lam, delta)
+    check_state_budget(1, default_jmax(lam, delta), "m_star_det")
     period = 1.0 / delta
     budget = lam / delta
     m = 0
     while poisson_ab(m + 1, period).b <= budget:
+        if m == m_exp:
+            raise ConsistencyError(f"deterministic-gap level {m + 1} exceeds m_star = {m_exp}")
         m += 1
-        if m > 100000:
-            raise RuntimeError("level scan failed to terminate")
-    if m > m_exp:
-        raise ConsistencyError(
-            f"deterministic-gap level {m} exceeds exponential-gap level {m_exp}"
-        )
     return m

@@ -272,15 +272,18 @@ class PoissonMoments:
 
 
 def poisson_ab(level: int, t: float) -> PoissonMoments:
-    """Direct pmf computation of A and B (B derived via A + B = L)."""
+    """A = sum (L - g) p(g) and B = t F(L-1) + L (1 - F(L)) from the Poisson
+    pmf p, built in logs lest e^-t underflow, with 1 - F(L) = -expm1(-t) -
+    sum p(1..L); the smaller is kept and the other is L minus it."""
     if level < 0 or t < 0.0:
         raise ValueError("need level >= 0 and t >= 0")
-    pmf = np.empty(level + 1)
-    pmf[0] = math.exp(-t)
-    for l in range(level):
-        pmf[l + 1] = pmf[l] * t / (l + 1)
-    a = float(np.dot(level - np.arange(level + 1), pmf))
-    return PoissonMoments(a=a, b=level - a)
+    if t == 0.0:
+        return PoissonMoments(a=float(level), b=0.0)
+    g = np.arange(level + 1.0)
+    pmf = np.exp(np.cumsum(np.concatenate(([-t], math.log(t) - np.log(g[1:])))))
+    a = float(np.dot(level - g, pmf))
+    b = t * float(pmf[:-1].sum()) + level * (-math.expm1(-t) - float(pmf[1:].sum()))
+    return PoissonMoments(a=a, b=level - a) if a <= b else PoissonMoments(a=level - b, b=b)
 
 
 def sigma(level: int, lam: float, t_period: float) -> float:
@@ -299,7 +302,8 @@ class SyncAnalysis:
 
 
 def queue_bound(lam: float, t_period: float) -> SyncAnalysis:
-    """Scan L = 1, 2, ... for the first level with lam*T < sigma(L)."""
+    """Scan L = 1, 2, ... for the first level with lam*T < sigma(L), up to
+    the largest level that a state within the state budget can hold."""
     if not t_period > 0.0:
         raise StateError(f"need T > 0, got {t_period}")
     check_rates(lam, 1.0 / t_period)
@@ -307,11 +311,10 @@ def queue_bound(lam: float, t_period: float) -> SyncAnalysis:
     level = 0
     while True:
         level += 1
+        check_state_budget(1, level, "queue_bound")
         val = sigma(level, lam, t_period)
         if target < val:
             return SyncAnalysis(s_star=level, delta_margin=val - target)
-        if level > 100000:
-            raise IntegrationError("queue-bound scan failed to terminate")
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def check_state_budget(states: int, jmax: int, what: str,
     if need > MAX_STATE_BYTES:
         raise error(
             f"{what}: {states} x (jmax+1)^2 floats at jmax={jmax} need "
-            f"{need / 1e6:.0f} MB, over the {MAX_STATE_BYTES / 1e6:.0f} MB budget"
+            f"{need // 10**6} MB, over the {MAX_STATE_BYTES // 10**6} MB budget"
         )
 
 
@@ -147,11 +147,23 @@ def derive(y: np.ndarray) -> DerivedFunctionals:
     return DerivedFunctionals(v=y.sum(axis=1), w=y.sum(axis=0))
 
 
+def m_star(lam: float, delta: float) -> int:
+    """Stationary minimum estimate level, the least m with lam < 1 -
+    (1+delta)^-(m+1): the floor of -log(1-lam)/log(1+delta), moved a level by
+    that inequality where the logarithms' rounding puts it one off."""
+    check_rates(lam, delta)
+    level = -math.log1p(-lam) / math.log1p(delta)
+    if not math.isfinite(level):
+        raise StateError(f"the stationary level overflows at delta = {delta}")
+    m = math.floor(level)
+    if not lam < 1.0 - (1.0 + delta) ** -(m + 1):
+        return m + 1
+    return m - 1 if m > 0 and lam < 1.0 - (1.0 + delta) ** -m else m
+
+
 def default_jmax(lam: float, delta: float) -> int:
     """Truncation level with headroom above the stationary support."""
-    check_rates(lam, delta)
-    m = math.floor(-math.log1p(-lam) / math.log1p(delta))
-    return max(2 * math.ceil(m) + 10, 40)
+    return max(2 * m_star(lam, delta) + 10, 40)
 
 
 def check_truncation(y: np.ndarray) -> None:

@@ -430,6 +430,12 @@ def refused(argv, monkeypatch, capsys):
     (["fixed-point", "--lambda", "0.5", "--delta-grid", "1.0000000000001"], "--delta-grid"),
     (["fluid", "async", "--y0", "fixed-point", "--lambda", "0.5", "--delta", "1.00000000001"],
      "--y0"),
+    # the stationary level -log(1-lam)/log(1+delta) overflows, or needs a grid
+    # far over the state budget
+    (["fluid", "sync", "--delta", "5e-324"], "--jmax/--delta"),
+    (["fluid", "async", "--delta", "5e-324"], "--jmax/--delta"),
+    (["fixed-point", "--delta-grid", "0.5", "5e-324"], "--delta-grid"),
+    (["fixed-point", "--delta", "1e-200"], "--delta"),
 ])
 def test_bad_inputs_are_refused(argv, flag, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -547,3 +553,19 @@ def test_bad_manifests_are_refused(manifest, named, tmp_path, monkeypatch, capsy
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(manifest))
     assert named in refused(["sweep", "--config", str(cfg)], monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("delta", ["5e-324", "1e-17", "2e16", "1e155", "1e300"])
+def test_fixed_point_at_extreme_deltas_ends(delta):
+    # each one hung or ended in a traceback: the level scans ran without end
+    # at tiny and huge delta, and q_tilde read nan from delta = 1e155.  A
+    # subprocess, so that a hang fails the test instead of stalling the suite
+    env = {**os.environ, "PYTHONPATH": str(Path(sparselb.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "sparselb.cli", "fixed-point", "--delta", delta],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode in (0, 2), proc.stderr
+    if proc.returncode == 2:
+        assert "argument --delta" in proc.stderr and "Traceback" not in proc.stderr
+    else:
+        doc = json.loads(proc.stdout)
+        assert np.isfinite(doc["q_tilde"]) and doc["m_star_det"] <= doc["m_star"]

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 import sparselb
+from sparselb import fixed_point, model
+from sparselb.fluid_sync import PoissonMoments
 from sparselb.model import MAX_STATE_BYTES, StateError, default_jmax
 from sparselb.fixed_point import (
+    ConsistencyError,
     h_value,
     m_star,
     m_star_det,
@@ -217,3 +220,101 @@ def test_y_star_refuses_just_above_the_no_queueing_threshold():
         y_star(0.5, 1.00000000001)
     with pytest.raises(StateError, match="nu passes 1e12"):
         y_star(0.5, 1.0000000000001)
+
+
+def random_pairs():
+    rng = np.random.default_rng(1)
+    lams = rng.uniform(1e-6, 1.0 - 1e-6, 20000)
+    deltas = 10.0 ** rng.uniform(-3.0, 2.0, 20000)
+    return [(float(lam), float(delta)) for lam, delta in zip(lams, deltas)]
+
+
+def boundary_pairs():
+    # lam = 1 - (1+delta)^-k: the defining inequality holds with equality at
+    # m = k - 1, where the rounding of the closed form's logarithms decides
+    rng = np.random.default_rng(2)
+    deltas = 10.0 ** rng.uniform(-3.0, 1.0, 5000)
+    ks = np.ceil(rng.uniform(0.01, 30.0, 5000) / np.log1p(deltas))
+    return [(1.0 - (1.0 + float(delta)) ** -int(k), float(delta)) for delta, k in zip(deltas, ks)]
+
+
+def below_boundary_pairs():
+    # one float below each boundary, where the answer is k - 1
+    return [(math.nextafter(lam, 0.0), delta) for lam, delta in boundary_pairs()]
+
+
+@pytest.mark.parametrize("pairs", [random_pairs, boundary_pairs, below_boundary_pairs])
+def test_m_star_is_the_least_level_meeting_its_inequality(pairs):
+    low = high = 0
+    for lam, delta in pairs():
+        m = m_star(lam, delta)
+        assert lam < 1.0 - (1.0 + delta) ** -(m + 1)
+        assert m == 0 or not lam < 1.0 - (1.0 + delta) ** -m
+        floor = math.floor(-math.log1p(-lam) / math.log1p(delta))
+        low, high = low + (floor < m), high + (floor > m)
+    # the closed form's floor alone is one level low on many boundaries, and
+    # one level high just below some
+    if pairs is not random_pairs:
+        assert (low if pairs is boundary_pairs else high) > 0
+
+
+def test_y_star_support_check_boundary():
+    # at lam 0.7, delta 0.85 the support is levels 1 and 2
+    with pytest.raises(ValueError, match="jmax=2 too small for support level 2"):
+        y_star(0.7, 0.85, jmax=2)
+    assert y_star(0.7, 0.85, jmax=3).y_star.y.shape == (4, 4)
+
+
+def test_y_star_state_budget_boundary_is_exact(monkeypatch):
+    monkeypatch.setattr(model, "MAX_STATE_BYTES", 8 * 11 ** 2)
+    assert y_star(0.7, 0.85, jmax=10).y_star.y.shape == (11, 11)
+    monkeypatch.setattr(model, "MAX_STATE_BYTES", 8 * 11 ** 2 - 1)
+    with pytest.raises(StateError, match="y_star: 1 x .* budget"):
+        y_star(0.7, 0.85, jmax=10)
+
+
+def test_m_star_det_stops_at_m_star(monkeypatch):
+    # with no completions every level fits the budget: the scan must raise at
+    # m_star + 1, neither stop at m_star as if it were the answer nor run on
+    monkeypatch.setattr(fixed_point, "poisson_ab", lambda level, t: PoissonMoments(level, 0.0))
+    with pytest.raises(ConsistencyError, match="level 2 exceeds m_star = 1"):
+        m_star_det(0.7, 0.85)
+
+
+def test_m_star_det_refuses_grids_over_the_memory_budget():
+    # m_star(0.7, 1e-4) = 12040 levels, each a Poisson pmf as long as the level
+    with pytest.raises(StateError, match="m_star_det: .* budget"):
+        m_star_det(0.7, 1e-4)
+
+
+@pytest.mark.parametrize("delta", [1e150, 1e154, 1e155, 1e300, 1.7e308])
+def test_y_star_at_huge_delta(delta):
+    # far above the threshold the queues hold 0 or 1 job, so q_tilde = lam;
+    # (1+delta)^-2 and (1+delta)^2 (1+nu) are out of float range here
+    fp = y_star(0.7, delta)
+    assert fp.m_star == 0 and m_star_det(0.7, delta) == 0
+    assert fp.q_tilde == pytest.approx(0.7, abs=1e-12)
+    assert fp.y_star.y[0, 0] == pytest.approx(0.3, abs=1e-12)
+    assert fp.y_star.y[1, 1] == pytest.approx(0.7, abs=1e-12)
+
+
+def test_level_scans_end_at_extreme_periods():
+    # each call ran without end or to a 100,000-level cap: 1 - e^-t rounded to
+    # 0 at t = 5e-17 and 1e-17, and queue_bound's level grows with T.  A
+    # subprocess, so that a hang fails the test instead of stalling the suite
+    code = (
+        "from sparselb.fixed_point import m_star_det\n"
+        "from sparselb.fluid_sync import queue_bound\n"
+        "from sparselb.model import StateError\n"
+        "print(m_star_det(0.7, 2e16), queue_bound(0.7, 1e-17).s_star)\n"
+        "try:\n"
+        "    queue_bound(0.7, 1e5)\n"
+        "except StateError as err:\n"
+        "    print(err)\n"
+    )
+    src = str(Path(sparselb.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60, check=True)
+    first, refusal = proc.stdout.splitlines()
+    assert first == "0 4"
+    assert refusal.startswith("queue_bound: 1 x (jmax+1)^2 floats at jmax=")

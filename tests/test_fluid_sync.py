@@ -422,3 +422,33 @@ def test_sync_takes_no_rk4_steps(monkeypatch):
         run = integrate_sync(y0, 0.7, 0.85, 6.0)
         assert run.times[-1] == 6.0
         assert np.abs(run.states.sum(axis=(1, 2)) - 1.0).max() < 1e-9
+
+
+def poisson_ab_reference(level, t):
+    """A and B summed in full precision from the pmf e^(-t + g log t - lgamma(g + 1)),
+    B over the whole support, with no use of A + B = L."""
+    if t == 0.0:
+        return float(level), 0.0
+    reach = int(t + 40.0 * math.sqrt(t)) + level + 60
+    pmf = [math.exp(-t + g * math.log(t) - math.lgamma(g + 1)) for g in range(reach)]
+    return (math.fsum((level - g) * pmf[g] for g in range(level + 1)),
+            math.fsum(min(g, level) * p for g, p in enumerate(pmf)))
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-17, 1e-10, 0.5, 5.0, 700.0, 750.0, 800.0, 5000.0])
+def test_poisson_ab_matches_an_lgamma_reference(t):
+    # e^-t underflows past t = 745, and 1 - e^-t rounds to 0 below t = 1e-16
+    for level in (0, 1, 2, 7, 40, 800, 6000):
+        ref_a, ref_b = poisson_ab_reference(level, t)
+        pm = poisson_ab(level, t)
+        assert pm.a == pytest.approx(ref_a, rel=1e-9, abs=1e-300)
+        assert pm.b == pytest.approx(ref_b, rel=1e-9, abs=1e-300)
+        assert pm.a >= 0.0 and pm.b >= 0.0 and pm.a + pm.b == level
+
+
+def test_queue_bound_at_a_long_period():
+    # sigma(1870) = (1 - 561/1870) B(1870, 800) = 0.7 B, and B < T = 800, so
+    # 1871 is the first level past lam T = 560; with e^-800 read as 0, A(L, 800)
+    # was 0 for every level and the scan stopped at 1122
+    assert poisson_ab(800, 800.0).a == pytest.approx(11.282616337, rel=1e-9)
+    assert queue_bound(0.7, 800.0).s_star == 1871

@@ -2,11 +2,11 @@
 __init__ re-exports nothing, every import sits at module level, but for the
 scipy imports that ctmc defers so that the CLI loads without scipy, the
 synchronous limit does not depend on the asynchronous one, only model
-reads the state budget, words the delta rule and tests the rates against
-their bounds, the simulator has one entry, the async step path has one
-owner of its driver and calls no numpy method through a Python wrapper,
-and the simulator's per-event hooks read no enum member.  The modules are
-parsed, not imported."""
+reads the state budget, words the delta rule, tests the rates against
+their bounds and writes the stationary level's formula, the simulator has
+one entry, the async step path has one owner of its driver and calls no
+numpy method through a Python wrapper, and the simulator's per-event hooks
+read no enum member.  The modules are parsed, not imported."""
 import ast
 import importlib.util
 from pathlib import Path
@@ -144,3 +144,16 @@ def test_policy_hooks_read_no_enum_member():
     reads = {(name, sub.attr) for name, body in bodies.items() for sub in ast.walk(body)
              if isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) == "PolicyKind"}
     assert reads == set()
+
+
+def test_only_model_writes_the_level_formula():
+    # every layer asks model.m_star, or default_jmax on top of it, so the
+    # stationary level -log(1-lam)/log(1+delta) has one copy
+    def level_formulas(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "log1p" in names(node.func):
+                if any("delta" in names(arg) for arg in node.args):
+                    yield node
+
+    holders = {name for name, tree in MODULES.items() if any(level_formulas(tree))}
+    assert holders == {"model"}
