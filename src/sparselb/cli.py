@@ -160,6 +160,10 @@ def cmd_fluid(args: argparse.Namespace) -> int:
         n_store = math.ceil((args.t_end + 1e-12) / args.grid_dt)  # np.arange's length
         model.check_state_budget(fluid_sync.least_states(args.t_end, epoch_rate, n_store),
                                  jmax, "stored states")
+    if args.kind == "async":
+        with _refused("--dt/--delta/--t-end", model.StateError):
+            model.check_step_budget(args.t_end / (args.dt or fluid_async.max_dt(args.delta)),
+                                    "integrate_async")
     store = np.arange(0.0, args.t_end + 1e-12, args.grid_dt)
     states = len(fluid_sync.stops(args.t_end, epoch_rate, store)) + 1
     if args.des_runs:  # its one snapshot stack, on store, passed the check above
@@ -334,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     kinds = fluid.add_subparsers(dest="kind", required=True)
     kinds.add_parser("sync", parents=[common], help="exact synchronized limit")
     p = kinds.add_parser("async", parents=[common], help="RK4 asynchronous limit")
-    p.add_argument("--dt", type=_positive, default=None, help="default min(1/delta, 1)/1000")
+    p.add_argument("--dt", type=_positive, default=None, help="default min(1/delta, 1)/100")
 
     p = sub.add_parser("fixed-point", parents=[out, loaded], help="stationary quantities as JSON")
     one_or_grid = p.add_mutually_exclusive_group()

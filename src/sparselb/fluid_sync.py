@@ -67,21 +67,29 @@ class FluidRun:
         return self.states[-1]
 
 
+def landed(col: np.ndarray) -> bool:
+    """Whether a drained column m has landed on its switch: its mass lies
+    in [-1e-13, SWITCH_TOL] and no cell exceeds SWITCH_TOL in magnitude,
+    so the leftover that move_leftover carries up is round-off."""
+    return (-1e-13 <= np.add.reduce(col) <= SWITCH_TOL
+            and np.maximum.reduce(np.abs(col)) <= SWITCH_TOL)
+
+
 def split_step_at_switch(step, y: np.ndarray, h: float, m: int):
     """Bisect a step length onto the point where column m drains to zero.
 
     The depleting column shrinks linearly, so bisection converges fast.
-    Only endpoints with the column mass in [0, SWITCH_TOL] are accepted; a
-    negative landing would leave negative entries behind.
+    Only endpoints where column m has landed (see landed) are accepted; a
+    negative landing, or one with large cells of either sign, would leave
+    negative entries behind.
     """
     lo, hi = 0.0, h
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         y_mid = step(y, mid)
-        wm = y_mid[:, m].sum()
-        if -1e-13 <= wm <= SWITCH_TOL:
+        if landed(y_mid[:, m]):
             return mid, y_mid
-        if wm > 0.0:
+        if np.add.reduce(y_mid[:, m]) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -91,7 +99,11 @@ def split_step_at_switch(step, y: np.ndarray, h: float, m: int):
 def move_leftover(y: np.ndarray, m: int) -> None:
     """At a switch, zero the drained column m of y in place and move its
     leftover (at most SWITCH_TOL in total, in cells of either sign) up one
-    estimate level.  When m is the last level, y is left as it is."""
+    estimate level.  When m is the last level, y is left as it is.  A cell
+    of column m above SWITCH_TOL in magnitude is no leftover: it is refused."""
+    worst = np.maximum.reduce(np.abs(y[:, m]))
+    if not worst <= SWITCH_TOL:
+        raise IntegrationError(f"drained column {m} keeps a cell of {worst:.3g}")
     if m + 1 < y.shape[1]:
         y[:, m + 1] += y[:, m]
         y[:, m] = 0.0

@@ -20,6 +20,11 @@ NEG_TOL = 1e-12
 # a fixed point, a stored fluid run, a DES run's snapshots.  Larger requests
 # are refused, by check_state_budget, before anything is allocated.
 MAX_STATE_BYTES = 256_000_000
+# The budget for the t_end/dt RK4 steps that one asynchronous fluid run
+# may ask for, refused by check_step_budget before the run starts: 4 to 8
+# minutes at the 26 to 50 us that a step on an 8 x 8 block took on a
+# 2-CPU AMD EPYC host.
+MAX_STEPS = 10_000_000
 
 
 class StateError(ValueError):
@@ -40,6 +45,12 @@ def check_state_budget(states: int, jmax: int, what: str,
             f"{what}: {states} x (jmax+1)^2 floats at jmax={jmax} need "
             f"{need // 10**6} MB, over the {MAX_STATE_BYTES // 10**6} MB budget"
         )
+
+
+def check_step_budget(steps: float, what: str) -> None:
+    """Raise StateError when what asks for more than MAX_STEPS RK4 steps."""
+    if not steps <= MAX_STEPS:
+        raise StateError(f"{what}: {steps:.3g} RK4 steps, over the {MAX_STEPS:,} step budget")
 
 
 def check_rates(lam: float, delta: float | None = None) -> None:

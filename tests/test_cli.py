@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -569,3 +570,27 @@ def test_fixed_point_at_extreme_deltas_ends(delta):
     else:
         doc = json.loads(proc.stdout)
         assert np.isfinite(doc["q_tilde"]) and doc["m_star_det"] <= doc["m_star"]
+
+
+def test_fluid_async_over_the_step_budget_is_refused_at_once():
+    # the default dt, min(1/delta, 1)/100 = 1e-302, asks for 1e301 RK4
+    # steps, and the run never ended.  A subprocess, so that a hang fails
+    # the test instead of stalling the suite
+    env = {**os.environ, "PYTHONPATH": str(Path(sparselb.__file__).parents[1])}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "sparselb.cli", "fluid", "async",
+                           "--delta", "1e300", "--t-end", "0.1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "argument --dt/--delta/--t-end: integrate_async: 1e+301 RK4 steps" in proc.stderr
+    assert elapsed < 1.0
+
+
+def test_fluid_async_runs_through_a_drain_at_lambda_09(tmp_path):
+    # item 1's first failure point, at the CLI's defaults: the stored entries
+    # fell to -0.344 where RK4 stepped over the stiff arrival term
+    out = tmp_path / "traj.csv"
+    assert main(["fluid", "async", "--lambda", "0.9", "--delta", "1.5", "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows[-1, 0] == 10.0 and rows[:, 3].min() >= 0.0

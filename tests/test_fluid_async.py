@@ -1,10 +1,14 @@
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from sparselb import fluid_async, fluid_sync
-from sparselb.model import SWITCH_TOL, FluidState, StateError, default_jmax, min_estimate_level
+from sparselb.model import (NEG_TOL, SWITCH_TOL, FluidState, StateError, default_jmax,
+                            min_estimate_level)
 from sparselb.fluid_async import (
     CAP_TOL,
     driver_of,
@@ -177,8 +181,6 @@ def test_mass_and_positivity():
     assert run.states.min() >= 0.0
 
 
-@pytest.mark.xfail(strict=True, raises=IntegrationError,
-                   reason="RK4 goes unstable on the stiff arrival term near a drain")
 def test_sparse_feedback_run_stays_non_negative():
     # test_stationary_support_is_bounded's inputs, stored on the default grid
     # to t = 60: the states stored at t = 19.20-19.62 hold entries down to
@@ -187,23 +189,95 @@ def test_sparse_feedback_run_stays_non_negative():
     assert run.states.min() >= 0.0
 
 
+def test_item_one_run_at_lambda_09_stays_non_negative():
+    # the third run that went negative under plain RK4 steps: -5.0e-4 at t = 7.59
+    run = integrate_async(FluidState.empty(40), 0.9, 0.3, 30.0, dt=0.01)
+    assert run.times[-1] == 30.0
+    assert run.states.min() >= 0.0 and run.clamped <= NEG_TOL
+    assert np.abs(run.states.sum(axis=(1, 2)) - 1.0).max() < 1e-9
+
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "async_grid.py"
+spec = importlib.util.spec_from_file_location("async_grid", TOOL)
+async_grid = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(async_grid)
+
+
+@pytest.mark.parametrize("lam, delta", [(0.5, 1.0), (0.7, 0.2), (0.9, 0.1)])
+def test_grid_runs_stay_near_a_run_at_a_tenth_of_the_step(lam, delta):
+    # tools/async_grid.py's oracle on three of its points, from empty to
+    # t = 20 at the default dt.  At (0.5, 1.0), the no-queueing threshold,
+    # top-ups hold column 0 near empty, where a step bound on w_n / zeta
+    # stalled; (0.7, 0.2) moved 4.7e-5 off the dt/10 run without the halved
+    # steps, and (0.9, 0.1) takes the most bisection trials.
+    point = async_grid.run_point(lam, delta)
+    assert point.clamped <= NEG_TOL
+    assert point.gap <= async_grid.GAP_BOUND
+    assert point.steps <= async_grid.STEP_MULTIPLE * point.needed
+
+
+def test_default_dt_is_the_largest_dt_check_dt_admits(monkeypatch):
+    steps = []
+    monkeypatch.setattr(fluid_async, "_advance", lambda rhs, drain, y, span, dt: steps.append(dt))
+    integrate_async(FluidState.empty(40), 0.7, 2.5, 1.0, store_times=[1.0])
+    assert steps == [fluid_async.max_dt(2.5)] == [0.004]
+    fluid_async.check_dt(0.004, 2.5)
+    with pytest.raises(ValueError, match="dt"):
+        fluid_async.check_dt(np.nextafter(0.004, 1.0), 2.5)
+
+
+def test_run_over_the_step_budget_is_refused_before_a_step(monkeypatch):
+    # min(1/delta, 1)/100 = 1e-302 asks for 1e301 steps: the run never ended
+    monkeypatch.setattr(fluid_async, "_rk4", lambda *a: pytest.fail("stepped"))
+    with pytest.raises(StateError, match="integrate_async: 1e\\+301 RK4 steps, over the"):
+        integrate_async(FluidState.empty(40), 0.7, 1e300, 0.1)
+
+
+@pytest.mark.parametrize("z, x", [(0.3, 0.0), (3.0, -0.9), (40.0, 0.5), (40.0, -0.999),
+                                  (1e4, 0.0), (1e9, -0.5), (5.0, 12.0)])
+def test_kept_weights_match_a_quadrature_of_the_decay(z, x):
+    # 6/h int_0^h (phi(h) / phi(t)) l_i(t) dt with phi(t) = exp(-int_0^t a),
+    # a(t) h = z / (1 + x t/h), against scipy's adaptive quadrature
+    def weight(tau):
+        tail = z * (1.0 - tau) if not x else z / x * np.log((1.0 + x) / (1.0 + x * tau))
+        return np.exp(-tail)
+    basis = [lambda t: (1 - 2 * t) * (1 - t), lambda t: 4 * t * (1 - t), lambda t: t * (2 * t - 1)]
+    points = [1.0 - 2.0 ** -k for k in range(1, 40)]
+    ref = [6.0 * quad(lambda t, b=b: weight(t) * b(t), 0.0, 1.0, points=points, limit=500,
+                      epsabs=1e-13)[0] for b in basis]
+    assert fluid_async._kept(z, x) == pytest.approx(ref, rel=1e-8, abs=1e-12)
+
+
+def test_kept_weights_are_rk4s_without_decay_and_none_past_a_drain():
+    assert fluid_async._kept(1e-300, 0.0) == pytest.approx([1.0, 4.0, 1.0], rel=1e-12)
+    assert list(fluid_async._kept(5.0, -1.0)) == [0.0, 0.0, 0.0]
+
+
 # --- block steps against full-array steps --------------------------------------
 
 
-def full_advance(rhs, y, span, dt):
-    """The stepper before steps worked on the occupied block: every RK4 step
-    and bisection works on all of y.  Kept as the reference."""
-    step = lambda z, h: fluid_async._rk4(rhs, z, h)
+def full_advance(rhs, drain, y, span, dt):
+    """The stepper before steps worked on the occupied block: every RK4 step,
+    halving and bisection works on all of y.  Kept as the reference."""
+    add = np.add.reduce
     remaining = span
     while remaining > 1e-14:
-        m = min_estimate_level(y.sum(axis=0))
+        w = add(y, axis=0).tolist()
+        m = min_estimate_level(w)
         h = min(dt, remaining)
-        y_new = step(y, h)
-        if y_new[:, m].sum() < -1e-13:
-            h, y_new = fluid_sync.split_step_at_switch(step, y, h, m)
-            if m + 1 < y.shape[1]:
-                y_new[:, m + 1] += y_new[:, m]
-                y_new[:, m] = 0.0
+        rate = drain(y, w, m)
+        if rate is None:
+            y_new = fluid_async._rk4(rhs, y, h)[0]
+        else:
+            y_new, low = fluid_async._rk4(rhs, y, h, m, rate)
+            while low <= SWITCH_TOL < add(y_new[:, m]) < w[m]:  # a stage saw the drain
+                h *= 0.5
+                y_new, low = fluid_async._rk4(rhs, y, h, m, rate)
+            if add(y_new[:, m]) <= SWITCH_TOL:
+                if not fluid_sync.landed(y_new[:, m]):
+                    step = lambda z, hh: fluid_async._rk4(rhs, z, hh, m, rate)[0]
+                    h, y_new = fluid_sync.split_step_at_switch(step, y, h, m)
+                fluid_sync.move_leftover(y_new, m)
         y = y_new
         remaining -= h
     return y
@@ -249,17 +323,19 @@ def test_block_step_equals_full_array_step(kind, monkeypatch):
         span = dt * rng.uniform(2.0, 6.0)
         if kind == "async":
             rhs = lambda z: rhs_async(z, lam, delta)
+            drain = fluid_async._async_drain(lam, delta, dt)
         else:
             rhs = lambda z: rhs_sync(z, lam)
+            drain = lambda z, w, m: lam / w[m]
         block_rhs = lambda z: sides.append(len(z) < size) or rhs(z)
         try:
-            ref = full_advance(rhs, y, span, dt)
+            ref = full_advance(rhs, drain, y, span, dt)
         except (IntegrationError, StateError) as err:  # no landing, no level
             with pytest.raises(type(err)):
-                fluid_async._advance(block_rhs, y, span, dt)
+                fluid_async._advance(block_rhs, drain, y, span, dt)
             failed += 1
             continue
-        fluid_async._advance(block_rhs, y, span, dt)
+        fluid_async._advance(block_rhs, drain, y, span, dt)
         assert np.array_equal(y, ref), (jmax, extent)
         # array_equal takes -0.0 for +0.0; the pinned digests do not
         assert y.tobytes() == ref.tobytes(), (jmax, extent)
@@ -285,12 +361,13 @@ def test_block_scanned_once_per_span_and_side_change(monkeypatch):
 
 # Runs from empty by (lam, delta, jmax, dt, t_end), None for the default,
 # with the sha256 of their states.tobytes() and their number of switch
-# bisections, recorded before the RK4 stepper moved into fluid_async.
+# bisections, recorded when the default dt became max_dt and the arrivals'
+# relaxation of a near-empty column became exact.
 ASYNC_PINNED = [
     ((0.7, 0.85, 40, 1e-3, 2.0),
-     "5f84d9669f88cd4874e4acd47f37fb9794d2b913d0be08c4c5267abbd6c874ac", 1),
+     "e33441ae15a4a14e937f5bd1544f99ac1405936e359c3470d9f1f0cff00e6c97", 1),
     ((0.7, 0.3, None, None, 10.0),
-     "7b3ac43278a33aeb012af0831d76795c3f3b21b223c762e80cee2feeb2cd4fec", 3),
+     "1734840adb505dfc78f6599641311d634f9e97442b54db7536dcb1b6f6f90f2a", 3),
 ]
 
 
@@ -309,9 +386,9 @@ def test_async_outputs_pinned(inputs, digest, n_splits, monkeypatch):
 
 
 # RK4 steps and switch-bisection trials of the ASYNC_PINNED runs, recorded
-# before the step was formed in place.  perfbench's fluid_async.rhs_evals
-# counts four evaluations for each, through the rhs_async module global.
-ASYNC_EVALS = [(2001, 22), (10003, 61)]
+# with them.  perfbench's fluid_async.rhs_evals counts four evaluations for
+# each, through the rhs_async module global.
+ASYNC_EVALS = [(2001, 22), (1003, 68)]
 
 
 @pytest.mark.parametrize("inputs, steps, trials",

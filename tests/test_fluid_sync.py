@@ -16,9 +16,11 @@ from sparselb.model import (
 from sparselb.fluid_async import integrate_async
 from sparselb.fluid_sync import (
     CheckReport,
+    IntegrationError,
     apply_sync_update,
     check_trajectory_invariants,
     integrate_sync,
+    move_leftover,
     poisson_ab,
     queue_bound,
     rhs_sync,
@@ -369,6 +371,44 @@ def test_sparse_feedback_runs_from_empty(lam, delta):
         assert np.abs(run.states.sum(axis=(1, 2)) - 1.0).max() < 1e-9
 
 
+def test_a_landing_with_large_drained_cells_is_refused():
+    # column 1 sums to zero but holds cells of -+1e-6: no round-off leftover
+    y = np.zeros((4, 4))
+    y[0, 2], y[1, 2], y[2, 2] = 0.5, 0.3, 0.2
+    y[0, 1], y[1, 1] = -1e-6, 1e-6
+    assert not fluid_sync.landed(y[:, 1])
+    with pytest.raises(IntegrationError, match="drained column 1 keeps a cell of 1e-06"):
+        move_leftover(y.copy(), 1)
+    # within SWITCH_TOL the cells are leftover: each moves up a level in its row
+    y[0, 1], y[1, 1] = -4e-11, 6e-11
+    assert fluid_sync.landed(y[:, 1])
+    moved = y.copy()
+    move_leftover(moved, 1)
+    assert not moved[:, 1].any()
+    assert moved[0, 2] == 0.5 - 4e-11 and moved[1, 2] == 0.3 + 6e-11
+
+
+@pytest.mark.parametrize("cell", [0.0, 1e-6])
+def test_switch_bisection_lands_only_on_small_cells(cell):
+    # a step that drains column 0 linearly to zero at h = 0.3, its cells
+    # -+cell apart: the bisection lands near 0.3, or nowhere
+    y = np.zeros((3, 3))
+    y[0, 0], y[0, 1] = 0.3, 0.7
+
+    def step(z, h):
+        out = z.copy()
+        out[0, 0], out[1, 0] = 0.3 - h - cell, cell
+        out[0, 1] += h
+        return out
+
+    if cell:
+        with pytest.raises(IntegrationError, match="bisection"):
+            fluid_sync.split_step_at_switch(step, y, 1.0, 0)
+    else:
+        h, landing = fluid_sync.split_step_at_switch(step, y, 1.0, 0)
+        assert h == pytest.approx(0.3, abs=1e-10) and fluid_sync.landed(landing[:, 0])
+
+
 def test_fluid_cli_starts_from_the_fixed_point(tmp_path):
     out = tmp_path / "traj.csv"
     assert main(["fluid", "sync", "--y0", "fixed-point", "--out", str(out)]) == 0
@@ -381,13 +421,15 @@ def test_fluid_cli_starts_from_the_fixed_point(tmp_path):
 def rk4_sync(y0, lam, delta, t_end, store_times):
     """The synchronous limit by fine RK4 steps: fluid_async._advance(rhs_sync)
     from each store time or epoch to the next, with the epoch jump applied
-    at each epoch; t_end must not be an epoch."""
+    at each epoch; t_end must not be an epoch.  Arrivals drain column m at
+    rate lam, so its composition relaxes at lam / w_m."""
     dt = min(1.0 / delta, 1.0) / 10000.0
     y = np.array(y0.y if isinstance(y0, FluidState) else y0, dtype=float)
     epochs = {*np.arange(1, math.floor(t_end * delta + 1e-12) + 1) / delta}
     states, start = [], 0.0
     for end in sorted(epochs | {t for t in store_times if t > 0.0} | {t_end}):
-        fluid_async._advance(lambda z: rhs_sync(z, lam), y, end - start, dt)
+        fluid_async._advance(lambda z: rhs_sync(z, lam), lambda z, w, m: lam / w[m], y,
+                             end - start, dt)
         if end in epochs:
             y = apply_sync_update(y)
         states.append(y.copy())

@@ -178,3 +178,10 @@ def test_parse_time_rate_rules_agree_with_check_rates(value, capsys):
         if rule.field == "delta":
             assert admits(lambda x: PolicySpec(kind, delta=x), value) == delta_ok
     capsys.readouterr()  # argparse's usage messages
+
+
+def test_step_budget_boundary_is_exact():
+    model.check_step_budget(model.MAX_STEPS, "run")
+    for steps in (model.MAX_STEPS + 1, math.inf, math.nan):
+        with pytest.raises(StateError, match="run: .* RK4 steps, over the 10,000,000 step budget"):
+            model.check_step_budget(steps, "run")
