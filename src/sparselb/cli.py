@@ -150,9 +150,6 @@ def cmd_fluid(args: argparse.Namespace) -> int:
     with _refused("--y0/--des-runs", ValueError):
         if args.des_runs and args.y0 != "empty":
             raise ValueError(f"the simulation starts empty, not from {args.y0}")
-    if args.kind == "async" and args.dt is not None:
-        with _refused("--dt", ValueError):  # the bound on --dt depends on --delta
-            fluid_async.check_dt(args.dt, args.delta)
     epoch_rate = args.delta if args.kind == "sync" else None  # async runs have no epochs
     flags = "--jmax/--delta/--t-end/--grid-dt/--des-runs"
     with _refused(flags, model.StateError, OverflowError):  # before store is built
@@ -160,10 +157,9 @@ def cmd_fluid(args: argparse.Namespace) -> int:
         n_store = math.ceil((args.t_end + 1e-12) / args.grid_dt)  # np.arange's length
         model.check_state_budget(fluid_sync.least_states(args.t_end, epoch_rate, n_store),
                                  jmax, "stored states")
-    if args.kind == "async":
-        with _refused("--dt/--delta/--t-end", model.StateError):
-            model.check_step_budget(args.t_end / (args.dt or fluid_async.max_dt(args.delta)),
-                                    "integrate_async")
+    if args.kind == "async":  # after the stored states, so that they keep their flags
+        with _refused("--dt", ValueError), _refused("--dt/--delta/--t-end", model.StateError):
+            fluid_async.step_for(args.t_end, args.delta, args.dt)
     store = np.arange(0.0, args.t_end + 1e-12, args.grid_dt)
     states = len(fluid_sync.stops(args.t_end, epoch_rate, store)) + 1
     if args.des_runs:  # its one snapshot stack, on store, passed the check above

@@ -76,7 +76,8 @@ def y_star(lam: float, delta: float, jmax: int | None = None) -> FixedPoint:
     """Construct the stationary occupancy state and validate it.
 
     The result carries the residual of the asynchronous fluid derivative at
-    the constructed state; residuals at or above 1e-8 raise.  StateError (a
+    the constructed state; residuals at or above 1e-8 times max(1, delta)
+    raise, since the derivative's terms scale with delta.  StateError (a
     ValueError) refuses rates that check_rates refuses and a grid over the
     state budget, up front, and a delta so near above the no-queueing
     threshold that column m_star would hold at most SWITCH_TOL.
@@ -105,9 +106,9 @@ def y_star(lam: float, delta: float, jmax: int | None = None) -> FixedPoint:
         raise StateError(f"column m_star holds {held:.1e} at delta = {delta}, too near the "
                          "no-queueing threshold")
     residual = float(np.abs(rhs_async(state.y, lam, delta)).max())
-    if residual >= RESIDUAL_TOL:
+    if residual / max(1.0, delta) >= RESIDUAL_TOL:
         raise ConsistencyError(
-            f"stationary state residual {residual:.3e} >= {RESIDUAL_TOL}"
+            f"stationary state residual {residual:.3e} >= {RESIDUAL_TOL} x max(1, delta)"
         )
     qt = q_tilde(lam, delta, nu, m)
     return FixedPoint(m_star=m, nu=nu, y_star=state, q_tilde=qt, residual=residual)

@@ -81,10 +81,10 @@ def driver_of(v: np.ndarray, w: list[float], lam: float, delta: float) -> AsyncD
 def rhs_async(y: np.ndarray, lam: float, delta: float) -> np.ndarray:
     """Time derivative of the occupancy array under asynchronous updates.
 
-    Six flux groups: service shifts, residual assignments into and out of
-    the dispatch level n, top-ups from below landing at (n, n), on-level
-    reports refreshing the diagonal at i = j >= n, and the uniform update
-    drain -delta*y.  Each moves mass at most one level.  Every slice update
+    Six flux groups: service shifts, residual assignments out of the
+    dispatch level n and one queue level up (by _arrive), top-ups from below
+    landing at (n, n), on-level reports refreshing the diagonal at i = j >=
+    n, and the uniform update drain -delta*y.  Each moves mass at most one level.  Every slice update
     is made in place on a view held by name: dy[a:b] += x would also copy
     the view back onto itself through __setitem__.
     """
@@ -101,12 +101,7 @@ def rhs_async(y: np.ndarray, lam: float, delta: float) -> np.ndarray:
     part = dy[1:]
     part -= below
     if zeta > 0.0 and w[n] > SWITCH_TOL:
-        flux = y[:, n] * (zeta / w[n])
-        part = dy[:, n]
-        part -= flux
-        if n + 1 < size:
-            part = dy[1:, n + 1]
-            part += flux[:-1]
+        _arrive(dy, n, y[:, n], zeta / w[n])
     part = dy.ravel()[n * (size + 1) :: size + 1]
     top = v[n:]
     top *= delta
@@ -212,7 +207,8 @@ def _off(col: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarray]:
 def _arrive(y: np.ndarray, m: int, d: np.ndarray, coef: float) -> None:
     """Move coef * d, in place, out of column m of y and into column m + 1
     one queue level up, as arrivals at level m move mass; a cell moved past
-    the last level is dropped, as rhs_async drops it."""
+    the last level is dropped.  rhs_async's arrival flux and the stiff
+    stages of _rk4 both move mass by it."""
     if coef:
         moved = coef * d
         part = y[:, m]
@@ -379,10 +375,16 @@ def max_dt(delta: float) -> float:
     return min(1.0 / delta, 1.0) / 100.0
 
 
-def check_dt(dt: float, delta: float) -> None:
-    """Refuse an RK4 step dt outside (0, max_dt(delta)]."""
-    if not 0.0 < dt <= max_dt(delta):
+def step_for(t_end: float, delta: float, dt: float | None = None) -> float:
+    """The RK4 step of a run to t_end: dt, or max_dt(delta) when dt is None.
+    Raises ValueError for a dt outside (0, max_dt(delta)], and then
+    StateError for a run of more than model.MAX_STEPS steps."""
+    if dt is None:
+        dt = max_dt(delta)
+    elif not 0.0 < dt <= max_dt(delta):
         raise ValueError(f"need 0 < dt <= min(1/delta, 1)/100, got {dt}")
+    check_step_budget(t_end / dt, "integrate_async")
+    return dt
 
 
 def integrate_async(
@@ -393,18 +395,14 @@ def integrate_async(
     dt: float | None = None,
     store_times: np.ndarray | None = None,
 ) -> FluidRun:
-    """The asynchronous limit on [0, t_end] by fixed 4th-order steps of dt
-    (default max_dt(delta), the largest check_dt admits), split exactly at
-    stored grid points and estimate-level switches, with the arrivals'
-    stiff relaxation of a near-empty column integrated exactly (see _rk4).
-    The dispatch level is re-derived from the state at every evaluation,
-    and there are no jumps.  A run of more than model.MAX_STEPS steps of dt
-    is refused before it starts."""
+    """The asynchronous limit on [0, t_end] by fixed 4th-order steps of
+    step_for(t_end, delta, dt), which refuses a dt or a step count it does
+    not admit before the run starts, split exactly at stored grid points and
+    estimate-level switches, with the arrivals' stiff relaxation of a
+    near-empty column integrated exactly (see _rk4).  The dispatch level is
+    re-derived from the state at every evaluation, and there are no jumps."""
     check_rates(lam, delta)
-    if dt is None:
-        dt = max_dt(delta)
-    check_dt(dt, delta)
-    check_step_budget(t_end / dt, "integrate_async")
+    dt = step_for(t_end, delta, dt)
     y = _state_array(y0)
     marks = stops(t_end, None, store_times)
     check_state_budget(len(marks) + 1, len(y) - 1, "integrate_async")

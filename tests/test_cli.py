@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -98,6 +99,20 @@ def test_simulate_json(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["msgs_per_job"] == 4.0
     assert doc["mean_wait"] >= 0.0
+
+
+def test_simulate_reports_the_interval_of_several_runs(capsys):
+    assert run_cli(["simulate", "--policy", "random", "--n", "20", "--horizon", "50",
+                    "--runs", "3"]) == 0
+    assert 0.0 < json.loads(capsys.readouterr().out)["mean_wait_ci"] < np.inf
+
+
+def test_fluid_des_overlay_follows_the_fluid_rows_on_stdout(capsys):
+    assert run_cli(["fluid", "async", "--des-runs", "1", "--n", "20", "--t-end", "1",
+                    "--grid-dt", "0.5"]) == 0
+    fluid, overlay = capsys.readouterr().out.split("t,i,j,y\n")[1:]
+    assert fluid.startswith("0,0,0,1\n") and overlay.startswith("0,0,0,1\n")
+    assert overlay.splitlines()[-1].startswith("1,")
 
 
 def test_sweep_csv_schema_and_determinism(tmp_path):
@@ -572,6 +587,22 @@ def test_fixed_point_at_extreme_deltas_ends(delta):
         assert np.isfinite(doc["q_tilde"]) and doc["m_star_det"] <= doc["m_star"]
 
 
+@pytest.mark.parametrize("delta", ["1e12", "1e15"])
+def test_fixed_point_at_a_delta_whose_residual_rounds_large_exits_0(delta, capsys):
+    # the residual reads 6.1e-5 and 0.0625 here, all rounding of terms of
+    # size delta, and the gate refused it before it scaled with max(1, delta)
+    assert main(["fixed-point", "--delta", delta]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["m_star"] == 0 and doc["residual"] / float(delta) < 1e-15
+
+
+def test_fluid_async_names_the_store_before_a_bad_dt(monkeypatch, capsys):
+    # the step is checked with the step count, after the stored states
+    monkeypatch.setattr(sparselb.model, "MAX_STATE_BYTES", 1)
+    err = refused(["fluid", "async", "--dt", "0.5"], monkeypatch, capsys)
+    assert "argument --jmax/--delta/--t-end/--grid-dt/--des-runs: stored states:" in err
+
+
 def test_fluid_async_over_the_step_budget_is_refused_at_once():
     # the default dt, min(1/delta, 1)/100 = 1e-302, asks for 1e301 RK4
     # steps, and the run never ended.  A subprocess, so that a hang fails
@@ -594,3 +625,23 @@ def test_fluid_async_runs_through_a_drain_at_lambda_09(tmp_path):
     assert main(["fluid", "async", "--lambda", "0.9", "--delta", "1.5", "--out", str(out)]) == 0
     rows = np.loadtxt(out, delimiter=",", skiprows=1)
     assert rows[-1, 0] == 10.0 and rows[:, 3].min() >= 0.0
+
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+spec = importlib.util.spec_from_file_location("cli_digests", TOOLS / "cli_digests.py")
+cli_digests = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(cli_digests)
+
+
+def test_cli_outputs_match_their_recorded_digests(capsys, tmp_path):
+    # every command of tools/cli_digests.py writes the bytes recorded in
+    # tools/cli_digests.txt; a changed digest is named and fails the check
+    recorded = TOOLS / "cli_digests.txt"
+    assert cli_digests.main(["--check", str(recorded)]) == 0, capsys.readouterr().out
+    lines = recorded.read_text().splitlines()
+    assert [line.split("  ", 1)[1] for line in lines] == cli_digests.COMMANDS
+    assert capsys.readouterr().out.splitlines() == lines
+    spoiled = tmp_path / "digests.txt"
+    spoiled.write_text("\n".join(["0" * 64 + lines[0][64:], *lines[1:]]) + "\n")
+    assert cli_digests.main(["--check", str(spoiled)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == f"differs: {cli_digests.COMMANDS[0]}"

@@ -338,3 +338,23 @@ def test_vectorised_summaries_match_the_loops(n, cap):
         mean_queue += p * sum(c * chain.pairs[idx][0] for idx, c in enumerate(s)) / n
     assert np.abs(queue_marginal(chain, pi) - marginal).max() < 1e-14
     assert oracle_metrics(chain, pi)[0] == pytest.approx(mean_queue, abs=1e-14)
+
+
+@pytest.mark.parametrize("entry, error", [
+    (np.nan, r"singular or reducible chain"),
+    (-1e-6, r"pi_min=-1e-06"),
+    (1e-6, r"stationary residual .* exceeds 1e-10"),
+])
+def test_stationary_refuses_a_bad_solution(entry, error, monkeypatch):
+    # a solve whose first unknown is non-finite, negative past round-off, or
+    # off the balance equations is refused, not normalised into a law
+    solve = scipy.sparse.linalg.gmres
+
+    def spoiled(a, b, **kwargs):
+        x, info = solve(a, b, **kwargs)
+        x[0] = entry
+        return x, info
+
+    monkeypatch.setattr(scipy.sparse.linalg, "gmres", spoiled)
+    with pytest.raises(ChainError, match=error):
+        stationary(build())

@@ -1159,3 +1159,8 @@ def test_level_fold_replays_the_account_loop(policy, n, horizon, warmup, monkeyp
     assert np.all(np.abs(rec.queue_len_hist - ref["queue_len_hist"])
                   <= 1e-14 * ref["queue_len_hist"])
     assert np.array_equal(np.rint(rec.trajectory.y.sum(axis=2) * n), ref["queue_counts"])
+
+
+def test_no_replication_is_refused():
+    with pytest.raises(SimulationError, match="runs must be >= 1"):
+        run_replications(make_config("random"), 0)

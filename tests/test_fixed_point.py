@@ -318,3 +318,30 @@ def test_level_scans_end_at_extreme_periods():
     first, refusal = proc.stdout.splitlines()
     assert first == "0 4"
     assert refusal.startswith("queue_bound: 1 x (jmax+1)^2 floats at jmax=")
+
+
+def test_y_star_solves_at_large_delta():
+    # rhs_async's terms scale with delta, so the residual gate scales with
+    # max(1, delta): gated absolutely, 254 of these pairs raised by rounding,
+    # at delta from 8e7 to 1e18, where the scaled residual reads <= 2.1e-16
+    rng = np.random.default_rng(7)
+    lams = rng.uniform(0.05, 0.999, 1500)
+    deltas = 10.0 ** rng.uniform(4, 20, 1500)
+    for lam, delta in zip(lams.tolist(), deltas.tolist()):
+        fp = y_star(lam, delta)
+        assert fp.residual / delta < 1e-15
+
+
+@pytest.mark.parametrize("delta", [0.85, 1e12])
+def test_y_star_refuses_a_residual_over_its_gate(delta, monkeypatch):
+    # the gate fires on a derivative 2e-8 x max(1, delta) off zero at one entry
+    rhs = fixed_point.rhs_async
+
+    def off(y, lam, d):
+        dy = rhs(y, lam, d)
+        dy[0, 0] += 2e-8 * max(1.0, d)
+        return dy
+
+    monkeypatch.setattr(fixed_point, "rhs_async", off)
+    with pytest.raises(ConsistencyError, match="stationary state residual"):
+        y_star(0.7, delta)

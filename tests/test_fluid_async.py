@@ -221,9 +221,9 @@ def test_default_dt_is_the_largest_dt_check_dt_admits(monkeypatch):
     monkeypatch.setattr(fluid_async, "_advance", lambda rhs, drain, y, span, dt: steps.append(dt))
     integrate_async(FluidState.empty(40), 0.7, 2.5, 1.0, store_times=[1.0])
     assert steps == [fluid_async.max_dt(2.5)] == [0.004]
-    fluid_async.check_dt(0.004, 2.5)
+    assert fluid_async.step_for(1.0, 2.5, 0.004) == 0.004
     with pytest.raises(ValueError, match="dt"):
-        fluid_async.check_dt(np.nextafter(0.004, 1.0), 2.5)
+        fluid_async.step_for(1.0, 2.5, np.nextafter(0.004, 1.0))
 
 
 def test_run_over_the_step_budget_is_refused_before_a_step(monkeypatch):
@@ -415,3 +415,19 @@ def test_rhs_async_looked_up_at_every_evaluation(inputs, steps, trials, monkeypa
     lam, delta, jmax, dt, t_end = inputs
     integrate_async(FluidState.empty(jmax or default_jmax(lam, delta)), lam, delta, t_end, dt)
     assert evals == {False: 4 * steps, True: 4 * trials}
+
+
+def test_a_run_clamps_round_off_and_refuses_a_negative_entry(monkeypatch):
+    # _settle clamps an entry in (-NEG_TOL, 0) to zero and reports the
+    # largest clamp on the run; an entry below -NEG_TOL stops the run
+    low = [-0.5 * NEG_TOL]
+
+    def advance(rhs, drain, y, span, dt):
+        y[0, 1] = low[0]
+
+    monkeypatch.setattr(fluid_async, "_advance", advance)
+    run = integrate_async(FluidState.empty(40), 0.7, 0.85, 0.2, store_times=[0.1, 0.2])
+    assert run.clamped == 0.5 * NEG_TOL and run.states.min() == 0.0
+    low[0] = -2.0 * NEG_TOL
+    with pytest.raises(IntegrationError, match="state entry fell to -2e-12"):
+        integrate_async(FluidState.empty(40), 0.7, 0.85, 0.2)

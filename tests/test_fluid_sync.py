@@ -494,3 +494,9 @@ def test_queue_bound_at_a_long_period():
     # was 0 for every level and the scan stopped at 1122
     assert poisson_ab(800, 800.0).a == pytest.approx(11.282616337, rel=1e-9)
     assert queue_bound(0.7, 800.0).s_star == 1871
+
+
+@pytest.mark.parametrize("level, t", [(-1, 1.0), (3, -0.5)])
+def test_poisson_ab_refuses_a_negative_level_or_time(level, t):
+    with pytest.raises(ValueError, match="need level >= 0 and t >= 0"):
+        poisson_ab(level, t)

@@ -4,8 +4,9 @@ scipy imports that ctmc defers so that the CLI loads without scipy, the
 synchronous limit does not depend on the asynchronous one, only model
 reads the state budget, words the delta rule, tests the rates against
 their bounds and writes the stationary level's formula, the simulator has
-one entry, the async step path has one owner of its driver and calls no
-numpy method through a Python wrapper, and the simulator's per-event hooks
+one entry, the async step path has one owner of its driver, of its step
+rule and of its arrival move and calls no numpy method through a Python
+wrapper, and the simulator's per-event hooks
 read no enum member.  The modules are parsed, not imported."""
 import ast
 import importlib.util
@@ -77,6 +78,25 @@ def test_only_driver_of_builds_the_async_driver():
     called = {sub.func.id for sub in ast.walk(funcs["rhs_async"])
               if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)}
     assert "driver_of" in called
+
+
+def test_only_fluid_async_works_out_the_async_step():
+    # fluid_async.step_for is the one rule for the RK4 step and its count:
+    # no other module reads max_dt or prices the steps (model defines
+    # check_step_budget and calls it nowhere)
+    naming = {name for name, tree in MODULES.items() if "max_dt" in names(tree)}
+    pricing = {name for name, tree in MODULES.items() for sub in ast.walk(tree)
+               if isinstance(sub, ast.Call) and "check_step_budget" in names(sub.func)}
+    assert naming == pricing == {"fluid_async"}
+
+
+def test_rhs_async_moves_arrivals_by_arrive():
+    # _arrive is the one code that takes arrivals out of a column and puts
+    # them a queue level up in the next, for rhs_async and the stiff stages
+    funcs = functions(MODULES["fluid_async"])
+    callers = {name for name, func in funcs.items() for sub in ast.walk(func)
+               if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "_arrive"}
+    assert callers == {"rhs_async", "_rk4"}
 
 
 # ndarray methods that numpy routes through Python functions in numpy._core._methods

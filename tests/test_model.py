@@ -185,3 +185,9 @@ def test_step_budget_boundary_is_exact():
     for steps in (model.MAX_STEPS + 1, math.inf, math.nan):
         with pytest.raises(StateError, match="run: .* RK4 steps, over the 10,000,000 step budget"):
             model.check_step_budget(steps, "run")
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,)])
+def test_fluid_state_refuses_a_non_square_array(shape):
+    with pytest.raises(StateError, match="must be a square array, got shape"):
+        FluidState(np.triu(np.ones(shape)) if len(shape) == 2 else np.ones(shape))

@@ -80,7 +80,7 @@ def counted_run(lam, delta, jmax, dt, t_end, store):
 def run_point(lam, delta, jmax=None, dt=None, t_end=20.0, grid_dt=None) -> Point:
     """Run one point and its dt/10 run; raises what the runs raise."""
     jmax = jmax or default_jmax(lam, delta)
-    dt = dt or fluid_async.max_dt(delta)
+    dt = fluid_async.step_for(t_end, delta, dt)
     store = None if grid_dt is None else np.arange(0.0, t_end + 1e-12, grid_dt)
     start = time.perf_counter()
     run, steps = counted_run(lam, delta, jmax, dt, t_end, store)
@@ -93,9 +93,10 @@ def run_point(lam, delta, jmax=None, dt=None, t_end=20.0, grid_dt=None) -> Point
 
 def check_point(lam, delta, jmax=None, dt=None, t_end=20.0, grid_dt=None) -> bool:
     """Print one point's line; whether it passes."""
-    label = (f"lam {lam:<4} delta {delta:<5} jmax {jmax or default_jmax(lam, delta):<3} "
-             f"dt {dt or fluid_async.max_dt(delta):<8.3g} t {t_end:<5g}")
+    label = f"lam {lam:<4} delta {delta:<5} jmax {jmax or default_jmax(lam, delta):<3}"
     try:
+        dt = fluid_async.step_for(t_end, delta, dt)
+        label += f" dt {dt:<8.3g} t {t_end:<5g}"
         p = run_point(lam, delta, jmax, dt, t_end, grid_dt)
     except (fluid_sync.IntegrationError, ValueError) as err:
         print(f"{label}  FAILED: {type(err).__name__}: {err}")
