@@ -1,10 +1,17 @@
 """Exact stationary analysis of the small-N Markov models.
 
-Only the exponential-update variants are Markovian on the occupancy state.
-Server exchangeability reduces the state to the multiset of the servers'
-(queue, estimate) pairs, stored as the sorted tuple of their pair indices;
-arrivals that would push the minimum estimate past the cap are rejected and
-their rate recorded as truncation loss.
+Six kinds are Markovian on the servers' local states, and their servers
+are exchangeable, so a state is the multiset of the local states, stored
+as the sorted tuple of their indices: (queue, estimate) under aujsq-exp
+and sujsq-exp, (0, token) or (queue, no token) under jiq and jiq-p, and
+(queue,) under random and jsq-d.  _table lists each kind's local states and
+moves.  One arrival rule covers all six: a job goes to the least dispatch
+key among d distinct servers drawn uniformly, ties split evenly, so d = N
+sends it to the least key (the least estimate, a token holder) and d = 1 to
+a uniform server.  An arrival at a local state with no room above it (a
+queue or estimate at the cap) is rejected and its rate recorded as
+truncation loss.  The other kinds (the deterministic clocks and
+round-robin) raise ChainError.
 
 The memory of a chain is bounded through its state count: the generator
 holds nnz entries, the incomplete LU that preconditions the solve at most
@@ -13,12 +20,13 @@ per state.  So MAX_STATES bounds memory too.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import ModelParams, check_delta
+from .model import ModelParams, check_delta, check_probes
 from .policies import PolicyKind, PolicySpec
 
 if TYPE_CHECKING:
@@ -48,8 +56,11 @@ State = tuple[int, ...]  # each server's index into pairs, sorted
 
 @dataclass
 class TruncatedChain:
+    """A chain truncated at cap.  pairs holds the kind's local states, queue
+    first (the name is older than the kinds without an estimate); a state
+    is the sorted tuple of its servers' indices into pairs."""
     cap: int
-    pairs: list[tuple[int, int]]
+    pairs: list[tuple[int, ...]]
     states: list[State]
     generator: csr_array
     truncation_rates: np.ndarray
@@ -60,74 +71,60 @@ class TruncatedChain:
         return len(self.states)
 
 
-def _transitions(
-    state: State,
-    pairs: list[tuple[int, int]],
-    pair_index: dict[tuple[int, int], int],
-    params: ModelParams,
-    policy: PolicySpec,
-    cap: int,
-) -> tuple[list[tuple[State, float]], float]:
-    """Outgoing (state, rate) list plus the rejected-arrival rate."""
-    lam_total = params.lam * params.n_servers
-    delta = policy.delta
-    moves: list[tuple[State, float]] = []
-    trunc = 0.0
-    # (position of its first copy, (queue, estimate), count) of each
-    # occupied pair, in index order.
-    occupied = [
-        (state.index(idx), pairs[idx], state.count(idx)) for idx in dict.fromkeys(state)
-    ]
+def _table(policy: PolicySpec, cap: int, n: int) -> tuple:
+    """The kind's move table, as (local, key, up, down, report, d, together).
+    local lists the local states a server can be in, queue first, the start
+    first.  By index into local: key is each state's dispatch key, up its
+    arrival target (None at the cap), down its service targets with their
+    per-server rates and report its report target (itself where a report
+    changes nothing).  A job samples d distinct servers; together says
+    whether a report moves every server at once.  The only code in ctmc
+    that names a kind."""
+    kind, d = policy.kind, n
+    if kind in (PolicyKind.AUJSQ_EXP, PolicyKind.SUJSQ_EXP):
+        local = [(i, j) for j in range(cap + 1) for i in range(j + 1)]
 
-    def moved(pos: int, dst: int) -> State:
-        return tuple(sorted(state[:pos] + (dst,) + state[pos + 1:]))
+        def moves(i, j):  # (queue, estimate)
+            return j, (i + 1, j + 1), [((i - 1, j), 1.0)] * (i > 0), (i, i)
+    elif kind in (PolicyKind.JIQ, PolicyKind.JIQ_P):
+        # An emptied server sends a token with probability p.  With p > 0
+        # every server starts idle with a token: the DES's token-free start
+        # is transient at p = 1, and stationary fixes pi[0] = 1.
+        p = 1.0 if kind is PolicyKind.JIQ else policy.p
+        local = [(0, 1)] * (p > 0) + [(i, 0) for i in range(cap + 1)]
 
-    # Arrivals: uniformly random server among those at the minimum estimate.
-    # The pairs run in estimate order, so state[0] holds the minimum.
-    m = pairs[state[0]][1]
-    if m >= cap:
-        trunc += lam_total
+        def moves(i, t):  # (0, token) or (queue, no token)
+            down = [((0, 1), p), ((0, 0), 1.0 - p)] if i == 1 else [((i - 1, 0), 1.0)] * (i > 1)
+            return 1 - t, (i + 1, 0), down, (i, t)
+    elif kind in (PolicyKind.RANDOM, PolicyKind.JSQ_D):
+        d = policy.d or 1
+        local = [(i,) for i in range(cap + 1)]
+
+        def moves(i):  # (queue,)
+            return i, (i + 1,), [((i - 1,), 1.0)] * (i > 0), (i,)
     else:
-        w = sum(1 for idx in state if pairs[idx][1] == m)
-        for pos, (i, j), c in occupied:
-            if j == m:
-                rate = lam_total * c / w
-                moves.append((moved(pos, pair_index[(i + 1, j + 1)]), rate))
-
-    # Services: each busy server completes at unit rate.
-    for pos, (i, j), c in occupied:
-        if i >= 1:
-            moves.append((moved(pos, pair_index[(i - 1, j)]), float(c)))
-
-    # Updates.
-    if policy.kind is PolicyKind.AUJSQ_EXP:
-        for pos, (i, j), c in occupied:
-            if j > i:
-                moves.append((moved(pos, pair_index[(i, i)]), delta * c))
-    else:  # SUJSQ_EXP: one global collapse at rate delta
-        collapsed = tuple(sorted(pair_index[(pairs[idx][0],) * 2] for idx in state))
-        if collapsed != state:
-            moves.append((collapsed, delta))
-    return moves, trunc
+        raise ChainError(f"{kind.value} is not Markovian on a multiset of local states")
+    index = {s: k for k, s in enumerate(local)}
+    key, up, down, report = zip(*(moves(*s) for s in local))
+    down = [[(index[s], rate) for s, rate in targets if rate > 0.0] for targets in down]
+    return (local, key, [index.get(s) for s in up], down, [index[s] for s in report], d,
+            kind is PolicyKind.SUJSQ_EXP)
 
 
-def build_generator(
-    params: ModelParams, policy: PolicySpec, cap: int
-) -> TruncatedChain:
-    """Enumerate reachable occupancy states from the all-idle start and
-    assemble the sparse (CSR) rate matrix."""
+def build_generator(params: ModelParams, policy: PolicySpec, cap: int) -> TruncatedChain:
+    """Enumerate the reachable occupancy states from every server at the
+    table's start and assemble the sparse (CSR) rate matrix.  Raises
+    ChainError for a kind _table does not list."""
     # Imported here, not at module top, so that the CLI loads without
     # scipy's import time; most callers never build a chain.
     from scipy.sparse import coo_array
 
-    if policy.kind not in (PolicyKind.AUJSQ_EXP, PolicyKind.SUJSQ_EXP):
-        raise ChainError(
-            "only exponential-update kinds are Markovian on this state space"
-        )
     check_delta(params, policy.delta, ChainError)
-    pairs = [(i, j) for j in range(cap + 1) for i in range(j + 1)]
-    pair_index = {p: k for k, p in enumerate(pairs)}
-    init = (0,) * params.n_servers  # all at pairs[0] = (0, 0)
+    check_probes(params, policy.d, ChainError)
+    n = params.n_servers
+    pairs, key, up, down, report, d, together = _table(policy, cap, n)
+    lam_total, delta, ways = params.lam * n, policy.delta, math.comb(n, d)
+    init = (0,) * n  # all at pairs[0], the start
 
     # Breadth-first: states grows while it is walked, so every state is
     # expanded once, in the order it was found.
@@ -138,7 +135,41 @@ def build_generator(
     rates: list[float] = []
     trunc_rates: list[float] = []
     for si, s in enumerate(states):
-        moves, trunc = _transitions(s, pairs, pair_index, params, policy, cap)
+        # (position of its first copy, local state index, count) of each
+        # occupied local state, in index order.
+        occupied = [(s.index(k), k, s.count(k)) for k in dict.fromkeys(s)]
+        moves: list[tuple[State, float]] = []
+        trunc = 0.0  # the rate of arrivals rejected at the cap
+
+        def moved(pos: int, dst: int) -> State:
+            return tuple(sorted(s[:pos] + (dst,) + s[pos + 1:]))
+
+        # Arrivals: the job goes to the least key among d distinct servers
+        # drawn uniformly, so key group g, in ascending order, wins with
+        # probability [C(n>=g, d) - C(n>g, d)] / C(N, d), split evenly.
+        above = n  # servers at or above g
+        for g in sorted({key[k] for k in s}):
+            if above < d:
+                break
+            w = sum(c for _, k, c in occupied if key[k] == g)
+            share = (math.comb(above, d) - math.comb(above - w, d)) / ways
+            for pos, k, c in occupied:
+                if key[k] == g:
+                    rate = lam_total * share * c / w
+                    if up[k] is None:
+                        trunc += rate
+                    else:
+                        moves.append((moved(pos, up[k]), rate))
+            above -= w
+        for pos, k, c in occupied:
+            moves.extend((moved(pos, dst), rate * c) for dst, rate in down[k])
+        if together:  # one report collapses every server at rate delta
+            collapsed = tuple(sorted(report[k] for k in s))
+            if collapsed != s:
+                moves.append((collapsed, delta))
+        else:
+            moves.extend((moved(pos, report[k]), delta * c)
+                         for pos, k, c in occupied if report[k] != k)
         trunc_rates.append(trunc)
         for target, rate in moves:
             if target not in state_index:
@@ -154,21 +185,11 @@ def build_generator(
     # The diagonal holds minus each row's total outflow; the CSR conversion
     # sums repeated (row, col) entries.
     diag = np.arange(n)
-    gen = coo_array(
-        (
-            np.concatenate([rates, -np.bincount(rows, weights=rates, minlength=n)]),
-            (np.concatenate([rows, diag]), np.concatenate([cols, diag])),
-        ),
-        shape=(n, n),
-    ).tocsr()
-    return TruncatedChain(
-        cap=cap,
-        pairs=pairs,
-        states=states,
-        generator=gen,
-        truncation_rates=np.asarray(trunc_rates),
-        params=params,
-    )
+    data = np.concatenate([rates, -np.bincount(rows, weights=rates, minlength=n)])
+    entries = (np.concatenate([rows, diag]), np.concatenate([cols, diag]))
+    gen = coo_array((data, entries), shape=(n, n)).tocsr()
+    return TruncatedChain(cap=cap, pairs=pairs, states=states, generator=gen,
+                          truncation_rates=np.asarray(trunc_rates), params=params)
 
 
 def _singular(gen: csr_array) -> ChainError:
@@ -230,7 +251,7 @@ def stationary(chain: TruncatedChain) -> np.ndarray:
 
 def _queues(chain: TruncatedChain) -> np.ndarray:
     """(n_states, N) array of each server's queue length."""
-    return np.array([i for i, _ in chain.pairs])[np.asarray(chain.states)]
+    return np.array([local[0] for local in chain.pairs])[np.asarray(chain.states)]
 
 
 def queue_marginal(chain: TruncatedChain, dist: np.ndarray) -> np.ndarray:

@@ -39,7 +39,7 @@ from itertools import chain
 
 import numpy as np
 
-from .model import ModelParams, check_delta, check_state_budget
+from .model import ModelParams, check_delta, check_probes, check_state_budget
 from .policies import (
     BLOCK,
     DispatcherView,
@@ -177,11 +177,7 @@ class SimConfig:
                 f"need 0 <= warmup < horizon, got {self.warmup}, {self.horizon}"
             )
         check_delta(self.params, self.policy.delta, SimulationError)
-        d, n = self.policy.d, self.params.n_servers
-        if d is not None and d > n:
-            raise SimulationError(
-                f"jsq-d:{d} probes d = {d} distinct servers, more than N = {n}"
-            )
+        check_probes(self.params, self.policy.d, SimulationError)
         jmax = self.snapshot_jmax
         if not isinstance(jmax, (int, np.integer)) or jmax < 0:
             raise SimulationError(f"need an integer snapshot_jmax >= 0, got {jmax!r}")

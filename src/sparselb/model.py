@@ -86,6 +86,13 @@ def check_delta(params: ModelParams, delta: float | None, error: type[Exception]
         )
 
 
+def check_probes(params: ModelParams, d: int | None, error: type[Exception]) -> None:
+    """Raise error when a jsq-d policy probes d distinct servers, more than
+    params.n_servers; a policy without a d (None) probes none."""
+    if d is not None and d > params.n_servers:
+        raise error(f"jsq-d:{d} probes d = {d} distinct servers, more than N = {params.n_servers}")
+
+
 @dataclass(frozen=True)
 class FluidState:
     """Fraction-valued occupancy array y[i, j], upper-triangular, total 1.

@@ -725,6 +725,14 @@ def test_jsq_d_more_probes_than_servers_refused():
         make_config("jsq-d:2", n=1)
 
 
+def test_jsq_d_probe_refusal_is_worded_by_the_model():
+    # SimConfig asks model.check_probes, which keeps the refusal's words
+    with pytest.raises(SimulationError) as err:
+        make_config("jsq-d:3", n=2)
+    assert str(err.value) == "jsq-d:3 probes d = 3 distinct servers, more than N = 2"
+    make_config("jsq-d:2", n=2)
+
+
 def test_model_delta_must_match_the_policy():
     with pytest.raises(SimulationError, match=r"0\.85 .* 2\.5"):
         SimConfig(params=ModelParams(20, 0.7, 0.85),

@@ -2,8 +2,9 @@
 __init__ re-exports nothing, every import sits at module level, but for the
 scipy imports that ctmc defers so that the CLI loads without scipy, the
 synchronous limit does not depend on the asynchronous one, only model
-reads the state budget, words the delta rule, tests the rates against
-their bounds and writes the stationary level's formula, the simulator has
+reads the state budget, words the delta rule and the probe rule, tests the
+rates against their bounds and writes the stationary level's formula, the
+exact chain reads the policy kind only in its move table, the simulator has
 one entry, the async step path has one owner of its driver, of its step
 rule and of its arrival move and calls no numpy method through a Python
 wrapper, and the simulator's per-event hooks
@@ -119,6 +120,27 @@ def test_only_model_words_the_delta_rule():
     # des and ctmc ask model.check_delta, so the agreement rule has one copy
     holders = {path.stem for path in PACKAGE.glob("*.py") if "disagrees with" in path.read_text()}
     assert holders == {"model"}
+
+
+def test_only_model_words_the_probe_rule():
+    # des and ctmc ask model.check_probes, so the d <= N rule has one copy
+    holders = {path.stem for path in PACKAGE.glob("*.py")
+               if "distinct servers, more than" in path.read_text()}
+    assert holders == {"model"}
+    callers = {name for name, tree in MODULES.items() for sub in ast.walk(tree)
+               if isinstance(sub, ast.Call) and "check_probes" in names(sub.func)}
+    assert callers == {"des", "ctmc"}
+
+
+def test_ctmc_reads_the_policy_kind_only_in_its_table():
+    # _table is the one place that maps a kind to its local states and moves
+    tree = MODULES["ctmc"]
+    table = functions(tree)["_table"]
+    inside = set(map(id, ast.walk(table)))
+    outside = {getattr(sub, "id", None) or getattr(sub, "attr", None)
+               for sub in ast.walk(tree) if id(sub) not in inside}
+    assert {"PolicyKind", "kind"} <= names(table)
+    assert not {"PolicyKind", "kind"} & outside
 
 
 def test_only_model_compares_the_rates_with_their_bounds():

@@ -13,6 +13,7 @@ from sparselb.model import (
     FluidState,
     ModelParams,
     StateError,
+    check_probes,
     check_rates,
     check_state_budget,
     default_jmax,
@@ -191,3 +192,11 @@ def test_step_budget_boundary_is_exact():
 def test_fluid_state_refuses_a_non_square_array(shape):
     with pytest.raises(StateError, match="must be a square array, got shape"):
         FluidState(np.triu(np.ones(shape)) if len(shape) == 2 else np.ones(shape))
+
+
+def test_probe_rule_admits_d_up_to_n():
+    params = ModelParams(3, 0.7)
+    for d in (None, 1, 3):
+        check_probes(params, d, KeyError)
+    with pytest.raises(KeyError, match="jsq-d:4 probes d = 4 distinct servers, more than N = 3"):
+        check_probes(params, 4, KeyError)
