@@ -155,13 +155,13 @@ def cmd_fluid(args: argparse.Namespace) -> int:
     with _refused(flags, model.StateError, OverflowError):  # before store is built
         jmax = args.jmax or default_jmax(args.lam, args.delta)
         n_store = math.ceil((args.t_end + 1e-12) / args.grid_dt)  # np.arange's length
-        model.check_state_budget(fluid_sync.least_states(args.t_end, epoch_rate, n_store),
-                                 jmax, "stored states")
-    if args.kind == "async":  # after the stored states, so that they keep their flags
+        model.check_state_budget(n_store, jmax, "stored states")
+    if args.kind == "async":  # after the store times, so that they keep their flags
         with _refused("--dt", ValueError), _refused("--dt/--delta/--t-end", model.StateError):
             fluid_async.step_for(args.t_end, args.delta, args.dt)
     store = np.arange(0.0, args.t_end + 1e-12, args.grid_dt)
-    states = len(fluid_sync.stops(args.t_end, epoch_rate, store)) + 1
+    with _refused(flags, model.StateError):  # the epochs, before the stops are built
+        states = len(fluid_sync.stored_stops(args.t_end, epoch_rate, store, jmax, "stored states")) + 1
     if args.des_runs:  # its one snapshot stack, on store, passed the check above
         kind = PolicyKind.SUJSQ_DET if args.kind == "sync" else PolicyKind.AUJSQ_EXP
         sim = des.SimConfig(

@@ -20,6 +20,7 @@ per state.  So MAX_STATES bounds memory too.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -82,7 +83,7 @@ def _table(policy: PolicySpec, cap: int, n: int) -> tuple:
     that names a kind."""
     kind, d = policy.kind, n
     if kind in (PolicyKind.AUJSQ_EXP, PolicyKind.SUJSQ_EXP):
-        local = [(i, j) for j in range(cap + 1) for i in range(j + 1)]
+        local = ((i, j) for j in range(cap + 1) for i in range(j + 1))
 
         def moves(i, j):  # (queue, estimate)
             return j, (i + 1, j + 1), [((i - 1, j), 1.0)] * (i > 0), (i, i)
@@ -91,19 +92,26 @@ def _table(policy: PolicySpec, cap: int, n: int) -> tuple:
         # every server starts idle with a token: the DES's token-free start
         # is transient at p = 1, and stationary fixes pi[0] = 1.
         p = 1.0 if kind is PolicyKind.JIQ else policy.p
-        local = [(0, 1)] * (p > 0) + [(i, 0) for i in range(cap + 1)]
+        local = itertools.chain([(0, 1)] * (p > 0), ((i, 0) for i in range(cap + 1)))
 
         def moves(i, t):  # (0, token) or (queue, no token)
             down = [((0, 1), p), ((0, 0), 1.0 - p)] if i == 1 else [((i - 1, 0), 1.0)] * (i > 1)
             return 1 - t, (i + 1, 0), down, (i, t)
     elif kind in (PolicyKind.RANDOM, PolicyKind.JSQ_D):
         d = policy.d or 1
-        local = [(i,) for i in range(cap + 1)]
+        local = ((i,) for i in range(cap + 1))
 
         def moves(i):  # (queue,)
             return i, (i + 1,), [((i - 1,), 1.0)] * (i > 0), (i,)
     else:
         raise ChainError(f"{kind.value} is not Markovian on a multiset of local states")
+    # A chain state holds at most n distinct local states, and the chain
+    # reaches every listed one but the token-free idle state of jiq and
+    # jiq-p:1.  So a list of over n * MAX_STATES + 1 needs more chain states
+    # than MAX_STATES, and is refused before it is listed further.
+    local = list(itertools.islice(local, n * MAX_STATES + 2))
+    if len(local) > n * MAX_STATES + 1:
+        raise ChainError(f"state space exceeds budget of {MAX_STATES}")
     index = {s: k for k, s in enumerate(local)}
     key, up, down, report = zip(*(moves(*s) for s in local))
     down = [[(index[s], rate) for s, rate in targets if rate > 0.0] for targets in down]

@@ -18,9 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fluid_sync
-from .model import (SWITCH_TOL, FluidState, check_rates, check_state_budget, check_step_budget,
-                    min_estimate_level)
-from .fluid_sync import FluidRun, _settle, _state_array, move_leftover, stops
+from .model import SWITCH_TOL, FluidState, check_step_budget, min_estimate_level
+from .fluid_sync import FluidRun, _run_start, _settle, move_leftover
 
 # Slack on the capacity comparison that prevents chattering when u_n sits
 # exactly on lam.
@@ -397,29 +396,18 @@ def integrate_async(
 ) -> FluidRun:
     """The asynchronous limit on [0, t_end] by fixed 4th-order steps of
     step_for(t_end, delta, dt), which refuses a dt or a step count it does
-    not admit before the run starts, split exactly at stored grid points and
+    not admit before the first step, split exactly at stored grid points and
     estimate-level switches, with the arrivals' stiff relaxation of a
     near-empty column integrated exactly (see _rk4).  The dispatch level is
     re-derived from the state at every evaluation, and there are no jumps."""
-    check_rates(lam, delta)
+    run, marks = _run_start(y0, lam, delta, t_end, store_times, False)
     dt = step_for(t_end, delta, dt)
-    y = _state_array(y0)
-    marks = stops(t_end, None, store_times)
-    check_state_budget(len(marks) + 1, len(y) - 1, "integrate_async")
-    states = np.empty((len(marks) + 1, *y.shape))
-    states[0] = y
+    y = run.states[0].copy()
     drain = _async_drain(lam, delta, dt)
-    clamped = 0.0
     t = 0.0
     for k, (t_next, _) in enumerate(marks, 1):
         _advance(lambda z: rhs_async(z, lam, delta), drain, y, t_next - t, dt)
-        clamped = _settle(y, clamped)
-        states[k] = y
+        run.clamped = _settle(y, run.clamped)
+        run.states[k] = y
         t = t_next
-    return FluidRun(
-        times=np.array([0.0, *(t for t, _ in marks)]),
-        states=states,
-        update_epochs=np.empty(0),
-        lam=lam,
-        clamped=clamped,
-    )
+    return run

@@ -5,9 +5,12 @@ Under synchronized updates the occupancy fractions follow a piecewise-smooth
 ODE between epochs whose assignment flux targets the minimum estimate
 level; at each epoch every column collapses onto the diagonal (estimates
 snap to true queue lengths).  Between two stops that flow has a closed
-form, so integrate_sync takes no steps.  Both limits share the stops, the
-clamp, the leftover move at a switch and FluidRun; fluid_async's RK4
-stepper calls split_step_at_switch.  The module also carries the Poisson
+form, so integrate_sync takes no steps.  Both limits start in _run_start,
+which checks the rates, copies the initial state, allocates the states
+stack and builds the one FluidRun, on stored_stops, the one owner of the
+stored states: it refuses a run by its update epochs before stops builds
+anything, then by its stops.  They also share the clamp and the leftover
+move at a switch; fluid_async's RK4 stepper calls split_step_at_switch.  The module also carries the Poisson
 drain quantities A/B, the queue-length bound scan, and trajectory checks.
 """
 from __future__ import annotations
@@ -114,13 +117,6 @@ def _epoch_count(t_end: float, delta: float | None) -> int:
     return 0 if delta is None else math.floor(t_end / (1.0 / delta) + 1e-12)
 
 
-def least_states(t_end: float, delta: float | None, n_store: int) -> int:
-    """A floor, built from nothing, on len(stops(t_end, delta, store_times))
-    + 1 for n_store store times in [0, t_end], unless stops merges two
-    store times or two epochs (on an even grid, 1e12 * min(1, t_end) of them)."""
-    return max(n_store, _epoch_count(t_end, delta) + 1)
-
-
 def stops(t_end: float, delta: float | None, store_times) -> list[tuple[float, bool]]:
     """Sorted (time, is_epoch) stops in (0, t_end] of a fluid run: the
     update epochs k/delta of a synchronous run (none for delta None, the
@@ -128,13 +124,11 @@ def stops(t_end: float, delta: float | None, store_times) -> list[tuple[float, b
     t_end), merging times within 1e-12 * max(1, t_end) of each other.  A
     merged group keeps its epoch's time if it has one, else t_end if it
     holds t_end, else its first time.  The run stores one state at time 0
-    and one at each stop."""
-    if not t_end > 0.0:
-        raise ValueError(f"need t_end > 0, got {t_end}")
+    and one at each stop.  Only stored_stops calls it."""
     epochs = () if delta is None else np.arange(1, _epoch_count(t_end, delta) + 1) * (1.0 / delta)
     if store_times is None:
         store_times = np.linspace(0.0, t_end, 1001)
-    eps = 1e-12 * max(1.0, t_end)
+    eps = _merge_gap(t_end)
     # rank 0: store time, 1: t_end, 2: epoch
     ranked = sorted(
         (float(t), rank)
@@ -151,8 +145,42 @@ def stops(t_end: float, delta: float | None, store_times) -> list[tuple[float, b
     return [(t, rank == 2) for t, rank in marks]
 
 
-def _state_array(y0: FluidState | np.ndarray) -> np.ndarray:
-    return np.array(y0.y if isinstance(y0, FluidState) else y0, dtype=float)
+def _merge_gap(t_end: float) -> float:
+    """How near two stops of a run to t_end may come before stops merges
+    them, and a switch that near a stop is taken to fall on it."""
+    return 1e-12 * max(1.0, t_end)
+
+
+def stored_stops(t_end: float, delta: float | None, store_times, jmax: int, what: str) -> list:
+    """stops(t_end, delta, store_times), for a run that holds a state of
+    (jmax + 1)^2 floats at time 0 and at each stop.  check_state_budget
+    refuses it, with StateError, first by the update epochs alone, before
+    stops builds anything, and then by the stops.  The one caller of
+    stops."""
+    if not t_end > 0.0:
+        raise ValueError(f"need t_end > 0, got {t_end}")
+    try:
+        check_state_budget(_epoch_count(t_end, delta) + 1, jmax, what)
+    except OverflowError as err:  # t_end * delta is past the largest float
+        raise StateError(err) from None
+    marks = stops(t_end, delta, store_times)
+    check_state_budget(len(marks) + 1, jmax, what)
+    return marks
+
+
+def _run_start(y0: FluidState | np.ndarray, lam, delta, t_end, store_times, epochs: bool):
+    """The start of a run of integrate_sync (epochs True) or integrate_async:
+    check the rates, copy y0 and ask stored_stops for the stops; return the
+    stops and the run's FluidRun, whose states stack holds y0 as state 0.
+    The one builder of a FluidRun."""
+    check_rates(lam, delta)
+    y = np.array(y0.y if isinstance(y0, FluidState) else y0, dtype=float)
+    marks = stored_stops(t_end, delta if epochs else None, store_times, len(y) - 1,
+                         "integrate_sync" if epochs else "integrate_async")
+    states = np.empty((len(marks) + 1, *y.shape))
+    states[0] = y
+    return FluidRun(np.array([0.0, *(t for t, _ in marks)]), states,
+                    np.array([t for t, is_epoch in marks if is_epoch]), lam), marks
 
 
 def _settle(y: np.ndarray, clamped: float) -> float:
@@ -226,17 +254,11 @@ def integrate_sync(
     is zeroed and its round-off residue moves up to column m + 1.  All
     stored times between two stops come from one call.
     """
-    check_rates(lam, delta)
-    y = _state_array(y0)
-    marks = stops(t_end, delta, store_times)
-    check_state_budget(len(marks) + 1, len(y) - 1, "integrate_sync")
-    times = np.array([0.0, *(t for t, _ in marks)])
+    run, marks = _run_start(y0, lam, delta, t_end, store_times, True)
+    times, states, y = run.times, run.states, run.states[0]
     # index of each epoch mark, then of the last mark
     ends = np.append(np.flatnonzero([is_epoch for _, is_epoch in marks]), len(marks) - 1)
-    states = np.empty((len(marks) + 1, *y.shape))
-    states[0] = y
-    eps = 1e-12 * max(1.0, t_end)
-    clamped = 0.0
+    eps = _merge_gap(t_end)
     t, i = 0.0, 0  # the flow has reached time t and marks[:i]
     while i < len(marks):
         m = min_estimate_level(y.sum(axis=0))
@@ -254,19 +276,13 @@ def integrate_sync(
         if switched:
             move_leftover(block[-1], m)
         for state in block[:j]:
-            clamped = _settle(state, clamped)
+            run.clamped = _settle(state, run.clamped)
         if j == len(r) and marks[i + j - 1][1]:
             block[-1] = apply_sync_update(block[-1])
         y = block[-1].copy()
         t = times[i + j] if j == len(r) else t + span
         i += j
-    return FluidRun(
-        times=times,
-        states=states,
-        update_epochs=np.array([t for t, is_epoch in marks if is_epoch]),
-        lam=lam,
-        clamped=clamped,
-    )
+    return run
 
 
 # ---------------------------------------------------------------------------

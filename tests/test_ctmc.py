@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -112,6 +113,46 @@ def test_state_budget_boundary_is_exact(monkeypatch):
     monkeypatch.setattr(ctmc, "MAX_STATES", n_states - 1)
     with pytest.raises(ChainError, match=f"budget of {n_states - 1}"):
         build()
+
+
+KINDS = ["aujsq-exp:0.85", "sujsq-exp:0.85", "random", "jsq-d:2", "jiq", "jiq-p:1",
+         "jiq-p:0.3", "jiq-p:0"]
+
+
+@pytest.mark.parametrize("n, cap", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_listed_local_state_is_reached(kind, n, cap):
+    # the fact the table's refusal rests on: a chain of S states reaches at
+    # most n * S local states, and it reaches every listed one but the
+    # token-free idle state that jiq's token start never enters
+    chain = build_kind(kind, n, cap)
+    unreached = set(range(len(chain.pairs))) - {k for s in chain.states for k in s}
+    assert [chain.pairs[k] for k in unreached] == ([(0, 0)] * (kind in ("jiq", "jiq-p:1")))
+
+
+def test_table_refuses_before_listing_past_the_budget():
+    # 501,501 local states: the table listed all of them, and the chain
+    # found 50,000 states, before the refusal; now the table lists 100,002
+    build()  # scipy's imports, outside the trace
+    tracemalloc.start()
+    try:
+        with pytest.raises(ChainError, match=f"budget of {ctmc.MAX_STATES}"):
+            build(cap=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
+
+
+def test_table_budget_spares_the_unreached_idle_state(monkeypatch):
+    # at N = 1 a chain state is one local state: jiq-p:1 lists cap + 2 and
+    # reaches cap + 1, so a budget of cap + 1 chain states builds it
+    cap = 7
+    monkeypatch.setattr(ctmc, "MAX_STATES", cap + 1)
+    assert build_kind("jiq-p:1", 1, cap).n_states == cap + 1
+    monkeypatch.setattr(ctmc, "MAX_STATES", cap)
+    with pytest.raises(ChainError, match=f"budget of {cap}"):
+        build_kind("jiq-p:1", 1, cap)
 
 
 def test_import_loads_no_scipy():

@@ -431,3 +431,13 @@ def test_a_run_clamps_round_off_and_refuses_a_negative_entry(monkeypatch):
     low[0] = -2.0 * NEG_TOL
     with pytest.raises(IntegrationError, match="state entry fell to -2e-12"):
         integrate_async(FluidState.empty(40), 0.7, 0.85, 0.2)
+
+
+def test_an_entry_at_minus_neg_tol_is_clamped_not_refused(monkeypatch):
+    # the refusal is for entries below -NEG_TOL; one at it is round-off
+    def advance(rhs, drain, y, span, dt):
+        y[0, 1] = -NEG_TOL
+
+    monkeypatch.setattr(fluid_async, "_advance", advance)
+    run = integrate_async(FluidState.empty(40), 0.7, 0.85, 0.2, store_times=[0.1, 0.2])
+    assert run.clamped == NEG_TOL and run.states.min() == 0.0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,10 +198,68 @@ def test_stored_states_over_the_budget_are_refused(integrate, states, monkeypatc
     (7.3, None, 0.2, 37, 38),
     (4.0, 250.0, 1.0, 1001, 1001),  # 1000 epochs, every store time on one
 ])
-def test_least_states_is_a_floor_on_the_stored_states(t_end, delta, grid_dt, floor, states):
+def test_stored_stops_refuse_by_the_epochs_then_by_the_stops(t_end, delta, grid_dt, floor,
+                                                              states, monkeypatch):
+    # floor is the CLI's: the store times, or the epochs and time 0 if they
+    # are more; the owner refuses by the epochs before it calls stops
     store = np.arange(0.0, t_end + 1e-12, grid_dt)
-    assert fluid_sync.least_states(t_end, delta, len(store)) == floor
-    assert len(fluid_sync.stops(t_end, delta, store)) + 1 == states
+    epochs = 1 + sum(is_epoch for _, is_epoch in fluid_sync.stops(t_end, delta, store))
+    assert max(len(store), epochs) == floor
+
+    class Built(Exception):
+        pass
+
+    def built(*args):
+        raise Built
+
+    def stored(budget):
+        monkeypatch.setattr(model, "MAX_STATE_BYTES", budget * 8 * 41 ** 2)
+        return fluid_sync.stored_stops(t_end, delta, store, 40, "run")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fluid_sync, "stops", built)
+        with pytest.raises(StateError, match=f"run: {epochs} x "):
+            stored(epochs - 1)
+        with pytest.raises(Built):
+            stored(epochs)
+    with pytest.raises(StateError, match=f"run: {states} x "):
+        stored(states - 1)
+    assert len(stored(states)) + 1 == states
+
+
+def test_stops_merge_onto_an_epoch_then_t_end_then_the_first_time():
+    gap = 1e-13  # under the merge gap, 1e-12 * max(1, t_end)
+    assert fluid_sync.stops(2.0, 1.0, [1.0 - gap, 1.5, 1.5 + gap, 2.0 - gap]) == [
+        (1.0, True), (1.5, False), (2.0, True)]
+    assert fluid_sync.stops(1.0, None, [0.5, 1.0 - gap]) == [(0.5, False), (1.0, False)]
+    # times exactly the gap apart merge, and 1.5 times it apart do not
+    assert fluid_sync.stops(1.0, None, [1e-12, 2e-12]) == [(1e-12, False), (1.0, False)]
+    assert len(fluid_sync.stops(1.0, None, [0.5, 0.5 + 1.5e-12])) == 3
+    assert len(fluid_sync.stops(100.0, None, [50.0, 50.0 + 9e-11])) == 2
+
+
+def test_an_epoch_just_past_t_end_is_no_stop():
+    # the 10,000th epoch, 10.0, lies within the merge gap of t_end but past it
+    t_end = 10.0 - 5e-12
+    marks = fluid_sync.stops(t_end, 1000.0, [])
+    assert sum(is_epoch for _, is_epoch in marks) == 9999
+    assert marks[-1] == (t_end, False)
+
+
+@pytest.mark.parametrize("delta", [1e5, 1e9, 1e12, 1e308])
+def test_integrate_sync_refuses_before_building_its_stops(delta, monkeypatch):
+    # 10^6 epochs and up, past the largest float at 1e308: each is refused
+    # by its count before stops lists a single one
+    monkeypatch.setattr(fluid_sync, "stops", lambda *a: pytest.fail("stops built"))
+    y0 = FluidState.empty(40)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateError, match="integrate_sync: |float infinity"):
+            integrate_sync(y0, 0.7, delta, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_truncation_guard_trips():

@@ -5,7 +5,8 @@ synchronous limit does not depend on the asynchronous one, only model
 reads the state budget, words the delta rule and the probe rule, tests the
 rates against their bounds and writes the stationary level's formula, the
 exact chain reads the policy kind only in its move table, the simulator has
-one entry, the async step path has one owner of its driver, of its step
+one entry, a fluid run has one owner of its stored states and one start,
+the async step path has one owner of its driver, of its step
 rule and of its arrival move and calls no numpy method through a Python
 wrapper, and the simulator's per-event hooks
 read no enum member.  The modules are parsed, not imported."""
@@ -199,3 +200,22 @@ def test_only_model_writes_the_level_formula():
 
     holders = {name for name, tree in MODULES.items() if any(level_formulas(tree))}
     assert holders == {"model"}
+
+
+def calls_of(name):
+    """(module, top-level definition) for every call of name in the package,
+    by bare name or as an attribute."""
+    return {(module, getattr(node, "name", "<module>"))
+            for module, tree in MODULES.items()
+            for node in tree.body
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Call) and name in (getattr(sub.func, "id", None),
+                                                      getattr(sub.func, "attr", None))}
+
+
+def test_one_owner_of_a_fluid_runs_stored_states():
+    # stored_stops refuses a run by its epochs before stops builds them and
+    # by its stops after, so no caller of stops skips the budget; _run_start
+    # is the one start, and the one FluidRun, of both integrators
+    assert calls_of("stops") == {("fluid_sync", "stored_stops")}
+    assert calls_of("FluidRun") == {("fluid_sync", "_run_start")}

@@ -40,6 +40,11 @@ COMMANDS = [
     "fixed-point",
     "fixed-point --delta-grid 0.3 0.85 2.5",
     "fixed-point --lambda 0.5 --delta 1.000001",
+    # a sync run with 50 of its 250 epochs on a store time, an async run
+    # whose t_end is off the grid, and an async run from the fixed point
+    "fluid sync --delta 2.5 --t-end 100 --grid-dt 1",
+    "fluid async --t-end 7.3 --grid-dt 0.2",
+    "fluid async --y0 fixed-point --t-end 5",
 ]
 
 
