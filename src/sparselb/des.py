@@ -13,43 +13,36 @@ counts.  Waiting time is measured from arrival to service start;
 statistics only count the window after warmup.
 
 Each replication draws from four numpy streams, one per purpose, and each
-stream has one reader.  Arrival gaps and service times are drawn BLOCK at a
-time (exponentials).  The policy stream is read as raw PCG64 words BLOCK at
-a time, and WordDraws turns them into the values the Generator itself would
-return.  The update stream's reader is a WordDraws that also carries the
-Generator's exponential: sujsq-exp draws only exponential gaps and reads
-them BLOCK at a time, and the aujsq kinds, whose word draws may interleave
-with exponential ones, take their words one at a time.  So every draw, and
-every output for a seed, is what scalar Generator calls give.  The block
-readers are C-level chains over the blocks, so a draw resumes no Python
-frame.  The loop keeps the queues and the dispatcher's estimates in Python
+stream has one reader, all of them policies': arrival gaps and service
+times through exponentials, the policy stream through a WordDraws over its
+raw_words, and the update stream's Generator through schedule_updates.  So
+every draw, and every output for a seed, is what scalar Generator calls
+give.  The loop keeps the queues and the dispatcher's estimates in Python
 lists, which are faster than numpy arrays for one element at a time.
 """
 from __future__ import annotations
 
 import heapq
 import math
-import operator
 import os
 import pickle
 from collections import deque
-from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .model import ModelParams, check_delta, check_probes, check_state_budget
 from .policies import (
-    BLOCK,
     DispatcherView,
     PolicySpec,
+    WordDraws,
     apply_global_update,
     dispatch,
     exponentials,
     on_assign,
     on_idle,
     on_update,
+    raw_words,
     schedule_updates,
 )
 
@@ -74,86 +67,6 @@ def rng_streams(seed: int, run_index: int) -> dict[str, np.random.Generator]:
     root = np.random.SeedSequence(seed, spawn_key=(run_index,))
     children = root.spawn(len(STREAM_NAMES))
     return {name: np.random.default_rng(c) for name, c in zip(STREAM_NAMES, children)}
-
-
-def raw_words(rng: np.random.Generator) -> Iterator[int]:
-    """The raw 64-bit words of rng's bit generator, read BLOCK at a time as
-    policies.exponentials reads its draws.  Reading ahead is exact only for
-    a stream whose every draw goes through a WordDraws over these words."""
-    random_raw = rng.bit_generator.random_raw
-    return chain.from_iterable(iter(lambda: random_raw(BLOCK).tolist(), None))
-
-
-class WordDraws:
-    """Generator.integers(n), random() and choice(n, d, replace=False) of a
-    PCG64 stream, rebuilt bit for bit from its raw 64-bit words (next_word
-    gives the next one), at a fraction of numpy's per-call cost.
-
-    integers(n) is numpy's Lemire method on 32-bit halves: each word serves
-    two draws, low half first, and the high half waits for the next draw as
-    in the bit generator's next_uint32, while random() takes a whole word
-    and leaves a waiting half alone, as numpy's next_double does.  n == 1
-    reads nothing.  sample(n, d) is the choice, built from integers draws.
-    exponential, when given, is the Generator's own method, for a stream
-    whose words are taken one at a time so that both readers stay in order.
-    """
-
-    __slots__ = ("_next_word", "_half", "exponential")
-
-    def __init__(self, next_word: Callable[[], int], exponential=None):
-        self._next_word = next_word
-        self._half: int | None = None
-        self.exponential = exponential
-
-    def integers(self, n) -> int:
-        try:
-            n = operator.index(n)
-        except TypeError:
-            raise ValueError(f"integers(n) needs an integer n, got {n!r}") from None
-        if not 0 < n < 0x100000000:
-            raise ValueError(f"integers(n) needs 1 <= n < 2**32, got {n}")
-        if n == 1:
-            return 0
-        while True:
-            half = self._half
-            if half is None:
-                word = self._next_word()
-                self._half = word >> 32
-                m = (word & 0xFFFFFFFF) * n
-            else:
-                self._half = None
-                m = half * n
-            low = m & 0xFFFFFFFF
-            # numpy rejects low < 2**32 % n; testing low >= n first, as
-            # numpy does, spares the modulo on almost every draw.
-            if low >= n or low >= 0x100000000 % n:
-                return m >> 32
-
-    def random(self) -> float:
-        return (self._next_word() >> 11) * 2.0**-53
-
-    def sample(self, n: int, d: int) -> list[int]:
-        """Generator.choice(n, d, replace=False).tolist().  As in numpy,
-        Floyd's algorithm picks d values of range(n), or for n > 10000 and
-        d > n // 50 all of range(n) is taken; the last d places are then
-        shuffled top down, place i with place integers(i + 1)."""
-        if not 0 <= d <= n:
-            raise ValueError(f"sample(n, d) needs 0 <= d <= n, got n = {n}, d = {d}")
-        if n > 10000 and d > n // 50:
-            picked = list(range(n))
-        else:
-            picked, seen = [], set()
-            for k in range(n - d, n):
-                value = self.integers(k + 1)
-                if value in seen:
-                    value = k
-                seen.add(value)
-                picked.append(value)
-        top = len(picked)
-        for i in range(top - 1, top - d - 1, -1):
-            j = self.integers(i + 1)
-            picked[i], picked[j] = picked[j], picked[i]
-        return picked[top - d :]
 
 
 @dataclass
@@ -413,10 +326,8 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
     rng_pol = WordDraws(raw_words(rngs["policy"]).__next__)
     uses_estimates = spec.uses_estimates
     t_up, s_up = math.inf, None  # the update clock and its server
-    if uses_estimates:  # one word at a time, in step with exponential's reads
-        upd = rngs["updates"]
-        updates = schedule_updates(
-            spec, params, WordDraws(upd.bit_generator.random_raw, upd.exponential))
+    if uses_estimates:
+        updates = schedule_updates(spec, params, rngs["updates"])
         t_up, s_up = next(updates)
 
     view = DispatcherView(spec, n)

@@ -118,23 +118,23 @@ def _epoch_count(t_end: float, delta: float | None) -> int:
 
 
 def stops(t_end: float, delta: float | None, store_times) -> list[tuple[float, bool]]:
-    """Sorted (time, is_epoch) stops in (0, t_end] of a fluid run: the
-    update epochs k/delta of a synchronous run (none for delta None, the
-    asynchronous run) and the store times (default 1001 points from 0 to
-    t_end), merging times within 1e-12 * max(1, t_end) of each other.  A
-    merged group keeps its epoch's time if it has one, else t_end if it
-    holds t_end, else its first time.  The run stores one state at time 0
+    """Sorted (time, is_epoch) stops of a fluid run: the update epochs
+    k/delta of a synchronous run (none for delta None, the asynchronous
+    run) and the store times, merging times within 1e-12 * max(1, t_end)
+    of each other.  A merged group keeps its epoch's time if it has one,
+    else t_end if it holds t_end, else its first time.  Store times are
+    kept in (0, t_end] and epochs in (0, t_end + that gap], so no stop
+    lies past t_end but an epoch's.  The run stores one state at time 0
     and one at each stop.  Only stored_stops calls it."""
     epochs = () if delta is None else np.arange(1, _epoch_count(t_end, delta) + 1) * (1.0 / delta)
-    if store_times is None:
-        store_times = np.linspace(0.0, t_end, 1001)
     eps = _merge_gap(t_end)
     # rank 0: store time, 1: t_end, 2: epoch
     ranked = sorted(
         (float(t), rank)
-        for times, rank in ((epochs, 2), (store_times, 0), ([t_end], 1))
+        for times, rank, end in ((epochs, 2, t_end + eps), (store_times, 0, t_end),
+                                 ([t_end], 1, t_end))
         for t in times
-        if 0.0 < t <= t_end + eps
+        if 0.0 < t <= end
     )
     marks: list[tuple[float, int]] = []
     for t, rank in ranked:
@@ -153,16 +153,25 @@ def _merge_gap(t_end: float) -> float:
 
 def stored_stops(t_end: float, delta: float | None, store_times, jmax: int, what: str) -> list:
     """stops(t_end, delta, store_times), for a run that holds a state of
-    (jmax + 1)^2 floats at time 0 and at each stop.  check_state_budget
-    refuses it, with StateError, first by the update epochs alone, before
-    stops builds anything, and then by the stops.  The one caller of
-    stops."""
+    (jmax + 1)^2 floats at time 0 and at each stop; store_times defaults
+    to 1001 points from 0 to t_end.  check_state_budget refuses it, with
+    StateError, first by the update epochs alone, then by a floor on the
+    stops that the store times make, both before stops builds anything,
+    and then by the stops.  The one caller of stops."""
     if not t_end > 0.0:
         raise ValueError(f"need t_end > 0, got {t_end}")
     try:
         check_state_budget(_epoch_count(t_end, delta) + 1, jmax, what)
     except OverflowError as err:  # t_end * delta is past the largest float
         raise StateError(err) from None
+    if store_times is None:
+        store_times = np.linspace(0.0, t_end, 1001)
+    # A merged group spans at most three gaps, as its kept time moves at most
+    # twice, so store times more than 4 gaps apart fall in different stops.
+    kept = np.asarray(store_times, dtype=float)
+    kept = np.sort(kept[(kept > 0.0) & (kept <= t_end)])
+    groups = np.count_nonzero(np.diff(kept) > 4.0 * _merge_gap(t_end)) + (len(kept) > 0)
+    check_state_budget(groups + 1, jmax, what)
     marks = stops(t_end, delta, store_times)
     check_state_budget(len(marks) + 1, jmax, what)
     return marks

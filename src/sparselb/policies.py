@@ -1,13 +1,23 @@
 """Dispatching policies: decision rules, estimate bookkeeping, update
-schedules, and message accounting.
+schedules, message accounting, and the readers that turn a random stream
+into draws.
 
 Message counting is pull-based: one message per status report, dispatch
 decisions themselves are free.  JSQ(d) is the exception, paying 2d probe
 messages per job at dispatch time.
+
+Every draw is the value a scalar Generator call would return.  Exponential
+draws of a stream that draws nothing else are read BLOCK at a time
+(exponentials), and so are the raw PCG64 words of one read only through a
+WordDraws (raw_words).  schedule_updates takes the update stream's
+Generator itself: sujsq-exp reads its gaps in blocks, and aujsq-exp, whose
+integers draws interleave with the Generator's exponential ones, takes its
+words one at a time.  A choice among one option reads nothing (integers(1)).
 """
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from bisect import bisect_left, insort
 from collections.abc import Callable, Iterator
@@ -222,15 +232,13 @@ class DispatcherView:
 
 def dispatch(spec: PolicySpec, view: DispatcherView, queues: list[int], rng) -> tuple[int, int]:
     """Pick the target server for one arriving job.  rng is the policy
-    stream's des.WordDraws.
+    stream's WordDraws.
 
     Returns (server index, messages incurred by the decision).
     """
     kind = spec.kind
     if kind in ESTIMATE_KINDS:
         lowest = view.levels[view.lowest]
-        if len(lowest) == 1:
-            return lowest[0], 0
         return lowest[rng.integers(len(lowest))], 0
     if kind in TOKEN_KINDS:
         tokens = view.idle_tokens
@@ -244,8 +252,6 @@ def dispatch(spec: PolicySpec, view: DispatcherView, queues: list[int], rng) -> 
         lens = [queues[c] for c in cand]
         least = min(lens)
         ties = [c for c, q in zip(cand, lens) if q == least]
-        if len(ties) == 1:
-            return ties[0], 2 * spec.d
         return ties[rng.integers(len(ties))], 2 * spec.d
     if kind is RANDOM:
         return rng.integers(view.n_servers), 0
@@ -279,7 +285,7 @@ def apply_global_update(spec: PolicySpec, view: DispatcherView, queues: list[int
 
 def on_idle(spec: PolicySpec, view: DispatcherView, server: int, rng) -> int:
     """A server just drained its queue; JIQ kinds may emit a token.  rng is
-    the policy stream's des.WordDraws."""
+    the policy stream's WordDraws."""
     kind = spec.kind
     if kind is JIQ:
         view.idle_tokens.append(server)
@@ -304,21 +310,96 @@ BLOCK = 1024
 
 
 def exponentials(rng, scale: float) -> Iterator[float]:
-    """Exponential(scale) draws taken BLOCK at a time from rng, a Generator
-    or anything with its exponential(scale, size), through a chain over the
-    blocks, so a draw resumes no Python frame.  They are the values scalar
-    rng.exponential(scale) calls would return, so only a stream that draws
-    nothing else may be read this way."""
+    """Exponential(scale) draws taken BLOCK at a time from the Generator
+    rng, through a chain over the blocks, so a draw resumes no Python frame.
+    They are the values scalar rng.exponential(scale) calls would return,
+    so only a stream that draws nothing else may be read this way."""
     return chain.from_iterable(iter(lambda: rng.exponential(scale, BLOCK).tolist(), None))
+
+
+def raw_words(rng) -> Iterator[int]:
+    """The raw 64-bit words of the Generator rng's bit generator, read BLOCK
+    at a time as exponentials reads its draws.  Reading ahead is exact only
+    for a stream whose every draw goes through a WordDraws over these words."""
+    random_raw = rng.bit_generator.random_raw
+    return chain.from_iterable(iter(lambda: random_raw(BLOCK).tolist(), None))
+
+
+class WordDraws:
+    """Generator.integers(n), random() and choice(n, d, replace=False) of a
+    PCG64 stream, rebuilt bit for bit from its raw 64-bit words (next_word
+    gives the next one), at a fraction of numpy's per-call cost.
+
+    integers(n) is numpy's Lemire method on 32-bit halves: each word serves
+    two draws, low half first, and the high half waits for the next draw as
+    in the bit generator's next_uint32, while random() takes a whole word
+    and leaves a waiting half alone, as numpy's next_double does.  n == 1
+    reads nothing.  sample(n, d) is the choice, built from integers draws.
+    """
+
+    __slots__ = ("_next_word", "_half")
+
+    def __init__(self, next_word: Callable[[], int]):
+        self._next_word = next_word
+        self._half: int | None = None
+
+    def integers(self, n) -> int:
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(f"integers(n) needs an integer n, got {n!r}") from None
+        if not 0 < n < 0x100000000:
+            raise ValueError(f"integers(n) needs 1 <= n < 2**32, got {n}")
+        if n == 1:
+            return 0
+        while True:
+            half = self._half
+            if half is None:
+                word = self._next_word()
+                self._half = word >> 32
+                m = (word & 0xFFFFFFFF) * n
+            else:
+                self._half = None
+                m = half * n
+            low = m & 0xFFFFFFFF
+            # numpy rejects low < 2**32 % n; testing low >= n first, as
+            # numpy does, spares the modulo on almost every draw.
+            if low >= n or low >= 0x100000000 % n:
+                return m >> 32
+
+    def random(self) -> float:
+        return (self._next_word() >> 11) * 2.0**-53
+
+    def sample(self, n: int, d: int) -> list[int]:
+        """Generator.choice(n, d, replace=False).tolist().  As in numpy,
+        Floyd's algorithm picks d values of range(n), or for n > 10000 and
+        d > n // 50 all of range(n) is taken; the last d places are then
+        shuffled top down, place i with place integers(i + 1)."""
+        if not 0 <= d <= n:
+            raise ValueError(f"sample(n, d) needs 0 <= d <= n, got n = {n}, d = {d}")
+        if n > 10000 and d > n // 50:
+            picked = list(range(n))
+        else:
+            picked, seen = [], set()
+            for k in range(n - d, n):
+                value = self.integers(k + 1)
+                if value in seen:
+                    value = k
+                seen.add(value)
+                picked.append(value)
+        top = len(picked)
+        for i in range(top - 1, top - d - 1, -1):
+            j = self.integers(i + 1)
+            picked[i], picked[j] = picked[j], picked[i]
+        return picked[top - d :]
 
 
 def schedule_updates(spec: PolicySpec, params: ModelParams, rng):
     """Infinite stream of update events as (time, server) pairs; server is
     None for synchronous (all-at-once) epochs.  rng is the update stream's
-    des.WordDraws, which carries the Generator's exponential: sujsq-exp,
-    whose gaps are the stream's only draws, reads them BLOCK at a time
-    through it, and aujsq-exp, whose gaps interleave with integers draws,
-    one at a time.
+    Generator: sujsq-exp, whose gaps are the stream's only draws, reads them
+    BLOCK at a time, and aujsq-exp, whose gaps interleave with integers
+    draws, reads its words one at a time through a WordDraws.
 
     sujsq-det / sujsq-det-idle: fixed epochs k/delta.
     sujsq-exp: global epochs with i.i.d. Exponential(delta) gaps.
@@ -353,7 +434,8 @@ def schedule_updates(spec: PolicySpec, params: ModelParams, rng):
             heapreplace(clocks, (t + period, s))
     else:  # AUJSQ_EXP
         scale = 1.0 / (delta * n)
+        words = WordDraws(rng.bit_generator.random_raw)
         t = 0.0
         while True:
             t += rng.exponential(scale)
-            yield t, rng.integers(n)
+            yield t, words.integers(n)

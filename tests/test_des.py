@@ -446,7 +446,7 @@ def test_rng_streams_distinct():
 def test_block_draws_equal_scalar_draws(scale):
     blocks = des.exponentials(np.random.default_rng(4), scale)
     scalar = np.random.default_rng(4)
-    count = 2 * des.BLOCK + 5  # across two block boundaries
+    count = 2 * policies.BLOCK + 5  # across two block boundaries
     assert [next(blocks) for _ in range(count)] == [
         scalar.exponential(scale) for _ in range(count)
     ]
@@ -473,7 +473,7 @@ def test_word_draws_equal_generator_draws(seed, pattern):
     words = des.WordDraws(next_word)
     scalar = np.random.default_rng(seed)
     k = 0
-    while read <= 3 * des.BLOCK:  # across three block boundaries
+    while read <= 3 * policies.BLOCK:  # across three block boundaries
         n = pattern[k % len(pattern)]
         if n is None:
             assert words.random() == scalar.random()

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparselb import fluid_async, fluid_sync, model
 from sparselb.cli import main
@@ -201,7 +203,8 @@ def test_stored_states_over_the_budget_are_refused(integrate, states, monkeypatc
 def test_stored_stops_refuse_by_the_epochs_then_by_the_stops(t_end, delta, grid_dt, floor,
                                                               states, monkeypatch):
     # floor is the CLI's: the store times, or the epochs and time 0 if they
-    # are more; the owner refuses by the epochs before it calls stops
+    # are more; the owner refuses by the epochs, then by the store times,
+    # before it calls stops
     store = np.arange(0.0, t_end + 1e-12, grid_dt)
     epochs = 1 + sum(is_epoch for _, is_epoch in fluid_sync.stops(t_end, delta, store))
     assert max(len(store), epochs) == floor
@@ -220,8 +223,10 @@ def test_stored_stops_refuse_by_the_epochs_then_by_the_stops(t_end, delta, grid_
         patch.setattr(fluid_sync, "stops", built)
         with pytest.raises(StateError, match=f"run: {epochs} x "):
             stored(epochs - 1)
+        with pytest.raises(StateError, match=f"run: {floor} x "):
+            stored(floor - 1)
         with pytest.raises(Built):
-            stored(epochs)
+            stored(floor)
     with pytest.raises(StateError, match=f"run: {states} x "):
         stored(states - 1)
     assert len(stored(states)) + 1 == states
@@ -244,6 +249,48 @@ def test_an_epoch_just_past_t_end_is_no_stop():
     marks = fluid_sync.stops(t_end, 1000.0, [])
     assert sum(is_epoch for _, is_epoch in marks) == 9999
     assert marks[-1] == (t_end, False)
+
+
+def test_no_store_time_past_t_end_is_a_stop():
+    # the epoch wins t_end's group and keeps its earlier time; a store time
+    # past t_end, more than the gap from that time, is no stop of its own
+    late = 1.0 + 6e-13
+    assert fluid_sync.stops(1.0, 1 / (1 - 6e-13), [late]) == [(0.9999999999994, True)]
+    run = integrate_sync(FluidState.empty(40), 0.7, 1 / (1 - 6e-13), 1.0,
+                         store_times=np.array([0.5, late]))
+    assert run.times.tolist() == [0.0, 0.5, 0.9999999999994]
+    # an epoch just past t_end, within the gap, stays a stop past it
+    assert fluid_sync.stops(1.0, 1 / (1 + 6e-13), [late]) == [(1.0000000000006, True)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1.0, 100.0]), st.sampled_from([None, 1.0, 2.0]),
+       st.lists(st.tuples(st.sampled_from([0.5, 1.0]), st.integers(-12, 12)), max_size=10))
+@example(1.0, 2.0, [(0.5, -3), (0.5, 3), (1.0, 0)])  # 1.5 gaps apart, merged into one epoch
+def test_store_time_floor_refuses_no_run_its_stops_fit(t_end, delta, offsets):
+    # store times packed around a store time, t_end and the epochs, a
+    # quarter gap apart: each budget the stops fit passes the floor
+    gap = fluid_sync._merge_gap(t_end)
+    store = [t_end * base + k * gap / 4 for base, k in offsets]
+    states = len(fluid_sync.stops(t_end, delta, store)) + 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "MAX_STATE_BYTES", states * 8 * 41 ** 2)
+        assert len(fluid_sync.stored_stops(t_end, delta, store, 40, "run")) + 1 == states
+
+
+def test_many_store_times_are_refused_before_stops(monkeypatch):
+    # 2,000,001 store times cost stops about 435 MB of tuples; the floor
+    # on the stops they make refuses them from one sorted copy
+    monkeypatch.setattr(fluid_sync, "stops", lambda *a: pytest.fail("stops built"))
+    store = np.linspace(0, 20, 2_000_001)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateError, match="integrate_async: 2000001 x "):
+            integrate_async(FluidState.empty(40), 0.7, 0.85, 20.0, store_times=store)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000_000
 
 
 @pytest.mark.parametrize("delta", [1e5, 1e9, 1e12, 1e308])

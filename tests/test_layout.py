@@ -8,8 +8,10 @@ exact chain reads the policy kind only in its move table, the simulator has
 one entry, a fluid run has one owner of its stored states and one start,
 the async step path has one owner of its driver, of its step
 rule and of its arrival move and calls no numpy method through a Python
-wrapper, and the simulator's per-event hooks
-read no enum member.  The modules are parsed, not imported."""
+wrapper, the simulator's per-event hooks
+read no enum member, and only policies reads a random stream, through a
+WordDraws that borrows no Generator method.  The modules are parsed, not
+imported."""
 import ast
 import importlib.util
 from pathlib import Path
@@ -219,3 +221,16 @@ def test_one_owner_of_a_fluid_runs_stored_states():
     # is the one start, and the one FluidRun, of both integrators
     assert calls_of("stops") == {("fluid_sync", "stored_stops")}
     assert calls_of("FluidRun") == {("fluid_sync", "_run_start")}
+
+
+def test_only_policies_reads_a_stream():
+    # des hands policies its Generators: raw words and exponential draws are
+    # read in policies alone, and a WordDraws takes nothing but its words
+    readers = {name for name, tree in MODULES.items() for sub in ast.walk(tree)
+               if isinstance(sub, ast.Attribute) and sub.attr in ("random_raw", "exponential")}
+    assert readers == {"policies"}
+    [draws] = [node for node in MODULES["policies"].body
+               if isinstance(node, ast.ClassDef) and node.name == "WordDraws"]
+    init = functions(draws)["__init__"].args
+    assert [arg.arg for arg in init.args] == ["self", "next_word"]
+    assert not (init.posonlyargs or init.kwonlyargs or init.vararg or init.kwarg)

@@ -4,17 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparselb import policies
-from sparselb.des import BLOCK, WordDraws, raw_words
 from sparselb.model import ModelParams
 from sparselb.policies import (
+    BLOCK,
     DispatcherView,
     PolicyKind,
     PolicySpec,
+    WordDraws,
     apply_global_update,
     dispatch,
     on_assign,
     on_idle,
     on_update,
+    raw_words,
     schedule_updates,
 )
 
@@ -30,9 +32,8 @@ def policy_draws(seed):
 
 
 def update_draws(seed):
-    """The update stream's reader, as des reads a seeded Generator."""
-    rng = np.random.default_rng(seed)
-    return WordDraws(rng.bit_generator.random_raw, rng.exponential)
+    """The update stream, a seeded Generator, as des passes it on."""
+    return np.random.default_rng(seed)
 
 
 def test_parse_grammar():
@@ -316,3 +317,11 @@ def test_schedule_rejects_non_update_kinds():
     spec = PolicySpec.parse("random")
     with pytest.raises(ValueError):
         next(schedule_updates(spec, ModelParams(2, 0.7), update_draws(0)))
+
+
+def test_word_draws_take_on_no_other_reader():
+    # a WordDraws holds its word source and a waiting half, nothing else:
+    # a Generator method cannot be hung on it beside its words
+    words = WordDraws(raw_words(np.random.default_rng(0)).__next__)
+    with pytest.raises(AttributeError):
+        words.exponential = np.random.default_rng(0).exponential
