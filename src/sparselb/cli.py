@@ -164,15 +164,16 @@ def cmd_fluid(args: argparse.Namespace) -> int:
         states = len(fluid_sync.stored_stops(args.t_end, epoch_rate, store, jmax, "stored states")) + 1
     if args.des_runs:  # its one snapshot stack, on store, passed the check above
         kind = PolicyKind.SUJSQ_DET if args.kind == "sync" else PolicyKind.AUJSQ_EXP
-        sim = des.SimConfig(
-            params=ModelParams(n_servers=args.n, lam=args.lam),
-            policy=PolicySpec(kind, delta=args.delta),
-            horizon=args.t_end,
-            warmup=0.0,
-            seed=args.seed,
-            trajectory_grid=store,
-            snapshot_jmax=jmax,
-        )
+        with _refused("--n", des.SimulationError):
+            sim = des.SimConfig(
+                params=ModelParams(n_servers=args.n, lam=args.lam),
+                policy=PolicySpec(kind, delta=args.delta),
+                horizon=args.t_end,
+                warmup=0.0,
+                seed=args.seed,
+                trajectory_grid=store,
+                snapshot_jmax=jmax,
+            )
         states += des.snapshot_states(sim, args.des_runs)
     with _refused(flags, model.StateError):
         model.check_state_budget(states, jmax, "stored states")

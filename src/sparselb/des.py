@@ -18,7 +18,10 @@ times through exponentials, the policy stream through a WordDraws over its
 raw_words, and the update stream's Generator through schedule_updates.  So
 every draw, and every output for a seed, is what scalar Generator calls
 give.  The loop keeps the queues and the dispatcher's estimates in Python
-lists, which are faster than numpy arrays for one element at a time.
+lists, which are faster than numpy arrays for one element at a time, and
+each server's waiting arrival times in a list of its own, 56 bytes when
+empty against a deque's 760; SimConfig counts the servers against
+model.SERVER_BYTES.
 """
 from __future__ import annotations
 
@@ -26,12 +29,17 @@ import heapq
 import math
 import os
 import pickle
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, check_delta, check_probes, check_state_budget
+from .model import (
+    ModelParams,
+    check_delta,
+    check_probes,
+    check_server_budget,
+    check_state_budget,
+)
 from .policies import (
     DispatcherView,
     PolicySpec,
@@ -91,6 +99,7 @@ class SimConfig:
             )
         check_delta(self.params, self.policy.delta, SimulationError)
         check_probes(self.params, self.policy.d, SimulationError)
+        check_server_budget(self.params.n_servers, "SimConfig", SimulationError)
         jmax = self.snapshot_jmax
         if not isinstance(jmax, (int, np.integer)) or jmax < 0:
             raise SimulationError(f"need an integer snapshot_jmax >= 0, got {jmax!r}")
@@ -332,7 +341,7 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
 
     view = DispatcherView(spec, n)
     queues = [0] * n
-    waiting: list[deque[float]] = [deque() for _ in range(n)]
+    waiting: list[list[float]] = [[] for _ in range(n)]
 
     departures: list[tuple[float, int, int]] = []  # (time, seq, server)
     heappush, heapreplace, heappop = heapq.heappush, heapq.heapreplace, heapq.heappop
@@ -425,7 +434,7 @@ def _run(config: SimConfig, run_index: int) -> MetricsRecord:
             else:
                 q_old = queues[server]
                 if q_old > 1:  # the next job in line starts service
-                    arrived = waiting[server].popleft()
+                    arrived = waiting[server].pop(0)
                     if arrived > warmup:
                         w = t - arrived
                         wait_sum += w

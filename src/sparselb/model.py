@@ -17,9 +17,15 @@ import numpy as np
 # round-off above it is clamped to zero.
 NEG_TOL = 1e-12
 # The budget for dense (jmax+1)^2 float states that one call holds at once:
-# a fixed point, a stored fluid run, a DES run's snapshots.  Larger requests
-# are refused, by check_state_budget, before anything is allocated.
+# a fixed point, a stored fluid run, a DES run's snapshots; and for a DES
+# run's per-server state.  Larger requests are refused, by check_state_budget
+# and check_server_budget, before anything is allocated.
 MAX_STATE_BYTES = 256_000_000
+# The bytes that a DES run holds per server, counted by check_server_budget:
+# the largest traced peak of one run at N = 10^5, horizon 3 and lam 0.7 over
+# the ten kinds was 326 B (aujsq-det, with its heap of per-server clocks),
+# rounded up.  Each job waiting in a line adds 32 B more, not counted here.
+SERVER_BYTES = 400
 # The budget for the t_end/dt RK4 steps that one asynchronous fluid run
 # may ask for, refused by check_step_budget before the run starts: 4 to 8
 # minutes at the 26 to 50 us that a step on an 8 x 8 block took on a
@@ -43,6 +49,18 @@ def check_state_budget(states: int, jmax: int, what: str,
     if need > MAX_STATE_BYTES:
         raise error(
             f"{what}: {states} x (jmax+1)^2 floats at jmax={jmax} need "
+            f"{need // 10**6} MB, over the {MAX_STATE_BYTES // 10**6} MB budget"
+        )
+
+
+def check_server_budget(servers: int, what: str,
+                        error: type[Exception] = StateError) -> None:
+    """Raise error when what, a simulation of servers servers, would need
+    more than MAX_STATE_BYTES at SERVER_BYTES a server."""
+    need = servers * SERVER_BYTES
+    if need > MAX_STATE_BYTES:
+        raise error(
+            f"{what}: N = {servers} servers at {SERVER_BYTES} B each need "
             f"{need // 10**6} MB, over the {MAX_STATE_BYTES // 10**6} MB budget"
         )
 

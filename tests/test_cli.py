@@ -537,6 +537,25 @@ def test_fluid_refuses_before_building_its_store_times(argv, monkeypatch, capsys
 
 
 @pytest.mark.parametrize("argv", [
+    ["simulate", "--policy", "random"],
+    ["sweep", "--policies", "random"],
+    ["fluid", "sync", "--des-runs", "1"],
+    ["fluid", "async", "--des-runs", "1"],
+])
+def test_an_n_past_the_server_budget_exits_2_naming_n(argv, monkeypatch, capsys):
+    # every command that builds a SimConfig refuses at 10^6 servers, 400 MB
+    # at model.SERVER_BYTES a server, before any list is allocated
+    tracemalloc.start()
+    try:
+        err = refused([*argv, "--n", "1000000"], monkeypatch, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "--n" in err and "N = 1000000 servers" in err and "budget" in err
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("argv", [
     ["simulate", "--policy", "random", "--runs", "2", "--n", "10", "--horizon", "10"],
     ["sweep", "--policies", "random", "--runs", "2", "--n", "10", "--horizon", "10",
      "--warmup", "2"],

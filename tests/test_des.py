@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import time
+import tracemalloc
 from bisect import insort
 from collections import deque
 from types import SimpleNamespace
@@ -1172,3 +1173,44 @@ def test_level_fold_replays_the_account_loop(policy, n, horizon, warmup, monkeyp
 def test_no_replication_is_refused():
     with pytest.raises(SimulationError, match="runs must be >= 1"):
         run_replications(make_config("random"), 0)
+
+
+def traced_peak(call) -> int:
+    """The peak bytes that tracemalloc saw while call() ran."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("policy", ["jiq", "aujsq-exp:0.85", "aujsq-det:0.85"])
+def test_a_run_fits_the_bytes_budgeted_per_server(policy):
+    # A token kind, an estimate kind, and aujsq-det with its heap of
+    # per-server clocks.  An empty deque per server took 760 B, and a run
+    # about 900 B a server in all; a list takes 56 B.
+    n = 20_000
+    cfg = make_config(policy, n=n, horizon=0.3, warmup=0.0, seed=1)
+    assert traced_peak(lambda: des._run(cfg, 0)) < n * model.SERVER_BYTES
+
+
+def test_the_server_budget_holds_its_last_server():
+    largest = model.MAX_STATE_BYTES // model.SERVER_BYTES
+    model.check_server_budget(largest, "N")
+    with pytest.raises(model.StateError, match=f"N: N = {largest + 1} servers at "):
+        model.check_server_budget(largest + 1, "N")
+    make_config("random", n=largest)  # builds nothing per server
+
+
+@pytest.mark.parametrize("n", [model.MAX_STATE_BYTES // model.SERVER_BYTES + 1, 10**6, 10**12])
+def test_an_n_past_the_server_budget_is_refused_before_allocation(n, monkeypatch):
+    monkeypatch.setattr(des, "_replicate", lambda *a: pytest.fail("a run started"))
+    start = time.perf_counter()
+
+    def build():
+        with pytest.raises(SimulationError, match=f"SimConfig: N = {n} servers .* budget"):
+            run_replications(make_config("random", n=n), 1)
+
+    assert traced_peak(build) < 1_000_000
+    assert time.perf_counter() - start < 1.0

@@ -16,7 +16,11 @@ Each mutant is spliced into the source text of a copy of the repository
 so every other line of the module stays as it is.  The module's own tests
 (tests/test_MODULE.py, or --tests) run first and stop at the first failure;
 a mutant that passes them runs the whole suite.  A mutant that passes both
-survives.  A run that outlasts --timeout seconds counts as killed.
+survives.  The unmutated copy must pass both first, and each run that took
+sets the timeout of its tests: TIMEOUT_FACTOR times its time, and at least
+TIMEOUT_FLOOR seconds, unless --timeout gives one for every run.  A run
+that outlasts its timeout counts as killed, so a mutant that never ends
+costs seconds, not minutes.
 
     python3 tools/mutate.py MODULE [--only NAME ...] [--tests FILE ...] [--timeout S]
 
@@ -34,6 +38,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,6 +49,7 @@ COMPARE = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
 ARITH = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
          ast.FloorDiv: ast.Mult, ast.Mod: ast.FloorDiv, ast.Pow: ast.Mult}
 KEPT = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)
+TIMEOUT_FACTOR, TIMEOUT_FLOOR = 10.0, 60.0
 
 
 def _children(node: ast.AST):
@@ -97,14 +103,21 @@ def mutants(source: str, only: set[str] | None):
                     yield node.lineno, top.name, label, (data[:a] + text.encode() + data[b:]).decode()
 
 
-def _passes(copy: Path, tests: list[str], timeout: float) -> bool:
+def timeout_for(seconds: float) -> float:
+    """The timeout of a run of tests that took seconds on the unmutated copy."""
+    return max(TIMEOUT_FLOOR, TIMEOUT_FACTOR * seconds)
+
+
+def _passes(copy: Path, tests: list[str], timeout: float | None) -> float | None:
+    """The seconds that tests took if they passed within timeout, else None."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(copy / "src")}
+    start = time.perf_counter()
     try:
         proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                                *tests], cwd=copy, env=env, capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired:
-        return False
-    return proc.returncode == 0
+        return None
+    return time.perf_counter() - start if proc.returncode == 0 else None
 
 
 def main(argv=None) -> int:
@@ -112,7 +125,8 @@ def main(argv=None) -> int:
     parser.add_argument("module", help="a module of src/sparselb, such as fluid_sync")
     parser.add_argument("--only", nargs="+", metavar="NAME", help="top-level names to scan")
     parser.add_argument("--tests", nargs="+", metavar="FILE", help="the module's own tests")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per test run")
+    parser.add_argument("--timeout", type=float, default=None,
+                        help="seconds per test run; default scaled from the unmutated runs")
     args = parser.parse_args(argv)
     own = args.tests or [f"tests/test_{args.module}.py"]
     with tempfile.TemporaryDirectory() as tmp:
@@ -125,17 +139,24 @@ def main(argv=None) -> int:
                 shutil.copy2(src, copy / name)
         target = copy / "src" / "sparselb" / f"{args.module}.py"
         original = target.read_text()
-        if not _passes(copy, own, args.timeout):
-            print(f"the unmutated code fails {' '.join(own)}", file=sys.stderr)
-            return 2
+        limits = []  # the timeouts of the module's own tests and of the suite
+        for tests in (own, ["tests"]):
+            took = _passes(copy, tests, args.timeout)
+            if took is None:
+                print(f"the unmutated code fails {' '.join(tests)}", file=sys.stderr)
+                return 2
+            limits.append(timeout_for(took) if args.timeout is None else args.timeout)
+        own_limit, suite_limit = limits
         survivors, count = [], 0
         for count, (line, name, label, text) in enumerate(
                 mutants(original, set(args.only) if args.only else None), 1):
             target.write_text(text)
-            if _passes(copy, own, args.timeout):
-                verdict = "survived" if _passes(copy, ["tests"], args.timeout) else "killed by the suite"
-            else:
+            if _passes(copy, own, own_limit) is None:
                 verdict = "killed"
+            elif _passes(copy, ["tests"], suite_limit) is None:
+                verdict = "killed by the suite"
+            else:
+                verdict = "survived"
             print(f"{count:4d}  {args.module}.py:{line}  {name}  {label}: {verdict}", flush=True)
             if verdict == "survived":
                 survivors.append(f"{args.module}.py:{line}  {name}  {label}")
