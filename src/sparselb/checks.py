@@ -6,7 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import ctmc, des
-from .fluid_sync import FluidRun, poisson_ab
+from .fixed_point import poisson_ab
+from .fluid_sync import FluidRun
 from .model import ModelParams, derive
 from .policies import PolicySpec
 
@@ -28,17 +29,17 @@ def poisson_identity_residuals(times) -> tuple[float, float]:
 
 def fluid_des_distance(traj: des.Trajectory, fluid_run: FluidRun) -> float:
     """Sup distance over v0..v2 and w0..w2 between simulated snapshots and
-    the fluid states stored at the same times.  Times are matched after
-    rounding to 9 decimals, so a run whose stops merged with update epochs
-    still lines up with the simulation grid.  Raises ValueError when the
-    snapshots clipped any server at their jmax, which the fluid states do
-    not."""
+    the fluid states stored at the same times, read from the run's block.
+    Times are matched after rounding to 9 decimals, so a run whose stops
+    merged with update epochs still lines up with the simulation grid.
+    Raises ValueError when the snapshots clipped any server at their jmax,
+    which the fluid states do not."""
     if traj.clipped:
         raise ValueError(
             f"a fraction {traj.clipped:g} of the servers exceeded the snapshot "
             "jmax; raise SimConfig.snapshot_jmax"
         )
-    by_time = {round(t, 9): s for t, s in zip(fluid_run.times, fluid_run.states)}
+    by_time = {round(t, 9): s for t, s in zip(fluid_run.times, fluid_run.block)}
     worst = 0.0
     for t, y in zip(traj.times, traj.y):
         d_sim = derive(y)

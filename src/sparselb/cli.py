@@ -36,7 +36,8 @@ def _write(path: str, text: str) -> None:
 
 
 def _trajectory_csv(times: np.ndarray, states: np.ndarray) -> str:
-    """CSV rows (t, i, j, y) for every non-zero cell, sorted."""
+    """CSV rows (t, i, j, y) for every non-zero cell, sorted; states may be
+    a run's stored block, which holds every non-zero cell."""
     lines = ["t,i,j,y"]
     for t, y in zip(times, states):
         for i, j in zip(*np.nonzero(y)):
@@ -183,7 +184,7 @@ def cmd_fluid(args: argparse.Namespace) -> int:
             run = fluid_sync.integrate_sync(y0, args.lam, args.delta, args.t_end, store_times=store)
         else:
             run = fluid_async.integrate_async(y0, args.lam, args.delta, args.t_end, args.dt, store)
-    text = _trajectory_csv(run.times, run.states)
+    text = _trajectory_csv(run.times, run.block)
     if args.des_runs:  # simulated before anything is written
         with _refused("--t-end/--n", des.HorizonError):
             rec = des.run_replications(sim, args.des_runs)
@@ -241,7 +242,7 @@ def _validate_checks(budget: str, seed: int) -> fluid_sync.CheckReport:
     report.record("poisson_ab_identity", worst_ab, 1e-12)
     report.record("poisson_a_ratio_monotone", worst_mono, 1e-12)
 
-    bound = fluid_sync.queue_bound(0.7, 1.0 / 0.85)
+    bound = fixed_point.queue_bound(0.7, 1.0 / 0.85)
     report.record("queue_bound_is_minimal", float(bound.s_star != 7), 0.5)
 
     worst_fp = 0.0

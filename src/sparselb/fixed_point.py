@@ -4,18 +4,20 @@ The stationary occupancy concentrates on two estimate columns, the
 stationary minimum estimate m_star and m_star + 1.  A single scalar nu
 (the jump rate of assignments relative to the mass at level m_star) pins
 down every entry; it solves a monotone scalar equation matching the idle
-fraction to 1 - lam.
+fraction to 1 - lam.  The module also carries the level bounds of
+deterministic update gaps: m_star_det and the synchronous scheme's
+queue-length bound scan, on the Poisson drain quantities A and B.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (SWITCH_TOL, FluidState, StateError, check_state_budget, default_jmax,
-                    m_star)
+from .model import (SWITCH_TOL, FluidState, StateError, check_rates, check_state_budget,
+                    default_jmax, m_star)
 from .fluid_async import rhs_async
-from .fluid_sync import poisson_ab
 
 NU_TOL = 1e-12
 RESIDUAL_TOL = 1e-8
@@ -130,3 +132,59 @@ def m_star_det(lam: float, delta: float) -> int:
             raise ConsistencyError(f"deterministic-gap level {m + 1} exceeds m_star = {m_exp}")
         m += 1
     return m
+
+
+@dataclass(frozen=True)
+class PoissonMoments:
+    """For a queue of L unit-rate jobs left alone for time t, with
+    G ~ Poisson(t) potential completions: expected remaining work
+    A = E[max(L - G, 0)], expected completions B = E[min(G, L)] = L - A."""
+
+    a: float
+    b: float
+
+
+def poisson_ab(level: int, t: float) -> PoissonMoments:
+    """A = sum (L - g) p(g) and B = t F(L-1) + L (1 - F(L)) from the Poisson
+    pmf p, built in logs lest e^-t underflow, with 1 - F(L) = -expm1(-t) -
+    sum p(1..L); the smaller is kept and the other is L minus it."""
+    if level < 0 or t < 0.0:
+        raise ValueError("need level >= 0 and t >= 0")
+    if t == 0.0:
+        return PoissonMoments(a=float(level), b=0.0)
+    g = np.arange(level + 1.0)
+    pmf = np.exp(np.cumsum(np.concatenate(([-t], math.log(t) - np.log(g[1:])))))
+    a = float(np.dot(level - g, pmf))
+    b = t * float(pmf[:-1].sum()) + level * (-math.expm1(-t) - float(pmf[1:].sum()))
+    return PoissonMoments(a=a, b=level - a) if a <= b else PoissonMoments(a=level - b, b=b)
+
+
+def sigma(level: int, lam: float, t_period: float) -> float:
+    """Drain margin of level: the expected completions B(level, T) scaled
+    down by the relative headroom, compared against lam*T elsewhere."""
+    return (1.0 - (lam * t_period + 1.0) / level) * poisson_ab(level, t_period).b
+
+
+@dataclass(frozen=True)
+class SyncAnalysis:
+    """Queue-length bound for the synchronous scheme: s_star is the lowest
+    level whose drain margin beats the per-epoch arrival volume."""
+
+    s_star: int
+    delta_margin: float
+
+
+def queue_bound(lam: float, t_period: float) -> SyncAnalysis:
+    """Scan L = 1, 2, ... for the first level with lam*T < sigma(L), up to
+    the largest level that a state within the state budget can hold."""
+    if not t_period > 0.0:
+        raise StateError(f"need T > 0, got {t_period}")
+    check_rates(lam, 1.0 / t_period)
+    target = lam * t_period
+    level = 0
+    while True:
+        level += 1
+        check_state_budget(1, level, "queue_bound")
+        val = sigma(level, lam, t_period)
+        if target < val:
+            return SyncAnalysis(s_star=level, delta_margin=val - target)

@@ -19,16 +19,12 @@ import numpy as np
 
 from . import fluid_sync
 from .model import SWITCH_TOL, FluidState, check_step_budget, min_estimate_level
-from .fluid_sync import FluidRun, _run_start, _settle, move_leftover
+from .fluid_sync import (BLOCK_MARGIN, FluidRun, _block_side, _pad, _run_start, _settle,
+                         move_leftover)
 
 # Slack on the capacity comparison that prevents chattering when u_n sits
 # exactly on lam.
 CAP_TOL = 1e-12
-
-# Levels past the occupied ones that an RK4 step works on: its four stages
-# each move mass at most one level, so the step leaves every cell beyond
-# them at zero.
-BLOCK_MARGIN = 4
 
 # Steps with rate * h below this (see _rk4) are classic RK4 steps: there
 # RK4's factor for the decay, 1 - z + z^2/2 - z^3/6 + z^4/24, is within
@@ -271,28 +267,6 @@ def _kept(z: float, x: float) -> np.ndarray:
     return keep[:, :end] @ np.exp(-_exponent(z, x, 1.0 - sigma, sigma))
 
 
-def _block_side(y: np.ndarray, n: int) -> int:
-    """Side k of the leading block [:k, :k] of an n-by-n state that one RK4
-    step works on; y is a leading block of the state that holds all of its
-    non-zero cells.
-
-    The block holds every non-zero cell and BLOCK_MARGIN more levels,
-    rounded up to a multiple of eight.  numpy sums a row or column pairwise,
-    with eight partial sums over a leading run of at most 128 entries, so
-    such a block, or any larger one whose side is a multiple of eight and
-    within that run, sums every line in the order the whole state would.
-    Where no such side fits, the block is the whole state.
-    """
-    any_ = np.logical_or.reduce  # ndarray.any would go through numpy's Python wrapper
-    occupied = (any_(y, axis=0) | any_(y, axis=1)).nonzero()[0]
-    extent = int(occupied[-1]) + 1 if occupied.size else 0
-    side = -(-(extent + BLOCK_MARGIN) // 8) * 8
-    leaf = n  # numpy's leading pairwise run for a line of n entries
-    while leaf > 128:
-        leaf = leaf // 2 - leaf // 2 % 8
-    return side if side <= leaf else n
-
-
 def _advance(rhs, drain, y: np.ndarray, span: float, dt: float) -> None:
     """Integrate y' = rhs(y) over a span in place, splitting steps exactly
     at minimum-estimate switch points (where the lowest occupied column m
@@ -402,12 +376,14 @@ def integrate_async(
     re-derived from the state at every evaluation, and there are no jumps."""
     run, marks = _run_start(y0, lam, delta, t_end, store_times, False)
     dt = step_for(t_end, delta, dt)
-    y = run.states[0].copy()
+    y = _pad(run.block[0], run.jmax + 1)
     drain = _async_drain(lam, delta, dt)
     t = 0.0
     for k, (t_next, _) in enumerate(marks, 1):
         _advance(lambda z: rhs_async(z, lam, delta), drain, y, t_next - t, dt)
         run.clamped = _settle(y, run.clamped)
-        run.states[k] = y
+        states = run.grow(y)
+        side = states.shape[-1]
+        states[k] = y[:side, :side]
         t = t_next
     return run

@@ -6,22 +6,30 @@ ODE between epochs whose assignment flux targets the minimum estimate
 level; at each epoch every column collapses onto the diagonal (estimates
 snap to true queue lengths).  Between two stops that flow has a closed
 form, so integrate_sync takes no steps.  Both limits start in _run_start,
-which checks the rates, copies the initial state, allocates the states
-stack and builds the one FluidRun, on stored_stops, the one owner of the
-stored states: it refuses a run by its update epochs before stops builds
-anything, then by its stops.  They also share the clamp and the leftover
-move at a switch; fluid_async's RK4 stepper calls split_step_at_switch.  The module also carries the Poisson
-drain quantities A/B, the queue-length bound scan, and trajectory checks.
+which checks the rates, copies the initial state and builds the one
+FluidRun, on stored_stops, the one owner of the stored states: it refuses a
+run by its update epochs before stops builds anything, then by its stops.
+A FluidRun stores the leading block of its states that holds their occupied
+levels, by _block_side, the one block rule of both limits.  They also share
+the clamp and the leftover move at a switch; fluid_async's RK4 stepper calls
+split_step_at_switch.  The module also carries the trajectory checks.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .model import (NEG_TOL, SWITCH_TOL, FluidState, StateError, check_rates,
                     check_state_budget, check_truncation, min_estimate_level)
+
+
+# Levels past the occupied ones that a block holds (see _block_side): the four
+# stages of an RK4 step each move mass at most one level, so a step leaves
+# every cell beyond them at zero, and the exact flow between two stops moves
+# mass at most one level.
+BLOCK_MARGIN = 4
 
 
 class IntegrationError(RuntimeError):
@@ -55,19 +63,79 @@ def apply_sync_update(y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _block_side(y: np.ndarray, n: int) -> int:
+    """Side k of the leading block [:k, :k] of an n-by-n state that holds
+    its occupied levels; y is a leading block of the state that holds all
+    of its non-zero cells.
+
+    The block holds every non-zero cell and BLOCK_MARGIN more levels,
+    rounded up to a multiple of eight.  numpy sums a row or column pairwise,
+    with eight partial sums over a leading run of at most 128 entries, so
+    such a block, or any larger one whose side is a multiple of eight and
+    within that run, sums every line in the order the whole state would.
+    Where no such side fits, the block is the whole state.
+    """
+    any_ = np.logical_or.reduce  # ndarray.any would go through numpy's Python wrapper
+    occupied = (any_(y, axis=0) | any_(y, axis=1)).nonzero()[0]
+    extent = int(occupied[-1]) + 1 if occupied.size else 0
+    side = -(-(extent + BLOCK_MARGIN) // 8) * 8
+    leaf = n  # numpy's leading pairwise run for a line of n entries
+    while leaf > 128:
+        leaf = leaf // 2 - leaf // 2 % 8
+    return side if side <= leaf else n
+
+
+def _pad(block: np.ndarray, n: int) -> np.ndarray:
+    """A new array of block's leading shape and n-by-n states, holding
+    block in the leading corner of each state and zeros elsewhere."""
+    out = np.zeros((*block.shape[:-2], n, n))
+    side = block.shape[-1]
+    out[..., :side, :side] = block
+    return out
+
+
 @dataclass
 class FluidRun:
     """Stored trajectory: states are right-continuous (post-jump at epochs);
-    update_epochs lists the epochs at which a jump was applied."""
+    update_epochs lists the epochs at which a jump was applied.
+
+    A run is made from its states, a (T, jmax + 1, jmax + 1) array, and
+    keeps block, their leading [:, :k, :k] block with the side k that
+    _block_side gives the cells that any of them occupies; every cell past
+    it is zero.  The states property pads block to the whole grid on
+    demand, and final() pads the last state alone.  An integrator stores
+    each state into block as it runs, widening it by grow first."""
 
     times: np.ndarray
-    states: np.ndarray
+    states: InitVar[np.ndarray]
     update_epochs: np.ndarray
     lam: float
     clamped: float = 0.0
+    jmax: int = field(init=False)
+    block: np.ndarray = field(init=False)
+
+    def __post_init__(self, states: np.ndarray) -> None:
+        self.jmax = states.shape[-1] - 1
+        side = _block_side(np.logical_or.reduce(states, axis=0), self.jmax + 1)
+        self.block = states[:, :side, :side].copy()
+
+    def grow(self, y: np.ndarray) -> np.ndarray:
+        """block, first widened to the side that _block_side gives y, a
+        leading block of a state that holds all of its non-zero cells, if
+        it is narrower."""
+        side = _block_side(y, self.jmax + 1)
+        if side > self.block.shape[-1]:
+            self.block = _pad(self.block, side)
+        return self.block
 
     def final(self) -> np.ndarray:
-        return self.states[-1]
+        return _pad(self.block[-1], self.jmax + 1)
+
+
+# Set after the class, where a property of this name would be the default of
+# the states argument.
+FluidRun.states = property(lambda run: _pad(run.block, run.jmax + 1),
+                           doc="The stored states on the whole grid, built on each read.")
 
 
 def landed(col: np.ndarray) -> bool:
@@ -180,21 +248,25 @@ def stored_stops(t_end: float, delta: float | None, store_times, jmax: int, what
 def _run_start(y0: FluidState | np.ndarray, lam, delta, t_end, store_times, epochs: bool):
     """The start of a run of integrate_sync (epochs True) or integrate_async:
     check the rates, copy y0 and ask stored_stops for the stops; return the
-    stops and the run's FluidRun, whose states stack holds y0 as state 0.
-    The one builder of a FluidRun."""
+    stops and the run's FluidRun, whose block holds y0's block as every
+    state until the integrator stores the next ones.  The one builder of a
+    FluidRun."""
     check_rates(lam, delta)
     y = np.array(y0.y if isinstance(y0, FluidState) else y0, dtype=float)
     marks = stored_stops(t_end, delta if epochs else None, store_times, len(y) - 1,
                          "integrate_sync" if epochs else "integrate_async")
-    states = np.empty((len(marks) + 1, *y.shape))
-    states[0] = y
+    # a read-only view of y as every state; FluidRun copies out its block
+    states = np.broadcast_to(y, (len(marks) + 1, *y.shape))
     return FluidRun(np.array([0.0, *(t for t, _ in marks)]), states,
                     np.array([t for t, is_epoch in marks if is_epoch]), lam), marks
 
 
 def _settle(y: np.ndarray, clamped: float) -> float:
     """Clamp round-off below zero in y, in place, and check the truncation
-    boundary; returns the largest clamp so far."""
+    boundary; returns the largest clamp so far.  y is a state or a stored
+    block of one: a block narrower than the state keeps its last row and
+    column empty by BLOCK_MARGIN, so only a block that has grown to the
+    whole state meets the real boundary."""
     low = y.min()
     if low < 0.0:
         if low < -NEG_TOL:
@@ -207,7 +279,8 @@ def _settle(y: np.ndarray, clamped: float) -> float:
 
 def _flow(y: np.ndarray, m: int, lam: float, r: np.ndarray, out: np.ndarray) -> None:
     """Write the exact flow from y over each time in r (ascending, none past
-    the switch w_m/lam of the minimum level m) into out[0..len(r)-1].
+    the switch w_m/lam of the minimum level m) into out[0..len(r)-1].  y
+    and the states of out share a side: a state's, or its stored block's.
 
     Every column moves under service, whose exponential at time r is
     sum_k pois(k; r) P^k (uniformization).  Queue levels above the highest
@@ -261,15 +334,20 @@ def integrate_sync(
     The flow (see _flow) stops at every epoch and at every switch, where
     the minimum-estimate column m has drained at w_m/lam; there column m
     is zeroed and its round-off residue moves up to column m + 1.  All
-    stored times between two stops come from one call.
+    stored times between two stops come from one call, which writes them
+    straight into the run's block.
     """
     run, marks = _run_start(y0, lam, delta, t_end, store_times, True)
-    times, states, y = run.times, run.states, run.states[0]
+    times, y = run.times, run.block[0].copy()
     # index of each epoch mark, then of the last mark
     ends = np.append(np.flatnonzero([is_epoch for _, is_epoch in marks]), len(marks) - 1)
     eps = _merge_gap(t_end)
     t, i = 0.0, 0  # the flow has reached time t and marks[:i]
     while i < len(marks):
+        # a flow moves mass at most one level up, so its states fit the block
+        states = run.grow(y)
+        if len(y) < states.shape[-1]:
+            y = _pad(y, states.shape[-1])
         m = min_estimate_level(y.sum(axis=0))
         span = y[:, m].sum() / lam  # until column m drains
         last = ends[np.searchsorted(ends, i)]
@@ -292,66 +370,6 @@ def integrate_sync(
         t = times[i + j] if j == len(r) else t + span
         i += j
     return run
-
-
-# ---------------------------------------------------------------------------
-# Poisson drain quantities and the queue-length bound scan.
-
-
-@dataclass(frozen=True)
-class PoissonMoments:
-    """For a queue of L unit-rate jobs left alone for time t, with
-    G ~ Poisson(t) potential completions: expected remaining work
-    A = E[max(L - G, 0)], expected completions B = E[min(G, L)] = L - A."""
-
-    a: float
-    b: float
-
-
-def poisson_ab(level: int, t: float) -> PoissonMoments:
-    """A = sum (L - g) p(g) and B = t F(L-1) + L (1 - F(L)) from the Poisson
-    pmf p, built in logs lest e^-t underflow, with 1 - F(L) = -expm1(-t) -
-    sum p(1..L); the smaller is kept and the other is L minus it."""
-    if level < 0 or t < 0.0:
-        raise ValueError("need level >= 0 and t >= 0")
-    if t == 0.0:
-        return PoissonMoments(a=float(level), b=0.0)
-    g = np.arange(level + 1.0)
-    pmf = np.exp(np.cumsum(np.concatenate(([-t], math.log(t) - np.log(g[1:])))))
-    a = float(np.dot(level - g, pmf))
-    b = t * float(pmf[:-1].sum()) + level * (-math.expm1(-t) - float(pmf[1:].sum()))
-    return PoissonMoments(a=a, b=level - a) if a <= b else PoissonMoments(a=level - b, b=b)
-
-
-def sigma(level: int, lam: float, t_period: float) -> float:
-    """Drain margin of level: the expected completions B(level, T) scaled
-    down by the relative headroom, compared against lam*T elsewhere."""
-    return (1.0 - (lam * t_period + 1.0) / level) * poisson_ab(level, t_period).b
-
-
-@dataclass(frozen=True)
-class SyncAnalysis:
-    """Queue-length bound for the synchronous scheme: s_star is the lowest
-    level whose drain margin beats the per-epoch arrival volume."""
-
-    s_star: int
-    delta_margin: float
-
-
-def queue_bound(lam: float, t_period: float) -> SyncAnalysis:
-    """Scan L = 1, 2, ... for the first level with lam*T < sigma(L), up to
-    the largest level that a state within the state budget can hold."""
-    if not t_period > 0.0:
-        raise StateError(f"need T > 0, got {t_period}")
-    check_rates(lam, 1.0 / t_period)
-    target = lam * t_period
-    level = 0
-    while True:
-        level += 1
-        check_state_budget(1, level, "queue_bound")
-        val = sigma(level, lam, t_period)
-        if target < val:
-            return SyncAnalysis(s_star=level, delta_margin=val - target)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +413,7 @@ def check_trajectory_invariants(run: FluidRun) -> CheckReport:
       fraction.
     """
     report = CheckReport()
-    times, states, lam = run.times, run.states, run.lam
+    times, states, lam = run.times, run.block, run.lam
 
     totals = states.sum(axis=(1, 2))
     report.record("mass_conservation", float(np.abs(totals - 1.0).max()), 1e-9)

@@ -12,9 +12,9 @@ from sparselb.checks import chain_vs_des, fluid_des_distance, poisson_identity_r
 from sparselb.model import FluidState, ModelParams
 from sparselb.policies import PolicySpec
 from sparselb.des import SimConfig, run_replications
-from sparselb.fluid_sync import integrate_sync, queue_bound, sigma
+from sparselb.fluid_sync import integrate_sync
 from sparselb.fluid_async import integrate_async
-from sparselb.fixed_point import m_star, y_star
+from sparselb.fixed_point import m_star, queue_bound, sigma, y_star
 
 LAM = 0.7
 

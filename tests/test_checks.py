@@ -4,7 +4,8 @@ import pytest
 from sparselb import checks, ctmc
 from sparselb.checks import chain_vs_des, fluid_des_distance, poisson_identity_residuals
 from sparselb.des import Trajectory
-from sparselb.fluid_sync import FluidRun, PoissonMoments
+from sparselb.fixed_point import PoissonMoments
+from sparselb.fluid_sync import FluidRun
 from sparselb.model import ModelParams
 from sparselb.policies import PolicySpec
 

@@ -9,10 +9,10 @@ import pytest
 
 import sparselb
 from sparselb import fixed_point, model
-from sparselb.fluid_sync import PoissonMoments
 from sparselb.model import MAX_STATE_BYTES, StateError, default_jmax
 from sparselb.fixed_point import (
     ConsistencyError,
+    PoissonMoments,
     h_value,
     m_star,
     m_star_det,
@@ -195,7 +195,7 @@ def test_endless_level_scans_are_refused():
     code = (
         "from math import inf\n"
         "from sparselb.fixed_point import m_star_det, y_star\n"
-        "from sparselb.fluid_sync import queue_bound\n"
+        "from sparselb.fixed_point import queue_bound\n"
         "from sparselb.model import StateError\n"
         "for call in (lambda: m_star_det(0.7, inf), lambda: y_star(0.7, inf),\n"
         "             lambda: queue_bound(0.7, inf)):\n"
@@ -304,7 +304,7 @@ def test_level_scans_end_at_extreme_periods():
     # subprocess, so that a hang fails the test instead of stalling the suite
     code = (
         "from sparselb.fixed_point import m_star_det\n"
-        "from sparselb.fluid_sync import queue_bound\n"
+        "from sparselb.fixed_point import queue_bound\n"
         "from sparselb.model import StateError\n"
         "print(m_star_det(0.7, 2e16), queue_bound(0.7, 1e-17).s_star)\n"
         "try:\n"

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from sparselb import fluid_async, fluid_sync, model
 from sparselb.cli import main
-from sparselb.fixed_point import y_star
+from sparselb.fixed_point import poisson_ab, queue_bound, sigma, y_star
 from sparselb.model import (
     FluidState,
     StateError,
@@ -19,15 +21,13 @@ from sparselb.model import (
 from sparselb.fluid_async import integrate_async
 from sparselb.fluid_sync import (
     CheckReport,
+    FluidRun,
     IntegrationError,
     apply_sync_update,
     check_trajectory_invariants,
     integrate_sync,
     move_leftover,
-    poisson_ab,
-    queue_bound,
     rhs_sync,
-    sigma,
 )
 
 
@@ -399,8 +399,10 @@ def test_trajectory_checks_pass_from_empty():
 
 def test_trajectory_checks_flag_doctored_run():
     run = integrate_sync(FluidState.empty(40), 0.7, 0.85, 3.0)
-    run.states[-1] *= 1.5  # break mass conservation
-    report = check_trajectory_invariants(run)
+    doctored = run.states
+    doctored[-1] *= 1.5  # break mass conservation
+    report = check_trajectory_invariants(
+        FluidRun(run.times, doctored, run.update_epochs, run.lam))
     assert not report.passed
     assert "mass_conservation" in report.violations
 
@@ -559,6 +561,27 @@ def test_exact_flow_matches_fine_rk4(y0, delta, t_end):
     assert np.abs(run.states[1:] - ref).max() < 1e-8
 
 
+def test_flows_run_from_switch_to_switch_between_stored_times():
+    # stored only at the epochs and t_end: after each epoch column 0 drains
+    # before the next stop, so a flow runs to a switch and stores nothing
+    coarse = integrate_sync(FluidState.empty(40), 0.7, 0.85, 10.0, store_times=[10.0])
+    fine = integrate_sync(FluidState.empty(40), 0.7, 0.85, 10.0,
+                          store_times=np.linspace(0.0, 10.0, 2001))
+    assert len(coarse.times) == 10 and set(coarse.times) <= set(fine.times)
+    at = np.isin(fine.times, coarse.times)
+    assert np.abs(coarse.states - fine.states[at]).max() < 1e-12
+
+
+def test_a_switch_on_a_stored_time_is_stored_drained():
+    # column 0 drains at 0.41/0.7, a store time, where the flow leaves a
+    # leftover of 5.6e-17 in it: the stored state has it moved up a level
+    y0 = two_point_state(0.59, 40)
+    span = y0[:, 0].sum() / 0.7
+    run = integrate_sync(y0, 0.7, 0.5, 2.5, store_times=[span, 1.0])
+    assert run.times[1] == span
+    assert not run.states[1][:, 0].any() and run.states[1][0, 1] > 0.0
+
+
 def test_sync_takes_no_rk4_steps(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the synchronous limit must not step")
@@ -570,6 +593,98 @@ def test_sync_takes_no_rk4_steps(monkeypatch):
         run = integrate_sync(y0, 0.7, 0.85, 6.0)
         assert run.times[-1] == 6.0
         assert np.abs(run.states.sum(axis=(1, 2)) - 1.0).max() < 1e-9
+
+
+# Runs from empty by (lam, delta, jmax, t_end, store_times), None for the
+# default, with the sha256 of their states.tobytes(), recorded while each
+# run stored its dense (jmax + 1)^2 states: perfbench mean-field's run, a
+# run on the default grid, and one whose occupied levels pass 4, so that
+# its stored block grows twice.
+SYNC_PINNED = [
+    ((0.7, 0.85, 40, 10.0, np.linspace(0.0, 10.0, 2001)),
+     "9b6b985eaef9ff38ee3ffb88b3b2d24b9c4745522fb8be390e8f5047a5a167e9"),
+    ((0.7, 0.3, None, 20.0, None),
+     "1de2d1df4749cab67f76af5560e21ec7cf628fd75599bec147f75506548461cc"),
+    ((0.7, 0.05, None, 30.0, None),
+     "513beef761d1cac569dd9e19ec75ddc8c6f5de594aa3b4d6c41be66e81c05844"),
+]
+
+
+@pytest.mark.parametrize("inputs, digest", SYNC_PINNED,
+                         ids=["mean-field", "default-grid", "growing-block"])
+def test_sync_outputs_pinned(inputs, digest):
+    lam, delta, jmax, t_end, store = inputs
+    y0 = FluidState.empty(jmax or default_jmax(lam, delta))
+    run = integrate_sync(y0, lam, delta, t_end, store_times=store)
+    assert hashlib.sha256(run.states.tobytes()).hexdigest() == digest
+
+
+def test_a_run_keeps_the_block_of_its_occupied_levels():
+    # perfbench mean-field's run occupies levels 0..2: its block is 8 x 8,
+    # not 41 x 41, and states pads it back on each read
+    run = integrate_sync(FluidState.empty(40), 0.7, 0.85, 10.0,
+                         store_times=np.linspace(0.0, 10.0, 2001))
+    assert run.block.shape == (len(run.times), 8, 8) and len(run.times) == 2009
+    assert run.block.nbytes <= len(run.times) * 8 ** 2 * 8
+    assert run.jmax == 40 and run.states.shape == (2009, 41, 41)
+    assert run.states is not run.states
+    assert np.array_equal(run.final(), run.states[-1])
+    assert not run.states[:, 8:].any() and not run.states[:, :, 8:].any()
+
+
+@pytest.mark.parametrize("integrate", [integrate_sync, integrate_async])
+def test_a_run_round_trips_through_its_states(integrate):
+    # perfbench joins runs by dataclasses.replace(run, times=, states=,
+    # clamped=), and FluidRun(times, states, epochs, lam) trims dense states
+    run = integrate(FluidState.empty(default_jmax(0.7, 0.05)), 0.7, 0.05, 30.0)
+    assert run.block.shape[-1] == 24  # levels 0..14 are occupied
+    states = run.states
+    again = dataclasses.replace(run, times=run.times, states=states, clamped=run.clamped)
+    assert again.states.tobytes() == states.tobytes()
+    assert np.array_equal(again.block, run.block) and again.jmax == run.jmax
+    made = FluidRun(run.times, states, run.update_epochs, run.lam)
+    assert np.array_equal(made.states, states) and made.clamped == 0.0
+    # a state occupied to the edge keeps the whole grid
+    states[-1, -1, -1] = 1e-3
+    whole = FluidRun(run.times, states, run.update_epochs, run.lam)
+    assert whole.block.shape[-1] == run.jmax + 1
+    assert np.array_equal(whole.states, states)
+
+
+@pytest.mark.parametrize("n, extent, side", [
+    (41, 0, 8), (41, 4, 8), (41, 5, 16), (41, 37, 41),
+    (128, 70, 80),  # one pairwise run of 128 entries
+    (129, 60, 64), (129, 61, 129),  # runs of 64
+    (250, 113, 120), (250, 117, 250),  # runs of 120
+    (256, 70, 80),  # halved once, to runs of 128
+])
+def test_block_side_fits_numpys_first_pairwise_run(n, extent, side):
+    y = np.zeros((n, n))
+    if extent:
+        y[0, extent - 1] = 1.0
+    assert fluid_sync._block_side(y, n) == side
+    run = FluidRun(np.zeros(1), y[None], np.empty(0), 0.7)
+    assert run.block.shape == (1, side, side) and run.jmax == n - 1
+
+
+@pytest.mark.parametrize("integrate", [integrate_sync, integrate_async])
+def test_the_block_holds_estimates_past_the_queue_levels(integrate):
+    # every server idle with estimate 12: column 12 is occupied, row 12 is not
+    y0 = FluidState.from_entries({(0, 12): 1.0}, 40)
+    run = integrate(y0, 0.7, 0.85, 0.5)
+    assert run.block.shape[-1] == 24
+    assert np.array_equal(run.states[0], y0.y)
+    assert np.abs(run.block.sum(axis=(1, 2)) - 1.0).max() < 1e-9
+    made = FluidRun(run.times[:1], y0.y[None], run.update_epochs, run.lam)
+    assert np.array_equal(made.final(), y0.y)
+
+
+@pytest.mark.parametrize("integrate", [integrate_sync, integrate_async])
+def test_a_block_grown_to_the_whole_state_meets_the_boundary(integrate):
+    # levels up to 14 are occupied at delta 0.05: at jmax 10 the block grows
+    # from 8 to the whole 11 x 11 state, whose last level then fills
+    with pytest.raises(TruncationError, match="jmax=10"):
+        integrate(FluidState.empty(10), 0.7, 0.05, 30.0)
 
 
 def poisson_ab_reference(level, t):

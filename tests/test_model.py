@@ -5,9 +5,9 @@ import pytest
 
 from sparselb import model
 from sparselb.cli import build_parser
-from sparselb.fixed_point import m_star, m_star_det, y_star
+from sparselb.fixed_point import m_star, m_star_det, queue_bound, y_star
 from sparselb.fluid_async import integrate_async
-from sparselb.fluid_sync import integrate_sync, queue_bound
+from sparselb.fluid_sync import integrate_sync
 from sparselb.model import (
     SWITCH_TOL,
     FluidState,
